@@ -3,15 +3,17 @@
 The continuous bath J(omega) = 2 pi alpha omega^s (cutoff at omega_c = 1)
 is chopped into intervals [Lambda^-(n+1), Lambda^-n]. Each interval
 becomes one star mode with squared coupling gamma_n^2 = (1/pi) int J and
-representative energy xi_n = int J omega / int J. Lanczos tridiagonalization
-starting from the normalized coupling vector then turns the star into a
-semi-infinite chain whose hoppings decay like Lambda^-n, which is what the
-iterative diagonalization needs.
+representative energy xi_n = int J omega / int J. Tridiagonalizing the
+star from the normalized coupling vector (the Lanczos chain, computed here
+by the Gragg-Harrod rotation recursion) turns it into a semi-infinite chain
+whose hoppings decay like Lambda^-n, which is what the iterative
+diagonalization needs.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -24,19 +26,10 @@ from .circuit import SpinBosonParams
 __all__ = [
     "StarBath",
     "WilsonChain",
-    "ChainMapError",
     "spectral_density",
     "discretize",
     "chain_map",
 ]
-
-
-class ChainMapError(RuntimeError):
-    """Lanczos recursion lost orthogonality beyond tolerance."""
-
-
-# Orthogonality requirement on the (extended precision) Lanczos basis.
-ORTHOGONALITY_TOL = 1e-25
 
 
 @dataclass(frozen=True)
@@ -149,14 +142,45 @@ def _working_digits(xi: np.ndarray) -> int:
 _CHAIN_CACHE: dict = {}
 
 
-def chain_map(star: StarBath, dps: int | None = None) -> WilsonChain:
-    """Tridiagonalize the star via Lanczos with full reorthogonalization.
+def _rkpw(nodes: list, weights: list) -> tuple[list, list]:
+    """Recurrence coefficients (alpha_n, beta_n) of sum_i w_i delta(x - x_i).
 
-    The recursion runs in mpmath extended precision because t_n shrinks
-    like Lambda^-n and double precision loses the tail to roundoff. Every
-    Lanczos vector is reorthogonalized against the whole basis; if the
-    residual overlap still exceeds ORTHOGONALITY_TOL the mapping aborts.
-    Chains for identical stars are cached per process (the map is pure).
+    Gragg-Harrod rotations (RKPW, Gautschi's OPQ lanczos.m) fold in one
+    node at a time: O(n^2) work and no Lanczos basis. beta[0] = sum w_i.
+    """
+    n = len(nodes)
+    p0 = list(nodes)
+    p1 = [weights[0]] + [mpmath.mpf(0)] * (n - 1)
+    for m in range(1, n):
+        pn, xlam = weights[m], nodes[m]
+        gam, sig, t = mpmath.mpf(1), mpmath.mpf(0), mpmath.mpf(0)
+        for k in range(m + 1):
+            rho = p1[k] + pn
+            tmp = gam * rho
+            tsig = sig
+            if rho <= 0:
+                gam, sig = mpmath.mpf(1), mpmath.mpf(0)
+            else:
+                gam, sig = p1[k] / rho, pn / rho
+            tk = sig * (p0[k] - xlam) - gam * t
+            p0[k] -= tk - t
+            t = tk
+            pn = tsig * p1[k] if sig <= 0 else t * t / sig
+            p1[k] = tmp  # p1[k], not p1[k + 1]
+    return p0, p1
+
+
+def chain_map(star: StarBath, dps: int | None = None) -> WilsonChain:
+    """Tridiagonalize the star into the Wilson chain.
+
+    The chain is the Lanczos tridiagonal of diag(xi) from the normalized
+    coupling vector, taken from the recurrence of the weights gamma_i^2:
+    c0 = sqrt(beta_0), eps_n = alpha_n, t_n = sqrt(beta_{n+1}). It runs in
+    mpmath extended precision because t_n shrinks like Lambda^-n and
+    double precision loses the tail to roundoff. The chain ends at the
+    first t_n below 10^-(dps-5), where a degenerate star runs out of
+    distinct energies. Chains for identical stars are cached per process
+    (the map is pure).
     """
     xi = np.asarray(star.xi, dtype=float)
     gamma = np.asarray(star.gamma, dtype=float)
@@ -174,41 +198,14 @@ def chain_map(star: StarBath, dps: int | None = None) -> WilsonChain:
         return WilsonChain(c0=c0, eps=eps.copy(), t=t.copy())
 
     prec = _working_digits(xi) if dps is None else int(dps)
-    n = xi.size
     with mpmath.workdps(prec):
-        xs = [mpmath.mpf(v) for v in xi.tolist()]
-        c0_mp = mpmath.sqrt(mpmath.fsum(mpmath.mpf(g) ** 2 for g in gamma.tolist()))
-        v = [mpmath.mpf(g) / c0_mp for g in gamma.tolist()]
-        basis = [v]
-        eps_out: list = []
-        t_out: list = []
+        alpha, beta = _rkpw([mpmath.mpf(v) for v in xi.tolist()],
+                            [mpmath.mpf(g) ** 2 for g in gamma.tolist()])
         floor = mpmath.mpf(10) ** (-(prec - 5))
-        for k in range(n):
-            vk = basis[-1]
-            a_k = mpmath.fsum(xs[i] * vk[i] * vk[i] for i in range(n))
-            eps_out.append(a_k)
-            if k == n - 1:
-                break
-            w = [xs[i] * vk[i] - a_k * vk[i] for i in range(n)]
-            for u in basis:
-                ov = mpmath.fsum(u[i] * w[i] for i in range(n))
-                w = [w[i] - ov * u[i] for i in range(n)]
-            norm = mpmath.sqrt(mpmath.fsum(x * x for x in w))
-            if norm <= floor:
-                break  # invariant subspace exhausted (degenerate star)
-            w = [x / norm for x in w]
-            worst = max(
-                abs(mpmath.fsum(u[i] * w[i] for i in range(n))) for u in basis
-            )
-            if worst > ORTHOGONALITY_TOL:
-                raise ChainMapError(
-                    f"orthogonality loss {mpmath.nstr(worst, 3)} at site {k} "
-                    f"exceeds {ORTHOGONALITY_TOL:g}; raise the working precision"
-                )
-            t_out.append(norm)
-            basis.append(w)
-        c0 = float(c0_mp)
-        eps = np.array([float(x) for x in eps_out])
+        t_out = list(itertools.takewhile(lambda t_n: t_n > floor,
+                                         map(mpmath.sqrt, beta[1:])))
+        c0 = float(mpmath.sqrt(beta[0]))
+        eps = np.array([float(x) for x in alpha[:len(t_out) + 1]])
         t = np.array([float(x) for x in t_out])
 
     _CHAIN_CACHE[key] = (c0, eps.copy(), t.copy())

@@ -3,8 +3,9 @@
 Subcommands: map-circuit, chain, run, sweep, critical, oracle. Each takes
 a JSON config (--config), writes CSV/JSON outputs plus a manifest with
 sha256 digests into --out, and exits 0 on success, 2 on config errors,
-3 on numerical failures, 4 on I/O errors. Outputs are byte-identical
-across reruns and worker counts; only manifest timestamps differ.
+3 on numerical failures (a MemoryError counts as one), 4 on I/O errors.
+Outputs are byte-identical across reruns and worker counts; only manifest
+timestamps differ.
 """
 
 from __future__ import annotations
@@ -614,10 +615,11 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         manifest = execute(cfg)
-    except (IntegrationError, FitError, bath.ChainMapError,
-            criticality.NoCrossingError, nrg.NrgError,
-            np.linalg.LinAlgError, FloatingPointError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+    except (IntegrationError, FitError, criticality.NoCrossingError,
+            nrg.NrgError, np.linalg.LinAlgError, FloatingPointError,
+            MemoryError) as exc:
+        print(f"numerical failure: {str(exc) or type(exc).__name__}",
+              file=sys.stderr)
         return EXIT_NUMERICAL
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -41,6 +41,12 @@ __all__ = [
 # legitimate (decoupled chain at alpha = 0) and do not stop the run.
 HOPPING_FLOOR = 1e-30
 
+# Largest n_s * boson_dim accepted. Each iteration diagonalizes a dense
+# float64 H of that dimension, about 0.5 GiB at 8192, and the degeneracy
+# extension can keep up to 2 n_s states, doubling it. The largest config
+# in use (n_s = 300, n_b = 12) needs 3600.
+MAX_DENSE_DIM = 8192
+
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 _SZ = np.array([[1.0, 0.0], [0.0, -1.0]])
 
@@ -94,6 +100,11 @@ class NrgConfig:
             raise ValueError("flow_levels must be at least 2")
         if self.n_star is not None and self.n_star < self.n_iter + 5:
             raise ValueError("n_star must be at least n_iter + 5")
+        if self.n_s * self.boson_dim > MAX_DENSE_DIM:
+            raise ValueError(
+                f"n_s * boson_dim = {self.n_s * self.boson_dim} exceeds the "
+                f"dense-matrix limit {MAX_DENSE_DIM}"
+            )
 
     @property
     def boson_dim(self) -> int:

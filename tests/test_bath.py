@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -7,7 +9,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sbnrg.bath import (
-    ORTHOGONALITY_TOL,
     StarBath,
     WilsonChain,
     chain_map,
@@ -15,6 +16,17 @@ from sbnrg.bath import (
     spectral_density,
 )
 from sbnrg.circuit import SpinBosonParams
+
+
+REFERENCE_CHAINS = json.loads(
+    (Path(__file__).parent / "data" / "chains_ref.json").read_text()
+)["stars"]
+
+
+def _reference_id(ref):
+    if "xi" in ref:
+        return f"explicit{len(ref['xi'])}"
+    return f"L{ref['Lambda']:g}-n{ref['n_star']}-a{ref['alpha']:g}-s{ref['s']:g}"
 
 
 def ohmic(alpha, s=1.0):
@@ -203,8 +215,20 @@ class TestChainMap:
         npt.assert_allclose(manual.eps, auto.eps, rtol=1e-13)
         npt.assert_allclose(manual.t, auto.t, rtol=1e-13)
 
-    def test_orthogonality_budget_is_tight(self):
-        assert ORTHOGONALITY_TOL <= 1e-20
+    @pytest.mark.parametrize("ref", REFERENCE_CHAINS, ids=_reference_id)
+    def test_matches_frozen_lanczos_chains(self, ref):
+        # bit-exact against chains frozen from the reorthogonalized Lanczos
+        if "xi" in ref:
+            star = StarBath(xi=np.array(ref["xi"]), gamma=np.array(ref["gamma"]),
+                            alpha=0.0, s=1.0, Lambda=2.0)
+        else:
+            star = discretize(SpinBosonParams(delta=0.0, alpha=ref["alpha"],
+                                              s=ref["s"]),
+                              ref["Lambda"], ref["n_star"])
+        ch = chain_map(star)
+        assert ch.c0 == float.fromhex(ref["c0"])
+        assert np.array_equal(ch.eps, [float.fromhex(x) for x in ref["eps"]])
+        assert np.array_equal(ch.t, [float.fromhex(x) for x in ref["t"]])
 
 
 class TestWilsonChain:

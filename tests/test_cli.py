@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from sbnrg import cli
 from sbnrg.bath import chain_map, discretize
 from sbnrg.circuit import SpinBosonParams
 from sbnrg.cli import (
@@ -448,6 +449,23 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o1")]) == EXIT_CONFIG
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o2"),
                      "--no-strict"]) == EXIT_OK
+
+    def test_oversized_dense_problem_is_config_error(self):
+        payload = {"model": {"delta": 0.01, "alpha": 0.3},
+                   "nrg": {"n_s": 10000, "n_b": 50}}
+        with pytest.raises(ConfigError, match="8192"):
+            parse_config(json.dumps(payload), mode="run")
+
+    def test_memory_error_exits_numerical(self, tmp_path, monkeypatch,
+                                          capsys):
+        def exhausted(cfg):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "execute", exhausted)
+        cfg = write_config(tmp_path, RUN_PAYLOAD)
+        code = main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert code == EXIT_NUMERICAL
+        assert "MemoryError" in capsys.readouterr().err
 
     def test_out_path_is_file(self, tmp_path):
         blocker = tmp_path / "blocked"

@@ -50,6 +50,14 @@ class TestNrgConfig:
         with pytest.raises(ValueError):
             NrgConfig(**kwargs)
 
+    def test_rejects_oversized_dense_problem(self):
+        # validation only: never run a config this large
+        with pytest.raises(ValueError, match="8192"):
+            NrgConfig(n_s=10000, n_b=50)
+        with pytest.raises(ValueError, match="8192"):
+            NrgConfig(n_s=1366, n_b=5, n_b_is_max_occupation=True)
+        assert NrgConfig(n_s=300, n_b=12).n_s == 300
+
 
 class TestDecoupledLimit:
     """alpha = 0 is exactly solvable: free spin plus free chain."""
