@@ -1,9 +1,10 @@
-"""Ohmic bath: spectral function, logarithmic star discretization, Wilson chain.
+"""Power-law bath: spectral function, logarithmic star discretization, Wilson chain.
 
-The continuous bath J(omega) = 2 pi alpha omega^s (cutoff at omega_c = 1)
-is chopped into intervals [Lambda^-(n+1), Lambda^-n]. Each interval
-becomes one star mode with squared coupling gamma_n^2 = (1/pi) int J and
-representative energy xi_n = int J omega / int J. Tridiagonalizing the
+The continuous bath J(omega) = 2 pi alpha omega^s (cutoff at omega_c = 1;
+s = 1 is the Ohmic transmission line) is chopped into intervals
+[Lambda^-(n+1), Lambda^-n]. Each interval becomes one star mode with
+squared coupling gamma_n^2 = (1/pi) int J and representative energy
+xi_n = int J omega / int J, both in closed form. Tridiagonalizing the
 star from the normalized coupling vector (the Lanczos chain, computed here
 by the Gragg-Harrod rotation recursion) turns it into a semi-infinite chain
 whose hoppings decay like Lambda^-n, which is what the iterative
@@ -20,7 +21,6 @@ from dataclasses import dataclass
 import mpmath
 import numpy as np
 
-from . import numerics
 from .circuit import SpinBosonParams
 
 __all__ = [
@@ -93,10 +93,12 @@ def spectral_density(p: SpinBosonParams, omega: float) -> float:
 def discretize(p: SpinBosonParams, Lambda: float, n_star: int) -> StarBath:
     """Logarithmically discretize the bath into n_star modes.
 
-    For the Ohmic case the defining integrals have closed forms:
-    gamma_n^2 = alpha (1 - Lambda^-2) Lambda^-2n and
-    xi_n = (2/3) (1 - Lambda^-3)/(1 - Lambda^-2) Lambda^-n.
-    Other exponents go through adaptive quadrature. alpha = 0 gives a
+    The defining integrals of omega^s and omega^(s+1) over each interval
+    have closed forms for every s > -1:
+    gamma_n^2 = 2 alpha (1 - Lambda^-(s+1))/(s+1) Lambda^-(s+1)n and
+    xi_n = (s+1)/(s+2) (1 - Lambda^-(s+2))/(1 - Lambda^-(s+1)) Lambda^-n.
+    At s = 1 these are alpha (1 - Lambda^-2) Lambda^-2n and
+    (2/3) (1 - Lambda^-3)/(1 - Lambda^-2) Lambda^-n. alpha = 0 gives a
     decoupled bath (all gamma zero), not an error; the xi stay at the
     J-weighted interval means, which do not depend on alpha.
     """
@@ -106,24 +108,13 @@ def discretize(p: SpinBosonParams, Lambda: float, n_star: int) -> StarBath:
     n_star = int(n_star)
     if n_star < 1:
         raise ValueError("need at least one discretization interval")
+    s = p.s
     n = np.arange(n_star, dtype=float)
-    if p.s == 1.0:
-        xi0 = (2.0 / 3.0) * (1.0 - Lambda ** -3) / (1.0 - Lambda ** -2)
-        g0_sq = p.alpha * (1.0 - Lambda ** -2)
-        xi = xi0 * Lambda ** -n
-        g_sq = g0_sq * Lambda ** (-2.0 * n)
-    else:
-        s = p.s
-        xi = np.empty(n_star)
-        g_sq = np.empty(n_star)
-        for k in range(n_star):
-            lo = Lambda ** -(k + 1)
-            hi = Lambda ** -k
-            # weight with alpha folded out so the alpha = 0 mean stays defined
-            w_unit = numerics.integrate(lambda w: w ** s, lo, hi)
-            m_unit = numerics.integrate(lambda w: w ** (s + 1.0), lo, hi)
-            xi[k] = m_unit / w_unit
-            g_sq[k] = 2.0 * p.alpha * w_unit
+    xi0 = ((s + 1.0) / (s + 2.0) * (1.0 - Lambda ** -(s + 2.0))
+           / (1.0 - Lambda ** -(s + 1.0)))
+    g0_sq = 2.0 * p.alpha * (1.0 - Lambda ** -(s + 1.0)) / (s + 1.0)
+    xi = xi0 * Lambda ** -n
+    g_sq = g0_sq * Lambda ** (-(s + 1.0) * n)
     return StarBath(
         xi=xi,
         gamma=np.sqrt(g_sq),

@@ -4,8 +4,12 @@ Subcommands: map-circuit, chain, run, sweep, critical, oracle. Each takes
 a JSON config (--config), writes CSV/JSON outputs plus a manifest with
 sha256 digests into --out, and exits 0 on success, 2 on config errors,
 3 on numerical failures (a MemoryError counts as one), 4 on I/O errors.
-Outputs are byte-identical across reruns and worker counts; only manifest
-timestamps differ.
+A DegeneracyError (a boundary multiplet wider than 2 n_s at truncation)
+exits 2: its remedy is a config change, raising n_s or shrinking
+degeneracy_tol, and the class subclasses ValueError. Unknown config keys
+are errors; with --no-strict each one is ignored with a RuntimeWarning
+naming its path. Outputs are byte-identical across reruns and worker
+counts; only manifest timestamps differ.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import hashlib
 import json
 import multiprocessing
 import sys
+import warnings
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -32,7 +37,7 @@ from .circuit import (
     microwave_bias,
     qubit_spectrum,
 )
-from .numerics import FitError, IntegrationError
+from .numerics import FitError
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "execute", "main"]
 
@@ -47,7 +52,7 @@ _MODEL_KEYS = {"delta": float, "epsilon": float, "alpha": float, "s": float,
                "omega_c": float}
 _NRG_KEYS = {"lambda": float, "n_s": int, "n_b": int, "n_iter": int,
              "degeneracy_tol": float, "epsilon_break": float,
-             "flow_levels": int, "n_star": int, "n_b_is_max_occupation": bool}
+             "flow_levels": int, "n_star": int}
 _CIRCUIT_KEYS = {"c_j": float, "c_0": float, "i_0": float, "i_b": float,
                  "l": float, "c": float, "omega_c": float,
                  "delta_convention": str, "i_uw": float, "line_length": float,
@@ -89,14 +94,19 @@ class RunConfig:
     oracle_problem: oracle.EdProblem | None = None
 
 
+def _unknown_key(name: str, strict: bool) -> None:
+    if strict:
+        raise ConfigError(f"unknown key {name}")
+    warnings.warn(f"ignoring unknown key {name}", RuntimeWarning, stacklevel=3)
+
+
 def _typed(block: dict, allowed: dict, path: str, strict: bool) -> dict:
     if not isinstance(block, dict):
         raise ConfigError(f"{path} must be an object")
     out = {}
     for key, value in block.items():
         if key not in allowed:
-            if strict:
-                raise ConfigError(f"unknown key {path}.{key}")
+            _unknown_key(f"{path}.{key}", strict)
             continue
         want = allowed[key]
         if want is float:
@@ -106,10 +116,6 @@ def _typed(block: dict, allowed: dict, path: str, strict: bool) -> dict:
         elif want is int:
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ConfigError(f"{path}.{key} must be an integer")
-            out[key] = value
-        elif want is bool:
-            if not isinstance(value, bool):
-                raise ConfigError(f"{path}.{key} must be a boolean")
             out[key] = value
         elif want is str:
             if not isinstance(value, str):
@@ -220,8 +226,8 @@ def parse_config(text: str, mode: str, strict: bool = True,
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
     for key in raw:
-        if key not in _TOP_KEYS and strict:
-            raise ConfigError(f"unknown key {key}")
+        if key not in _TOP_KEYS:
+            _unknown_key(key, strict)
     if "mode" in raw:
         if not isinstance(raw["mode"], str):
             raise ConfigError("mode must be a string")
@@ -615,7 +621,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         manifest = execute(cfg)
-    except (IntegrationError, FitError, criticality.NoCrossingError,
+    except (FitError, criticality.NoCrossingError,
             nrg.NrgError, np.linalg.LinAlgError, FloatingPointError,
             MemoryError) as exc:
         print(f"numerical failure: {str(exc) or type(exc).__name__}",

@@ -41,7 +41,7 @@ __all__ = [
 # legitimate (decoupled chain at alpha = 0) and do not stop the run.
 HOPPING_FLOOR = 1e-30
 
-# Largest n_s * boson_dim accepted. Each iteration diagonalizes a dense
+# Largest n_s * n_b accepted. Each iteration diagonalizes a dense
 # float64 H of that dimension, about 0.5 GiB at 8192, and the degeneracy
 # extension can keep up to 2 n_s states, doubling it. The largest config
 # in use (n_s = 300, n_b = 12) needs 3600.
@@ -68,9 +68,9 @@ class NrgConfig:
     relative window that extends the truncation cut across a degenerate
     boundary multiplet, epsilon_break an optional tiny symmetry-breaking
     bias, flow_levels how many levels each flow record stores. n_b counts
-    basis states (occupations 0..n_b-1); set n_b_is_max_occupation when a
-    quoted n_b means the highest occupation instead. n_star overrides the
-    chain length (default 2 n_iter, floor n_iter + 5).
+    basis states (occupations 0..n_b-1), so a quoted highest occupation
+    n_max means n_b = n_max + 1. n_star overrides the chain length
+    (default 2 n_iter, floor n_iter + 5).
     """
 
     Lambda: float = 2.0
@@ -81,7 +81,6 @@ class NrgConfig:
     epsilon_break: float = 0.0
     flow_levels: int = 12
     n_star: int | None = None
-    n_b_is_max_occupation: bool = False
 
     def __post_init__(self):
         if self.Lambda <= 1.0:
@@ -100,15 +99,11 @@ class NrgConfig:
             raise ValueError("flow_levels must be at least 2")
         if self.n_star is not None and self.n_star < self.n_iter + 5:
             raise ValueError("n_star must be at least n_iter + 5")
-        if self.n_s * self.boson_dim > MAX_DENSE_DIM:
+        if self.n_s * self.n_b > MAX_DENSE_DIM:
             raise ValueError(
-                f"n_s * boson_dim = {self.n_s * self.boson_dim} exceeds the "
+                f"n_s * n_b = {self.n_s * self.n_b} exceeds the "
                 f"dense-matrix limit {MAX_DENSE_DIM}"
             )
-
-    @property
-    def boson_dim(self) -> int:
-        return self.n_b + 1 if self.n_b_is_max_occupation else self.n_b
 
     @property
     def chain_length(self) -> int:
@@ -211,7 +206,7 @@ def build_initial(p: SpinBosonParams, chain: WilsonChain, cfg: NrgConfig) -> Nrg
 
     H0 = -(delta/2) sigma_x + ((epsilon + epsilon_break)/2) sigma_z
          + eps_0 b^dag b + (c0/2) sigma_z (b + b^dag)
-    on the 2 x boson_dim product basis. An empty chain (possible only at
+    on the 2 x n_b product basis. An empty chain (possible only at
     alpha = 0) degenerates to the bare two-level system. Warns when the
     coupling-induced displacement c0/eps_0 approaches what the boson basis
     can represent.
@@ -231,7 +226,7 @@ def build_initial(p: SpinBosonParams, chain: WilsonChain, cfg: NrgConfig) -> Nrg
             ground_energy=float(dec.eigenvalues[0]),
         )
 
-    db = cfg.boson_dim
+    db = cfg.n_b
     eps0 = float(chain.eps[0])
     c0 = float(chain.c0)
     if c0 > 0 and eps0 > 0 and c0 / eps0 > math.sqrt(db):
@@ -279,7 +274,7 @@ def iterate(state: NrgState, chain: WilsonChain, cfg: NrgConfig) -> NrgState:
     if m >= chain.n_sites:
         raise ValueError(f"chain exhausted: no site {m}")
     lam = cfg.Lambda
-    db = cfg.boson_dim
+    db = cfg.n_b
     b = _ladder(db)
     nhat = np.diag(np.arange(db, dtype=float))
     k = state.kept

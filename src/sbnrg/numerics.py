@@ -1,4 +1,4 @@
-"""Numerical kernels: symmetric eigensolver, adaptive quadrature, divergence fit.
+"""Numerical kernels: symmetric eigensolver and divergence fit.
 
 Everything here is deterministic for fixed inputs. The eigensolver wraps
 LAPACK's symmetric driver and adds a fixed sign convention so repeated
@@ -18,16 +18,10 @@ __all__ = [
     "SymMatrix",
     "EigenDecomposition",
     "DivergenceFit",
-    "IntegrationError",
     "FitError",
     "sym_eig",
-    "integrate",
     "fit_divergence",
 ]
-
-
-class IntegrationError(RuntimeError):
-    """Adaptive quadrature hit its depth limit before reaching tolerance."""
 
 
 class FitError(RuntimeError):
@@ -39,20 +33,12 @@ class ToleranceConfig:
     """All numeric tolerances of this module in one record.
 
     symmetry_rtol        max allowed relative asymmetry of a SymMatrix
-    eig_residual_rtol    bound on ||A V - V diag(w)||_max / ||A||_max
-    eig_orthonormal_atol bound on ||V^T V - I||_max
-    integrate_rtol       default relative tolerance of `integrate`
-    integrate_max_depth  default bisection depth limit of `integrate`
     fit_window           default search window above max(alpha) for the pole
     fit_grid_points      coarse grid size of the pole scan
     fit_golden_iters     fixed golden-section refinement count (determinism)
     """
 
     symmetry_rtol: float = 1e-12
-    eig_residual_rtol: float = 1e-10
-    eig_orthonormal_atol: float = 1e-10
-    integrate_rtol: float = 1e-12
-    integrate_max_depth: int = 48
     fit_window: float = 2.0
     fit_grid_points: int = 2000
     fit_golden_iters: int = 90
@@ -96,17 +82,13 @@ class EigenDecomposition:
     vectors: np.ndarray
 
 
-def sym_eig(a, check: bool = False) -> EigenDecomposition:
+def sym_eig(a) -> EigenDecomposition:
     """Diagonalize a real symmetric matrix.
 
     Accepts a SymMatrix or anything convertible to one. Eigenvalues come
     back ascending; each eigenvector is normalized and signed so that its
     largest-magnitude component is positive (first such index on ties),
     which makes the output reproducible bit for bit.
-
-    With check=True the residual and orthonormality contracts are verified
-    explicitly; the hot NRG loop leaves this off and the test suite covers
-    the bounds instead.
     """
     if not isinstance(a, SymMatrix):
         a = SymMatrix(a)
@@ -116,69 +98,7 @@ def sym_eig(a, check: bool = False) -> EigenDecomposition:
     signs = np.sign(v[idx, np.arange(v.shape[1])])
     signs[signs == 0] = 1.0
     v = v * signs
-
-    if check:
-        scale = max(float(np.abs(a.data).max()), 1e-300)
-        resid = float(np.abs(a.data @ v - v * w).max())
-        if resid > TOLERANCES.eig_residual_rtol * scale:
-            raise FloatingPointError(
-                f"eigendecomposition residual {resid:.3e} out of tolerance"
-            )
-        ortho = float(np.abs(v.T @ v - np.eye(v.shape[1])).max())
-        if ortho > TOLERANCES.eig_orthonormal_atol:
-            raise FloatingPointError(
-                f"eigenvector orthonormality defect {ortho:.3e} out of tolerance"
-            )
     return EigenDecomposition(eigenvalues=w, vectors=v)
-
-
-def _simpson(f, lo, hi, flo, fmid, fhi, whole, tol, depth):
-    mid = 0.5 * (lo + hi)
-    lmid = 0.5 * (lo + mid)
-    rmid = 0.5 * (mid + hi)
-    flm = f(lmid)
-    frm = f(rmid)
-    left = (mid - lo) / 6.0 * (flo + 4.0 * flm + fmid)
-    right = (hi - mid) / 6.0 * (fmid + 4.0 * frm + fhi)
-    delta = left + right - whole
-    if abs(delta) <= 15.0 * tol * max(abs(left + right), 1e-300):
-        return left + right + delta / 15.0
-    if depth <= 0:
-        raise IntegrationError(
-            f"no convergence on [{lo:.6g}, {hi:.6g}] at depth limit"
-        )
-    return _simpson(f, lo, mid, flo, flm, fmid, left, tol, depth - 1) + _simpson(
-        f, mid, hi, fmid, frm, fhi, right, tol, depth - 1
-    )
-
-
-def integrate(f, lo: float, hi: float, tol: float | None = None,
-              max_depth: int | None = None) -> float:
-    """Adaptive Simpson quadrature of f over [lo, hi].
-
-    Subintervals are bisected until the local Richardson error estimate
-    drops below `tol` relative to the local integral. Raises
-    IntegrationError when the depth limit is exhausted first.
-    """
-    lo = float(lo)
-    hi = float(hi)
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError("integration bounds must be finite")
-    if lo > hi:
-        raise ValueError("lower bound exceeds upper bound")
-    if lo == hi:
-        return 0.0
-    tol = TOLERANCES.integrate_rtol if tol is None else float(tol)
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    depth = TOLERANCES.integrate_max_depth if max_depth is None else int(max_depth)
-    mid = 0.5 * (lo + hi)
-    flo, fmid, fhi = f(lo), f(mid), f(hi)
-    for val in (flo, fmid, fhi):
-        if not math.isfinite(val):
-            raise ValueError("integrand is not finite on the interval")
-    whole = (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
-    return _simpson(f, lo, hi, flo, fmid, fhi, whole, tol, depth)
 
 
 @dataclass

@@ -17,7 +17,7 @@ from sbnrg.cli import (
     main,
     parse_config,
 )
-from sbnrg.nrg import NrgConfig, run
+from sbnrg.nrg import DegeneracyError, NrgConfig, run
 from sbnrg.oracle import EdProblem, exact_diag
 
 
@@ -68,8 +68,13 @@ class TestParseConfig:
 
     def test_non_strict_ignores_unknown(self):
         payload = {"model": {"delta": 0.1, "beta": 1.0}, "extras": {}}
-        cfg = parse_config(json.dumps(payload), mode="run", strict=False)
+        with pytest.warns(RuntimeWarning) as record:
+            cfg = parse_config(json.dumps(payload), mode="run", strict=False)
         assert cfg.model.delta == 0.1
+        assert sorted(str(w.message) for w in record) == [
+            "ignoring unknown key extras",
+            "ignoring unknown key model.beta",
+        ]
 
     def test_type_errors(self):
         bad_float = {"model": {"delta": "0.1"}}
@@ -447,8 +452,9 @@ class TestExitCodes:
         cfg = write_config(tmp_path, payload)
         assert main(["run", "--config", cfg,
                      "--out", str(tmp_path / "o1")]) == EXIT_CONFIG
-        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o2"),
-                     "--no-strict"]) == EXIT_OK
+        with pytest.warns(RuntimeWarning, match="unknown key extras"):
+            assert main(["run", "--config", cfg, "--out", str(tmp_path / "o2"),
+                         "--no-strict"]) == EXIT_OK
 
     def test_oversized_dense_problem_is_config_error(self):
         payload = {"model": {"delta": 0.01, "alpha": 0.3},
@@ -466,6 +472,18 @@ class TestExitCodes:
         code = main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
         assert code == EXIT_NUMERICAL
         assert "MemoryError" in capsys.readouterr().err
+
+    def test_degeneracy_error_exits_config(self, tmp_path, monkeypatch,
+                                           capsys):
+        # the remedy is a config change (raise n_s or shrink degeneracy_tol)
+        def too_degenerate(cfg):
+            raise DegeneracyError("kept set 90 exceeds 2 n_s = 80")
+
+        monkeypatch.setattr(cli, "execute", too_degenerate)
+        cfg = write_config(tmp_path, RUN_PAYLOAD)
+        code = main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: kept set 90")
 
     def test_out_path_is_file(self, tmp_path):
         blocker = tmp_path / "blocked"

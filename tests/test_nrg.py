@@ -24,11 +24,7 @@ class TestNrgConfig:
     def test_defaults(self):
         cfg = NrgConfig()
         assert cfg.Lambda == 2.0 and cfg.n_s == 100 and cfg.n_b == 6
-        assert cfg.boson_dim == 6
         assert cfg.chain_length == 120
-
-    def test_boson_dim_convention_switch(self):
-        assert NrgConfig(n_b=6, n_b_is_max_occupation=True).boson_dim == 7
 
     def test_chain_length_floor(self):
         assert NrgConfig(n_iter=3).chain_length == 8
@@ -55,7 +51,7 @@ class TestNrgConfig:
         with pytest.raises(ValueError, match="8192"):
             NrgConfig(n_s=10000, n_b=50)
         with pytest.raises(ValueError, match="8192"):
-            NrgConfig(n_s=1366, n_b=5, n_b_is_max_occupation=True)
+            NrgConfig(n_s=1366, n_b=6)
         assert NrgConfig(n_s=300, n_b=12).n_s == 300
 
 

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -10,10 +8,8 @@ from sbnrg.numerics import (
     TOLERANCES,
     DivergenceFit,
     FitError,
-    IntegrationError,
     SymMatrix,
     fit_divergence,
-    integrate,
     sym_eig,
 )
 
@@ -35,12 +31,12 @@ class TestSymEig:
 
     def test_residual_and_orthogonality_bounds(self):
         a = random_symmetric(50, seed=1234)
-        dec = sym_eig(a, check=True)
+        dec = sym_eig(a)
         scale = np.abs(a).max()
         resid = np.abs(a @ dec.vectors - dec.vectors * dec.eigenvalues).max()
-        assert resid <= TOLERANCES.eig_residual_rtol * scale
+        assert resid <= 1e-10 * scale
         ortho = np.abs(dec.vectors.T @ dec.vectors - np.eye(50)).max()
-        assert ortho <= TOLERANCES.eig_orthonormal_atol
+        assert ortho <= 1e-10
 
     def test_sign_convention(self):
         dec = sym_eig(random_symmetric(12, seed=9))
@@ -87,44 +83,6 @@ class TestSymEig:
     def test_ascending(self):
         dec = sym_eig(random_symmetric(20, seed=3))
         assert np.all(np.diff(dec.eigenvalues) >= 0)
-
-
-class TestIntegrate:
-    def test_linear(self):
-        assert abs(integrate(lambda w: w, 0.0, 1.0) - 0.5) < 1e-12
-
-    def test_quadratic(self):
-        got = integrate(lambda w: w * w, 0.5, 1.0)
-        assert abs(got - 7.0 / 24.0) < 1e-12 * (7.0 / 24.0)
-
-    def test_empty_interval(self):
-        assert integrate(lambda w: w, 0.3, 0.3) == 0.0
-
-    def test_reversed_bounds_rejected(self):
-        with pytest.raises(ValueError):
-            integrate(lambda w: w, 1.0, 0.0)
-
-    def test_depth_limit_reported(self):
-        with pytest.raises(IntegrationError):
-            integrate(
-                lambda w: 1.0 / math.sqrt(w) if w > 0 else 0.0,
-                0.0,
-                1.0,
-                tol=1e-14,
-                max_depth=8,
-            )
-
-    @given(st.floats(0.05, 0.95))
-    def test_additive_over_subintervals(self, split):
-        f = lambda w: math.exp(-w) * (1.0 + w * w)  # noqa: E731
-        tol = 1e-12
-        whole = integrate(f, 0.0, 1.0, tol=tol)
-        parts = integrate(f, 0.0, split, tol=tol) + integrate(f, split, 1.0, tol=tol)
-        assert abs(whole - parts) <= 2.0 * tol * abs(whole) + 1e-15
-
-    def test_smooth_oscillator(self):
-        got = integrate(math.sin, 0.0, math.pi)
-        assert abs(got - 2.0) < 1e-12
 
 
 class TestFitDivergence:
@@ -198,7 +156,5 @@ class TestFitDivergence:
 
 
 def test_tolerance_record_fields():
-    assert TOLERANCES.integrate_rtol == 1e-12
     assert TOLERANCES.symmetry_rtol == 1e-12
-    assert TOLERANCES.eig_residual_rtol == 1e-10
     assert TOLERANCES.fit_window == 2.0
