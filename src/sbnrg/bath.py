@@ -161,17 +161,17 @@ def _rkpw(nodes: list, weights: list) -> tuple[list, list]:
     return p0, p1
 
 
-def chain_map(star: StarBath, dps: int | None = None) -> WilsonChain:
+def chain_map(star: StarBath) -> WilsonChain:
     """Tridiagonalize the star into the Wilson chain.
 
     The chain is the Lanczos tridiagonal of diag(xi) from the normalized
     coupling vector, taken from the recurrence of the weights gamma_i^2:
     c0 = sqrt(beta_0), eps_n = alpha_n, t_n = sqrt(beta_{n+1}). It runs in
-    mpmath extended precision because t_n shrinks like Lambda^-n and
-    double precision loses the tail to roundoff. The chain ends at the
-    first t_n below 10^-(dps-5), where a degenerate star runs out of
-    distinct energies. Chains for identical stars are cached per process
-    (the map is pure).
+    mpmath at _working_digits(xi) decimal digits because t_n shrinks like
+    Lambda^-n and double precision loses the tail to roundoff. The chain
+    ends at the first t_n below 10^-(digits - 5), where a degenerate star
+    runs out of distinct energies. Chains for identical stars are cached
+    per process (the map is pure).
     """
     xi = np.asarray(star.xi, dtype=float)
     gamma = np.asarray(star.gamma, dtype=float)
@@ -182,13 +182,13 @@ def chain_map(star: StarBath, dps: int | None = None) -> WilsonChain:
     if np.any(xi <= 0):
         raise ValueError("star energies must be positive")
 
-    key = (xi.tobytes(), gamma.tobytes(), dps)
+    key = (xi.tobytes(), gamma.tobytes())
     hit = _CHAIN_CACHE.get(key)
     if hit is not None:
         c0, eps, t = hit
         return WilsonChain(c0=c0, eps=eps.copy(), t=t.copy())
 
-    prec = _working_digits(xi) if dps is None else int(dps)
+    prec = _working_digits(xi)
     with mpmath.workdps(prec):
         alpha, beta = _rkpw([mpmath.mpf(v) for v in xi.tolist()],
                             [mpmath.mpf(g) ** 2 for g in gamma.tolist()])

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import multiprocessing
 import sys
 import warnings
@@ -100,6 +101,21 @@ def _unknown_key(name: str, strict: bool) -> None:
     warnings.warn(f"ignoring unknown key {name}", RuntimeWarning, stacklevel=3)
 
 
+def _is_number(value) -> bool:
+    """A JSON number: int or float, never bool."""
+    return not isinstance(value, bool) and isinstance(value, (int, float))
+
+
+def _grid_numbers(values: list, what: str) -> tuple[float, ...]:
+    """The values as floats; each must be a finite number."""
+    try:
+        if all(_is_number(v) and math.isfinite(v) for v in values):
+            return tuple(float(v) for v in values)
+    except OverflowError:  # an int beyond the float range
+        pass
+    raise ConfigError(f"{what} must be numbers")
+
+
 def _typed(block: dict, allowed: dict, path: str, strict: bool) -> dict:
     if not isinstance(block, dict):
         raise ConfigError(f"{path} must be an object")
@@ -110,7 +126,7 @@ def _typed(block: dict, allowed: dict, path: str, strict: bool) -> dict:
             continue
         want = allowed[key]
         if want is float:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
+            if not _is_number(value):
                 raise ConfigError(f"{path}.{key} must be a number")
             out[key] = float(value)
         elif want is int:
@@ -138,17 +154,10 @@ def _resolve_grid(grid: dict, path: str) -> tuple[float, ...]:
         vals = grid["values"]
         if not isinstance(vals, list) or not vals:
             raise ConfigError(f"{path}.values must be a non-empty list")
-        try:
-            out = tuple(float(v) for v in vals)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{path}.values must be numbers") from None
+        out = _grid_numbers(vals, f"{path}.values")
     elif keys == {"from", "to", "step"}:
-        try:
-            lo = float(grid["from"])
-            hi = float(grid["to"])
-            step = float(grid["step"])
-        except (TypeError, ValueError):
-            raise ConfigError(f"{path} bounds must be numbers") from None
+        lo, hi, step = _grid_numbers(
+            [grid["from"], grid["to"], grid["step"]], f"{path} bounds")
         if step == 0:
             raise ConfigError(f"{path}.step must be non-zero")
         count = int(round((hi - lo) / step)) + 1

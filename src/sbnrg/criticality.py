@@ -146,22 +146,18 @@ def fit_delta_scaling(points, alpha: float, Lambda: float) -> DeltaScalingFit:
         raise ValueError("delta values must be positive")
     x = np.log(1.0 / deltas) / math.log(Lambda)
     y = np.array([p[1] for p in pts])
-    n = len(x)
-    sx, sxx, sy, sxy = x.sum(), (x * x).sum(), y.sum(), (x * y).sum()
-    det = n * sxx - sx * sx
-    if det <= 1e-14 * max(n * sxx, sx * sx, 1.0):
+    sol = numerics.fit_line(x, y)
+    if sol is None:
         raise numerics.FitError("degenerate delta grid")
-    slope = (n * sxy - sx * sy) / det
-    intercept = (sy - slope * sx) / n
+    intercept, slope, rss = sol
     if slope <= 0:
         raise numerics.FitError(
             f"slope {slope:.3e} is not positive; no crossover scaling"
         )
-    r = y - intercept - slope * x
     return DeltaScalingFit(
         alpha=float(alpha),
-        slope=float(slope),
-        intercept=float(intercept),
+        slope=slope,
+        intercept=intercept,
         alpha_c_implied=float(alpha + 1.0 / slope),
-        rss=float(r @ r),
+        rss=rss,
     )

@@ -1,8 +1,9 @@
 """Iterative diagonalization of the spin plus Wilson chain.
 
-Site 0 (spin and first chain boson) is diagonalized exactly; each further
-iteration couples the kept eigenstates to the next chain site, rescales
-energies by Lambda, rediagonalizes and truncates back to n_s states. The
+The spin is the first block, and every chain site, site 0 included, is
+added by the same step: couple the block to the site, rediagonalize and
+truncate back to n_s states. After site 0 the block is the kept
+eigenstates, with energies rescaled by Lambda at each step. The
 recorded flow is the rescaled spectrum Lambda^N (E - E_ground), the
 quantity whose level-1 curve crossing 0.3 defines the crossover iteration
 N*. Ground-state observables <sigma_z>, <sigma_x> come from operator
@@ -187,82 +188,83 @@ def _kept_count(energies: np.ndarray, cfg: NrgConfig) -> int:
     return kept
 
 
-def _truncate(dec: numerics.EigenDecomposition, cfg: NrgConfig):
+def _add_site(h_block: np.ndarray, coupling: np.ndarray, op_sz: np.ndarray,
+              op_sx: np.ndarray, cfg: NrgConfig, m: int = 0, eps: float = 0.0,
+              hop: float = 0.0, ground_energy: float = 0.0,
+              n_b: int | None = None) -> NrgState:
+    """Couple chain site m to a block, rediagonalize and truncate.
+
+    With scale = Lambda^m, H = h_block x 1 + scale [eps (1 x n_hat)
+    + hop (coupling^T x b + coupling x b^dag)]. The spectrum is shifted
+    to start at 0 (its ground energy, times 1/scale, is added to
+    ground_energy) and cut by _kept_count. b and the block's op_sz and
+    op_sx are lifted one at a time, after the solve, and rotated into the
+    kept basis. A site with n_b = 1 holds only its vacuum and adds nothing.
+    """
+    db = cfg.n_b if n_b is None else n_b
+    b = _ladder(db)
+    nhat = np.diag(np.arange(db, dtype=float))
+    eye_b = np.eye(db)
+    k = h_block.shape[0]
+    scale = cfg.Lambda ** m
+    h = (
+        np.kron(h_block, eye_b)
+        + (scale * eps) * np.kron(np.eye(k), nhat)
+        + (scale * hop) * (np.kron(coupling.T, b) + np.kron(coupling, b.T))
+    )
+    dec = numerics.sym_eig(h)
     e = dec.eigenvalues - dec.eigenvalues[0]
     kept = _kept_count(e, cfg)
-    return e[:kept], dec.vectors[:, :kept]
-
-
-def _check_spin_norm(op_sz: np.ndarray):
-    worst = float(np.abs(op_sz).max()) if op_sz.size else 0.0
+    v = dec.vectors[:, :kept]
+    op_sz = v.T @ np.kron(op_sz, eye_b) @ v
+    worst = float(np.abs(op_sz).max())
     if worst > 1.0 + 1e-9:
         raise NrgError(
             f"propagated sigma_z norm {worst:.12g} exceeds 1; basis corrupted"
         )
+    return NrgState(
+        iteration=m,
+        energies=e[:kept],
+        op_b=v.T @ np.kron(np.eye(k), b) @ v,
+        op_sz=op_sz,
+        op_sx=v.T @ np.kron(op_sx, eye_b) @ v,
+        ground_energy=ground_energy + float(dec.eigenvalues[0]) * cfg.Lambda ** -m,
+    )
 
 
 def build_initial(p: SpinBosonParams, chain: WilsonChain, cfg: NrgConfig) -> NrgState:
-    """Diagonalize spin plus chain site 0.
+    """Add chain site 0 to the spin, as iterate adds every later site.
 
-    H0 = -(delta/2) sigma_x + ((epsilon + epsilon_break)/2) sigma_z
-         + eps_0 b^dag b + (c0/2) sigma_z (b + b^dag)
-    on the 2 x n_b product basis. An empty chain (possible only at
-    alpha = 0) degenerates to the bare two-level system. Warns when the
-    coupling-induced displacement c0/eps_0 approaches what the boson basis
-    can represent.
+    The spin block -(delta/2) sigma_x + ((epsilon + epsilon_break)/2)
+    sigma_z couples to site 0 through (c0/2) sigma_z (b + b^dag), on the
+    2 x n_b product basis. An empty chain (possible only at alpha = 0)
+    leaves the bare two-level system: a site with only its vacuum. Warns
+    when the coupling-induced displacement c0/eps_0 approaches what the
+    boson basis can represent.
     """
+    h_spin = -0.5 * p.delta * _SX + 0.5 * (p.epsilon + cfg.epsilon_break) * _SZ
     if chain.n_sites == 0:
         if p.alpha != 0:
             raise ValueError("empty chain is only meaningful at alpha = 0")
-        h = -0.5 * p.delta * _SX + 0.5 * (p.epsilon + cfg.epsilon_break) * _SZ
-        dec = numerics.sym_eig(h)
-        e, v = _truncate(dec, cfg)
-        return NrgState(
-            iteration=0,
-            energies=e,
-            op_b=np.zeros((v.shape[1], v.shape[1])),
-            op_sz=v.T @ _SZ @ v,
-            op_sx=v.T @ _SX @ v,
-            ground_energy=float(dec.eigenvalues[0]),
-        )
+        return _add_site(h_spin, _SZ, _SZ, _SX, cfg, n_b=1)
 
-    db = cfg.n_b
     eps0 = float(chain.eps[0])
     c0 = float(chain.c0)
-    if c0 > 0 and eps0 > 0 and c0 / eps0 > math.sqrt(db):
+    if c0 > 0 and eps0 > 0 and c0 / eps0 > math.sqrt(cfg.n_b):
         warnings.warn(
-            f"boson basis dim {db} may truncate the displacement "
+            f"boson basis dim {cfg.n_b} may truncate the displacement "
             f"c0/eps0 = {c0 / eps0:.3g}",
             RuntimeWarning,
             stacklevel=2,
         )
-    b = _ladder(db)
-    nhat = np.diag(np.arange(db, dtype=float))
-    eye_b = np.eye(db)
-    h = (
-        -0.5 * p.delta * np.kron(_SX, eye_b)
-        + 0.5 * (p.epsilon + cfg.epsilon_break) * np.kron(_SZ, eye_b)
-        + eps0 * np.kron(np.eye(2), nhat)
-        + 0.5 * c0 * np.kron(_SZ, b + b.T)
-    )
-    dec = numerics.sym_eig(h)
-    e, v = _truncate(dec, cfg)
-    op_sz = v.T @ np.kron(_SZ, eye_b) @ v
-    _check_spin_norm(op_sz)
-    return NrgState(
-        iteration=0,
-        energies=e,
-        op_b=v.T @ np.kron(np.eye(2), b) @ v,
-        op_sz=op_sz,
-        op_sx=v.T @ np.kron(_SX, eye_b) @ v,
-        ground_energy=float(dec.eigenvalues[0]),
-    )
+    return _add_site(h_spin, _SZ, _SZ, _SX, cfg, eps=eps0, hop=0.5 * c0)
 
 
 def iterate(state: NrgState, chain: WilsonChain, cfg: NrgConfig) -> NrgState:
-    """Couple the next chain site, rediagonalize, truncate.
+    """Add the next chain site to the kept block, as site 0 was added.
 
-    In rescaled units the new Hamiltonian is
+    The block is Lambda diag(E_kept) and couples through the previous
+    site's b_N, so in rescaled units
 
         H_N+1 = Lambda diag(E_kept) + Lambda^(N+1) [eps_N+1 n_hat
                 + t_N (b_N^dag b_N+1 + h.c.)],
@@ -273,31 +275,9 @@ def iterate(state: NrgState, chain: WilsonChain, cfg: NrgConfig) -> NrgState:
     m = state.iteration + 1
     if m >= chain.n_sites:
         raise ValueError(f"chain exhausted: no site {m}")
-    lam = cfg.Lambda
-    db = cfg.n_b
-    b = _ladder(db)
-    nhat = np.diag(np.arange(db, dtype=float))
-    k = state.kept
-    scale = lam ** m
-    h = (
-        np.kron(np.diag(lam * state.energies), np.eye(db))
-        + (scale * float(chain.eps[m])) * np.kron(np.eye(k), nhat)
-        + (scale * float(chain.t[m - 1]))
-        * (np.kron(state.op_b.T, b) + np.kron(state.op_b, b.T))
-    )
-    dec = numerics.sym_eig(h)
-    e, v = _truncate(dec, cfg)
-    eye_b = np.eye(db)
-    op_sz = v.T @ np.kron(state.op_sz, eye_b) @ v
-    _check_spin_norm(op_sz)
-    return NrgState(
-        iteration=m,
-        energies=e,
-        op_b=v.T @ np.kron(np.eye(k), b) @ v,
-        op_sz=op_sz,
-        op_sx=v.T @ np.kron(state.op_sx, eye_b) @ v,
-        ground_energy=state.ground_energy + float(dec.eigenvalues[0]) * lam ** -m,
-    )
+    return _add_site(np.diag(cfg.Lambda * state.energies), state.op_b,
+                     state.op_sz, state.op_sx, cfg, m, float(chain.eps[m]),
+                     float(chain.t[m - 1]), state.ground_energy)
 
 
 def _record(state: NrgState, cfg: NrgConfig) -> FlowRecord:

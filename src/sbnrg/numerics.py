@@ -1,4 +1,4 @@
-"""Numerical kernels: symmetric eigensolver and divergence fit.
+"""Numerical kernels: symmetric eigensolver, line and divergence fits.
 
 Everything here is deterministic for fixed inputs. The eigensolver wraps
 LAPACK's symmetric driver and adds a fixed sign convention so repeated
@@ -21,6 +21,7 @@ __all__ = [
     "FitError",
     "sym_eig",
     "fit_divergence",
+    "fit_line",
 ]
 
 
@@ -111,20 +112,19 @@ class DivergenceFit:
     rss: float
 
 
-def _pole_lsq(alphas: np.ndarray, ns: np.ndarray, alpha_c: float):
-    """Linear LSQ for (a, b) at a fixed pole; returns (a, b, rss) or None."""
-    u = 1.0 / (alpha_c - alphas)
-    npts = len(u)
-    su = float(u.sum())
-    suu = float((u * u).sum())
-    det = npts * suu - su * su
-    if det <= 1e-14 * max(npts * suu, su * su, 1.0):
+def fit_line(x: np.ndarray, y: np.ndarray):
+    """Least-squares line y = a + b x: (a, b, rss), or None if x is flat."""
+    npts = len(x)
+    sx = float(x.sum())
+    sxx = float((x * x).sum())
+    det = npts * sxx - sx * sx
+    if det <= 1e-14 * max(npts * sxx, sx * sx, 1.0):
         return None
-    sy = float(ns.sum())
-    suy = float((u * ns).sum())
-    b = (npts * suy - su * sy) / det
-    a = (sy - b * su) / npts
-    r = ns - a - b * u
+    sy = float(y.sum())
+    sxy = float((x * y).sum())
+    b = (npts * sxy - sx * sy) / det
+    a = (sy - b * sx) / npts
+    r = y - a - b * x
     return a, b, float(r @ r)
 
 
@@ -156,7 +156,7 @@ def fit_divergence(points, window: float | None = None) -> DivergenceFit:
     m = TOLERANCES.fit_grid_points
 
     def rss_at(ac: float) -> float:
-        sol = _pole_lsq(alphas, ns, ac)
+        sol = fit_line(1.0 / (ac - alphas), ns)
         return math.inf if sol is None else sol[2]
 
     grid = amax + window * np.arange(1, m + 1) / m
@@ -183,7 +183,7 @@ def fit_divergence(points, window: float | None = None) -> DivergenceFit:
             f2 = rss_at(x2)
     ac = x1 if f1 <= f2 else x2
 
-    sol = _pole_lsq(alphas, ns, ac)
+    sol = fit_line(1.0 / (ac - alphas), ns)
     if sol is None:
         raise FitError("pole refinement collapsed onto degenerate data")
     a, b, rss = sol

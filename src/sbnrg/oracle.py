@@ -185,7 +185,3 @@ def problem_from_line_modes(lm: LineModes, delta: float, epsilon: float,
     modes = tuple((w / omega_c, lam / scale) for w, lam in lm.modes)
     return EdProblem(delta=delta, epsilon=epsilon, modes=modes, n_max=n_max)
 
-
-def _variational_bound(p: EdProblem) -> float:
-    """Upper bound min(-Delta/2, polaron) used by the validation suite."""
-    return min(-0.5 * p.delta, polaron_energy(p.modes))

@@ -7,14 +7,17 @@ and the population table) are shared across criteria 4, 5 and 6.
 
 import json
 import math
+import os
 import subprocess
 import sys
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sbnrg
 from sbnrg.bath import StarBath, chain_map, discretize
 from sbnrg.circuit import CircuitParams, SpinBosonParams, map_to_spin_boson
 from sbnrg.criticality import extract_nstar, fit_alpha_c
@@ -337,7 +340,12 @@ def test_criterion_7_circuit_mapping_properties():
 
 
 def _cli(args):
-    proc = subprocess.run([sys.executable, "-m", "sbnrg", *args],
+    # the child does not inherit pytest's pythonpath; put this sbnrg first
+    env = dict(os.environ)
+    src = str(Path(sbnrg.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "sbnrg", *args], env=env,
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     return proc

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sbnrg import bath
 from sbnrg.bath import (
     StarBath,
     WilsonChain,
@@ -209,10 +210,20 @@ class TestChainMap:
         c = chain_map(star)
         assert c.eps[0] == b.eps[0]
 
-    def test_explicit_precision_matches_default(self):
+    def test_explicit_precision_matches_default(self, monkeypatch):
         star = discretize(ohmic(0.5), 2.0, 25)
         auto = chain_map(star)
-        manual = chain_map(star, dps=80)
+        # a fresh cache, else the second map is a hit and compares nothing
+        monkeypatch.setattr(bath, "_CHAIN_CACHE", {})
+        asked = []
+
+        def eighty_digits(xi):
+            asked.append(xi.size)
+            return 80
+
+        monkeypatch.setattr(bath, "_working_digits", eighty_digits)
+        manual = chain_map(star)
+        assert asked == [25]
         npt.assert_allclose(manual.eps, auto.eps, rtol=1e-13)
         npt.assert_allclose(manual.t, auto.t, rtol=1e-13)
 

@@ -155,6 +155,19 @@ class TestParseConfig:
                          mode="sweep")
         with pytest.raises(ConfigError, match="'values' or 'from'"):
             parse_config(sweep({"lo": 0.0}), mode="sweep")
+        # JSON numbers only: no bools, no numeric strings, nothing infinite
+        for values in ([True, 1.5], [0.1, "1.5"], [0.1, float("nan")],
+                       [0.1, 10 ** 400]):
+            with pytest.raises(ConfigError, match="values must be numbers"):
+                parse_config(sweep({"values": values}), mode="sweep")
+        overflow = sweep({"values": [0.1, 0.2]}).replace("0.2", "1e400")
+        with pytest.raises(ConfigError, match="values must be numbers"):
+            parse_config(overflow, mode="sweep")
+        for bad in ("0.1", True, float("inf"), float("nan")):
+            for key in ("from", "to", "step"):
+                grid = dict({"from": 0.1, "to": 0.3, "step": 0.1}, **{key: bad})
+                with pytest.raises(ConfigError, match="bounds must be numbers"):
+                    parse_config(sweep(grid), mode="sweep")
 
     def test_sweep_parameter_whitelist(self):
         payload = {

@@ -240,6 +240,23 @@ class TestMechanics:
         assert state.energies[0] == 0.0
         assert state.ground_energy == pytest.approx(-0.05, abs=1e-15)
 
+    @pytest.mark.parametrize("delta,epsilon",
+                             [(0.1, 0.05), (0.2, -0.03), (0.1, 0.0)])
+    def test_empty_chain_is_the_bare_spin(self, delta, epsilon):
+        # H = -(delta/2) sigma_x + (epsilon/2) sigma_z has levels -+ r/2
+        empty = WilsonChain(c0=0.0, eps=np.empty(0), t=np.empty(0))
+        state = build_initial(
+            SpinBosonParams(delta=delta, epsilon=epsilon, alpha=0.0), empty,
+            NrgConfig(n_s=10, n_b=4, n_iter=1))
+        r = np.hypot(delta, epsilon)
+        assert state.kept == 2
+        assert ground_observable(state, "sigma_z") == pytest.approx(
+            -epsilon / r, abs=1e-14)
+        assert ground_observable(state, "sigma_x") == pytest.approx(
+            delta / r, abs=1e-14)
+        assert state.ground_energy == pytest.approx(-r / 2, abs=1e-14)
+        assert state.energies[1] == pytest.approx(r, abs=1e-14)
+
     def test_displacement_warning(self):
         chain = WilsonChain(c0=10.0, eps=np.array([1.0, 0.5]),
                             t=np.array([0.1]))
