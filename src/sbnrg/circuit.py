@@ -170,37 +170,35 @@ class LineModes:
     spacing: float
 
 
-def qubit_spectrum(p: CircuitParams, constants: PhysicalConstants = CODATA,
-                   ej_ec_threshold: float = 100.0) -> QubitSpectrum:
+def qubit_spectrum(p: CircuitParams, ej_ec_threshold: float = 100.0) -> QubitSpectrum:
     """Evaluate the cubic-well spectrum of the biased junction.
 
     Uses omega_10 = 0.95 omega_p for the anharmonically softened level
     splitting and Delta = hbar omega_10.
     """
-    phi0 = constants.flux_quantum
+    phi0 = CODATA.flux_quantum
     ctot = p.c_total
     tilt = 1.0 - p.i_b / p.i_0
     barrier = (2.0 * math.sqrt(2.0) / (3.0 * math.pi)) * p.i_0 * phi0 * tilt ** 1.5
     omega_p = 2.0 ** 0.25 * math.sqrt(2.0 * math.pi * p.i_0 / (phi0 * ctot)) * tilt ** 0.25
     omega_10 = 0.95 * omega_p
     e_j = phi0 * p.i_0 / (2.0 * math.pi)
-    e_c = constants.e_charge ** 2 / (2.0 * ctot)
+    e_c = CODATA.e_charge ** 2 / (2.0 * ctot)
     ratio = e_j / e_c
     return QubitSpectrum(
         omega_p=omega_p,
         omega_10=omega_10,
         barrier_height=barrier,
-        delta=constants.h_bar * omega_10,
+        delta=CODATA.h_bar * omega_10,
         e_j=e_j,
         e_c=e_c,
-        barrier_ratio=barrier / (constants.h_bar * omega_p) if omega_p > 0 else 0.0,
+        barrier_ratio=barrier / (CODATA.h_bar * omega_p) if omega_p > 0 else 0.0,
         ej_ec_ratio=ratio,
         is_valid=ratio > ej_ec_threshold,
     )
 
 
 def map_to_spin_boson(p: CircuitParams, omega_c: float,
-                      constants: PhysicalConstants = CODATA,
                       delta_convention: str = "omega10",
                       alpha_window: tuple[float, float] = (0.2, 3.0)) -> SpinBosonParams:
     """Reduce the circuit to dimensionless spin-boson parameters.
@@ -213,7 +211,7 @@ def map_to_spin_boson(p: CircuitParams, omega_c: float,
     """
     if delta_convention not in DELTA_CONVENTIONS:
         raise ValueError(f"unknown delta convention {delta_convention!r}")
-    spec = qubit_spectrum(p, constants)
+    spec = qubit_spectrum(p)
     if omega_c <= spec.omega_10:
         raise ValueError("cutoff omega_c must lie above the qubit splitting")
     split = spec.omega_10 if delta_convention == "omega10" else 0.5 * spec.omega_p
@@ -233,25 +231,22 @@ def map_to_spin_boson(p: CircuitParams, omega_c: float,
     )
 
 
-def bias_from_splitting(omega_10: float, c_total: float, i_uw: float,
-                        constants: PhysicalConstants = CODATA) -> float:
+def bias_from_splitting(omega_10: float, c_total: float, i_uw: float) -> float:
     """Static microwave bias epsilon = sqrt(hbar / (2 omega_10 C)) I_uw, in J."""
     if omega_10 <= 0:
         raise ValueError("omega_10 must be positive")
     if c_total <= 0:
         raise ValueError("total capacitance must be positive")
-    return math.sqrt(constants.h_bar / (2.0 * omega_10 * c_total)) * i_uw
+    return math.sqrt(CODATA.h_bar / (2.0 * omega_10 * c_total)) * i_uw
 
 
-def microwave_bias(p: CircuitParams, i_uw: float,
-                   constants: PhysicalConstants = CODATA) -> float:
+def microwave_bias(p: CircuitParams, i_uw: float) -> float:
     """Bias energy (J) a static microwave current amplitude produces."""
-    spec = qubit_spectrum(p, constants)
-    return bias_from_splitting(spec.omega_10, p.c_total, i_uw, constants)
+    spec = qubit_spectrum(p)
+    return bias_from_splitting(spec.omega_10, p.c_total, i_uw)
 
 
 def finite_line_modes(p: CircuitParams, length: float, n_c: int,
-                      constants: PhysicalConstants = CODATA,
                       delta_convention: str = "omega10") -> LineModes:
     """Mode frequencies and couplings of a length-L open transmission line.
 
@@ -267,16 +262,16 @@ def finite_line_modes(p: CircuitParams, length: float, n_c: int,
         raise ValueError("need at least one mode")
     if delta_convention not in DELTA_CONVENTIONS:
         raise ValueError(f"unknown delta convention {delta_convention!r}")
-    spec = qubit_spectrum(p, constants)
+    spec = qubit_spectrum(p)
     split = spec.omega_10 if delta_convention == "omega10" else 0.5 * spec.omega_p
-    delta_energy = constants.h_bar * split
+    delta_energy = CODATA.h_bar * split
     spacing = math.pi / (length * math.sqrt(p.l * p.c))
     ctot = p.c_total
     modes = []
     for n in range(1, n_c + 1):
         omega_n = n * spacing
         lam = p.c_0 * math.sqrt(
-            2.0 * delta_energy * constants.h_bar * omega_n / (ctot * length * p.c)
+            2.0 * delta_energy * CODATA.h_bar * omega_n / (ctot * length * p.c)
         )
         modes.append((omega_n, lam))
     return LineModes(modes=tuple(modes), length=length, spacing=spacing)

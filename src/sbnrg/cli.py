@@ -21,7 +21,7 @@ import math
 import multiprocessing
 import sys
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -49,8 +49,7 @@ EXIT_IO = 4
 
 MODES = ("map-circuit", "chain", "run", "sweep", "critical", "oracle")
 
-_MODEL_KEYS = {"delta": float, "epsilon": float, "alpha": float, "s": float,
-               "omega_c": float}
+_MODEL_KEYS = {f.name: float for f in fields(SpinBosonParams)}
 _NRG_KEYS = {"lambda": float, "n_s": int, "n_b": int, "n_iter": int,
              "degeneracy_tol": float, "epsilon_break": float,
              "flow_levels": int, "n_star": int}
@@ -64,6 +63,7 @@ _ORACLE_KEYS = {"delta": float, "epsilon": float, "modes": list, "n_max": int}
 _TOP_KEYS = {"mode", "model", "nrg", "circuit", "sweep", "critical", "oracle"}
 
 _SWEEP_PARAMETERS = ("alpha", "delta", "epsilon")
+MAX_GRID_POINTS = 10_000  # each point is a full NRG run
 
 
 class ConfigError(ValueError):
@@ -102,18 +102,20 @@ def _unknown_key(name: str, strict: bool) -> None:
 
 
 def _is_number(value) -> bool:
-    """A JSON number: int or float, never bool."""
-    return not isinstance(value, bool) and isinstance(value, (int, float))
+    """A JSON number that fits a finite float: int or float, never bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 def _grid_numbers(values: list, what: str) -> tuple[float, ...]:
-    """The values as floats; each must be a finite number."""
-    try:
-        if all(_is_number(v) and math.isfinite(v) for v in values):
-            return tuple(float(v) for v in values)
-    except OverflowError:  # an int beyond the float range
-        pass
-    raise ConfigError(f"{what} must be numbers")
+    """The values as floats; each must be a number."""
+    if not all(_is_number(v) for v in values):
+        raise ConfigError(f"{what} must be numbers")
+    return tuple(float(v) for v in values)
 
 
 def _typed(block: dict, allowed: dict, path: str, strict: bool) -> dict:
@@ -154,13 +156,20 @@ def _resolve_grid(grid: dict, path: str) -> tuple[float, ...]:
         vals = grid["values"]
         if not isinstance(vals, list) or not vals:
             raise ConfigError(f"{path}.values must be a non-empty list")
+        if len(vals) > MAX_GRID_POINTS:
+            raise ConfigError(f"{path} has more than {MAX_GRID_POINTS} points")
         out = _grid_numbers(vals, f"{path}.values")
     elif keys == {"from", "to", "step"}:
         lo, hi, step = _grid_numbers(
             [grid["from"], grid["to"], grid["step"]], f"{path} bounds")
         if step == 0:
             raise ConfigError(f"{path}.step must be non-zero")
-        count = int(round((hi - lo) / step)) + 1
+        span = (hi - lo) / step
+        if not math.isfinite(span):
+            raise ConfigError(f"{path}: span over step overflows a float")
+        count = int(round(span)) + 1
+        if count > MAX_GRID_POINTS:
+            raise ConfigError(f"{path} has more than {MAX_GRID_POINTS} points")
         if count < 1 or abs(lo + (count - 1) * step - hi) > 1e-9 * abs(step):
             raise ConfigError(f"{path}: step does not divide the span")
         out = tuple(lo + i * step for i in range(count))
@@ -178,13 +187,7 @@ def _build_model(block: dict) -> SpinBosonParams:
     if "delta" not in block:
         raise ConfigError("model.delta is required")
     try:
-        return SpinBosonParams(
-            delta=block["delta"],
-            epsilon=block.get("epsilon", 0.0),
-            alpha=block.get("alpha", 0.0),
-            s=block.get("s", 1.0),
-            omega_c=block.get("omega_c", 1.0e14),
-        )
+        return SpinBosonParams(**block)
     except ValueError as exc:
         raise ConfigError(f"model: {exc}") from None
 
@@ -206,8 +209,7 @@ def _build_oracle(block: dict) -> oracle.EdProblem:
     modes = []
     for i, pair in enumerate(block["modes"]):
         if (not isinstance(pair, (list, tuple)) or len(pair) != 2
-                or any(isinstance(x, bool) or not isinstance(x, (int, float))
-                       for x in pair)):
+                or not all(_is_number(x) for x in pair)):
             raise ConfigError(f"oracle.modes[{i}] must be a [frequency, coupling] pair")
         modes.append((float(pair[0]), float(pair[1])))
     try:
@@ -328,13 +330,6 @@ def _digest(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _point_params(base: SpinBosonParams, parameter: str, value: float) -> SpinBosonParams:
-    kwargs = dict(delta=base.delta, epsilon=base.epsilon, alpha=base.alpha,
-                  s=base.s, omega_c=base.omega_c)
-    kwargs[parameter] = value
-    return SpinBosonParams(**kwargs)
-
-
 def _run_point(task) -> nrg.NrgResult:
     params, cfg = task
     return nrg.run(params, cfg)
@@ -342,7 +337,7 @@ def _run_point(task) -> nrg.NrgResult:
 
 def _run_sweep_points(cfg: RunConfig):
     tasks = [
-        (_point_params(cfg.model, cfg.sweep.parameter, v), cfg.nrg_config)
+        (replace(cfg.model, **{cfg.sweep.parameter: v}), cfg.nrg_config)
         for v in cfg.sweep.values
     ]
     if cfg.workers == 1 or len(tasks) == 1:

@@ -11,10 +11,7 @@ phase directly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import numerics
 from .nrg import NrgFlow
@@ -23,12 +20,10 @@ __all__ = [
     "CrossoverPoint",
     "PhaseDiagnosis",
     "CriticalFit",
-    "DeltaScalingFit",
     "NoCrossingError",
     "extract_nstar",
     "fit_alpha_c",
     "classify_phase",
-    "fit_delta_scaling",
 ]
 
 DEFAULT_THRESHOLD = 0.3
@@ -59,18 +54,6 @@ class CriticalFit:
     a: float
     b: float
     alpha_c: float
-    rss: float
-
-
-@dataclass(frozen=True)
-class DeltaScalingFit:
-    """Fixed-alpha probe: N* against log_Lambda(1/Delta) should be linear
-    with slope 1/(alpha_c - alpha); alpha_c_implied back-solves the pole."""
-
-    alpha: float
-    slope: float
-    intercept: float
-    alpha_c_implied: float
     rss: float
 
 
@@ -128,36 +111,3 @@ def classify_phase(delta_p: float, lo: float = 0.05, hi: float = 0.45) -> PhaseD
         label = "undetermined"
     return PhaseDiagnosis(delta_p=dp, label=label)
 
-
-def fit_delta_scaling(points, alpha: float, Lambda: float) -> DeltaScalingFit:
-    """Secondary consistency probe at fixed alpha over a Delta grid.
-
-    points are (delta, n_star) pairs. Linear least squares of n_star
-    against x = log_Lambda(1/delta) gives slope 1/(alpha_c - alpha); the
-    implied alpha_c is alpha + 1/slope.
-    """
-    pts = [(float(d), float(n)) for d, n in points]
-    if len(pts) < 3:
-        raise numerics.FitError("need at least 3 (delta, n_star) points")
-    if Lambda <= 1:
-        raise ValueError("Lambda must exceed 1")
-    deltas = np.array([p[0] for p in pts])
-    if np.any(deltas <= 0):
-        raise ValueError("delta values must be positive")
-    x = np.log(1.0 / deltas) / math.log(Lambda)
-    y = np.array([p[1] for p in pts])
-    sol = numerics.fit_line(x, y)
-    if sol is None:
-        raise numerics.FitError("degenerate delta grid")
-    intercept, slope, rss = sol
-    if slope <= 0:
-        raise numerics.FitError(
-            f"slope {slope:.3e} is not positive; no crossover scaling"
-        )
-    return DeltaScalingFit(
-        alpha=float(alpha),
-        slope=slope,
-        intercept=intercept,
-        alpha_c_implied=float(alpha + 1.0 / slope),
-        rss=rss,
-    )

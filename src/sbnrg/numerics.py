@@ -1,4 +1,4 @@
-"""Numerical kernels: symmetric eigensolver, line and divergence fits.
+"""Numerical kernels: symmetric eigensolver and divergence fit.
 
 Everything here is deterministic for fixed inputs. The eigensolver wraps
 LAPACK's symmetric driver and adds a fixed sign convention so repeated
@@ -13,66 +13,21 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "ToleranceConfig",
-    "TOLERANCES",
-    "SymMatrix",
     "EigenDecomposition",
     "DivergenceFit",
     "FitError",
     "sym_eig",
     "fit_divergence",
-    "fit_line",
 ]
+
+SYMMETRY_RTOL = 1e-12  # max relative asymmetry sym_eig accepts
+FIT_WINDOW = 2.0  # default search window above max(alpha) for the pole
+FIT_GRID_POINTS = 2000  # coarse grid size of the pole scan
+FIT_GOLDEN_ITERS = 90  # fixed golden-section refinement count (determinism)
 
 
 class FitError(RuntimeError):
     """Divergence fit could not locate a trustworthy pole."""
-
-
-@dataclass(frozen=True)
-class ToleranceConfig:
-    """All numeric tolerances of this module in one record.
-
-    symmetry_rtol        max allowed relative asymmetry of a SymMatrix
-    fit_window           default search window above max(alpha) for the pole
-    fit_grid_points      coarse grid size of the pole scan
-    fit_golden_iters     fixed golden-section refinement count (determinism)
-    """
-
-    symmetry_rtol: float = 1e-12
-    fit_window: float = 2.0
-    fit_grid_points: int = 2000
-    fit_golden_iters: int = 90
-
-
-TOLERANCES = ToleranceConfig()
-
-
-class SymMatrix:
-    """Dense real symmetric matrix; symmetry is checked on construction."""
-
-    __slots__ = ("data",)
-
-    def __init__(self, data):
-        a = np.asarray(data, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("SymMatrix requires a square 2-d array")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("SymMatrix entries must be finite")
-        scale = float(np.abs(a).max()) if a.size else 0.0
-        if scale > 0.0:
-            asym = float(np.abs(a - a.T).max())
-            if asym > TOLERANCES.symmetry_rtol * scale:
-                raise ValueError(
-                    f"asymmetry {asym:.3e} exceeds "
-                    f"{TOLERANCES.symmetry_rtol:.1e} * max|A| = "
-                    f"{TOLERANCES.symmetry_rtol * scale:.3e}"
-                )
-        self.data = 0.5 * (a + a.T)
-
-    @property
-    def dimension(self) -> int:
-        return self.data.shape[0]
 
 
 @dataclass
@@ -86,14 +41,26 @@ class EigenDecomposition:
 def sym_eig(a) -> EigenDecomposition:
     """Diagonalize a real symmetric matrix.
 
-    Accepts a SymMatrix or anything convertible to one. Eigenvalues come
-    back ascending; each eigenvector is normalized and signed so that its
-    largest-magnitude component is positive (first such index on ties),
-    which makes the output reproducible bit for bit.
+    a must be a square, finite array whose asymmetry is at most
+    SYMMETRY_RTOL * max|a|; its symmetric part is what gets diagonalized.
+    Eigenvalues come back ascending; each eigenvector is normalized and
+    signed so that its largest-magnitude component is positive (first such
+    index on ties), which makes the output reproducible bit for bit.
     """
-    if not isinstance(a, SymMatrix):
-        a = SymMatrix(a)
-    w, v = np.linalg.eigh(a.data)
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("sym_eig requires a square 2-d array")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("sym_eig matrix entries must be finite")
+    scale = float(np.abs(a).max()) if a.size else 0.0
+    if scale > 0.0:
+        asym = float(np.abs(a - a.T).max())
+        if asym > SYMMETRY_RTOL * scale:
+            raise ValueError(
+                f"asymmetry {asym:.3e} exceeds {SYMMETRY_RTOL:.1e} * max|A| = "
+                f"{SYMMETRY_RTOL * scale:.3e}"
+            )
+    w, v = np.linalg.eigh(0.5 * (a + a.T))
 
     idx = np.argmax(np.abs(v), axis=0)
     signs = np.sign(v[idx, np.arange(v.shape[1])])
@@ -112,7 +79,7 @@ class DivergenceFit:
     rss: float
 
 
-def fit_line(x: np.ndarray, y: np.ndarray):
+def _fit_line(x: np.ndarray, y: np.ndarray):
     """Least-squares line y = a + b x: (a, b, rss), or None if x is flat."""
     npts = len(x)
     sx = float(x.sum())
@@ -148,15 +115,15 @@ def fit_divergence(points, window: float | None = None) -> DivergenceFit:
         raise FitError("alpha values must be distinct")
     if float(ns.max() - ns.min()) == 0.0:
         raise FitError("n_star values are constant; no divergence to fit")
-    window = TOLERANCES.fit_window if window is None else float(window)
+    window = FIT_WINDOW if window is None else float(window)
     if window <= 0:
         raise FitError("search window must be positive")
 
     amax = float(alphas.max())
-    m = TOLERANCES.fit_grid_points
+    m = FIT_GRID_POINTS
 
     def rss_at(ac: float) -> float:
-        sol = fit_line(1.0 / (ac - alphas), ns)
+        sol = _fit_line(1.0 / (ac - alphas), ns)
         return math.inf if sol is None else sol[2]
 
     grid = amax + window * np.arange(1, m + 1) / m
@@ -172,7 +139,7 @@ def fit_divergence(points, window: float | None = None) -> DivergenceFit:
     x1 = hi - invphi * (hi - lo)
     x2 = lo + invphi * (hi - lo)
     f1, f2 = rss_at(x1), rss_at(x2)
-    for _ in range(TOLERANCES.fit_golden_iters):
+    for _ in range(FIT_GOLDEN_ITERS):
         if f1 <= f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - invphi * (hi - lo)
@@ -183,7 +150,7 @@ def fit_divergence(points, window: float | None = None) -> DivergenceFit:
             f2 = rss_at(x2)
     ac = x1 if f1 <= f2 else x2
 
-    sol = fit_line(1.0 / (ac - alphas), ns)
+    sol = _fit_line(1.0 / (ac - alphas), ns)
     if sol is None:
         raise FitError("pole refinement collapsed onto degenerate data")
     a, b, rss = sol

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .circuit import CODATA, LineModes, PhysicalConstants
+from .circuit import CODATA, LineModes
 
 __all__ = [
     "EdProblem",
@@ -171,8 +171,7 @@ def polaron_energy(modes) -> float:
 
 
 def problem_from_line_modes(lm: LineModes, delta: float, epsilon: float,
-                            omega_c: float, n_max: int,
-                            constants: PhysicalConstants = CODATA) -> EdProblem:
+                            omega_c: float, n_max: int) -> EdProblem:
     """Convert SI transmission-line modes into a dimensionless EdProblem.
 
     Frequencies go to omega_n / omega_c and couplings to
@@ -181,7 +180,7 @@ def problem_from_line_modes(lm: LineModes, delta: float, epsilon: float,
     """
     if omega_c <= 0:
         raise ValueError("omega_c must be positive")
-    scale = constants.h_bar * omega_c
+    scale = CODATA.h_bar * omega_c
     modes = tuple((w / omega_c, lam / scale) for w, lam in lm.modes)
     return EdProblem(delta=delta, epsilon=epsilon, modes=modes, n_max=n_max)
 

@@ -168,6 +168,19 @@ class TestParseConfig:
                 grid = dict({"from": 0.1, "to": 0.3, "step": 0.1}, **{key: bad})
                 with pytest.raises(ConfigError, match="bounds must be numbers"):
                     parse_config(sweep(grid), mode="sweep")
+        # the span over the step must fit a float, and the count is capped
+        with pytest.raises(ConfigError, match="overflows a float"):
+            parse_config(sweep({"from": -1e308, "to": 1e308, "step": 1e-300}),
+                         mode="sweep")
+        cap = cli.MAX_GRID_POINTS
+        for grid in ({"from": 0.0, "to": 1.0, "step": 1e-300},
+                     {"from": 0, "to": cap, "step": 1},
+                     {"values": list(range(cap + 1))}):
+            with pytest.raises(ConfigError, match=f"more than {cap} points"):
+                parse_config(sweep(grid), mode="sweep")
+        full = parse_config(sweep({"from": 0, "to": cap - 1, "step": 1}),
+                            mode="sweep")
+        assert len(full.sweep.values) == cap
 
     def test_sweep_parameter_whitelist(self):
         payload = {
@@ -468,6 +481,35 @@ class TestExitCodes:
         with pytest.warns(RuntimeWarning, match="unknown key extras"):
             assert main(["run", "--config", cfg, "--out", str(tmp_path / "o2"),
                          "--no-strict"]) == EXIT_OK
+
+    @pytest.mark.parametrize("mode,payload,where", [
+        ("run", {"model": {"delta": 10 ** 400}}, "model.delta"),
+        ("oracle", {"oracle": {"delta": 0.2, "modes": [[0.5, 10 ** 400]]}},
+         "oracle.modes[0]"),
+        ("run", {"model": {"delta": 0.05},
+                 "nrg": {"epsilon_break": float("inf")}}, "nrg.epsilon_break"),
+        ("critical", {"model": {"delta": 0.05},
+                      "sweep": {"parameter": "alpha",
+                                "grid": {"values": [0.1, 0.2, 0.3, 0.4]}},
+                      "critical": {"threshold": float("nan")}},
+         "critical.threshold"),
+        ("sweep", {"model": {"delta": 0.05},
+                   "sweep": {"parameter": "alpha",
+                             "grid": {"from": -1e308, "to": 1e308,
+                                      "step": 1e-300}}}, "sweep.grid"),
+    ], ids=["huge-int-delta", "huge-int-mode", "inf-epsilon-break",
+            "nan-threshold", "overflowing-grid"])
+    def test_nonfinite_number_exits_config(self, tmp_path, monkeypatch, capsys,
+                                           mode, payload, where):
+        # rejected while parsing: the run must never start
+        def started(cfg):
+            raise AssertionError("execute ran on an invalid config")
+
+        monkeypatch.setattr(cli, "execute", started)
+        cfg = write_config(tmp_path, payload)
+        assert main([mode, "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert where in capsys.readouterr().err
 
     def test_oversized_dense_problem_is_config_error(self):
         payload = {"model": {"delta": 0.01, "alpha": 0.3},

@@ -11,7 +11,6 @@ from sbnrg.criticality import (
     classify_phase,
     extract_nstar,
     fit_alpha_c,
-    fit_delta_scaling,
 )
 from sbnrg.nrg import FlowRecord, NrgFlow
 from sbnrg.numerics import FitError
@@ -164,48 +163,3 @@ class TestClassifyPhase:
         with pytest.raises(ValueError):
             classify_phase(0.2, lo=lo, hi=hi)
 
-
-class TestFitDeltaScaling:
-    def synthetic(self, alpha=0.7, alpha_c=1.2, intercept=5.0, Lambda=2.0):
-        slope = 1.0 / (alpha_c - alpha)
-        deltas = (1e-3, 1e-4, 1e-5, 1e-6)
-        return [
-            (d, intercept + slope * np.log(1.0 / d) / np.log(Lambda))
-            for d in deltas
-        ]
-
-    def test_recovers_generating_line(self):
-        fit = fit_delta_scaling(self.synthetic(), alpha=0.7, Lambda=2.0)
-        assert fit.slope == pytest.approx(2.0, rel=1e-12)
-        assert fit.intercept == pytest.approx(5.0, rel=1e-10)
-        assert fit.alpha_c_implied == pytest.approx(1.2, rel=1e-12)
-        assert fit.rss < 1e-20
-        assert fit.alpha == 0.7
-
-    def test_needs_three_points(self):
-        with pytest.raises(FitError):
-            fit_delta_scaling(self.synthetic()[:2], alpha=0.7, Lambda=2.0)
-
-    def test_rejects_flat_or_falling(self):
-        pts = [(1e-3, 10.0), (1e-4, 8.0), (1e-5, 6.0)]
-        with pytest.raises(FitError):
-            fit_delta_scaling(pts, alpha=0.7, Lambda=2.0)
-
-    def test_rejects_degenerate_grid(self):
-        pts = [(1e-4, 5.0), (1e-4, 6.0), (1e-4, 7.0)]
-        with pytest.raises(FitError):
-            fit_delta_scaling(pts, alpha=0.7, Lambda=2.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            fit_delta_scaling(self.synthetic(), alpha=0.7, Lambda=1.0)
-        with pytest.raises(ValueError):
-            fit_delta_scaling([(0.0, 1.0), (1e-4, 2.0), (1e-5, 3.0)],
-                              alpha=0.7, Lambda=2.0)
-
-    @given(st.floats(1.5, 4.0))
-    def test_lambda_consistency(self, Lambda):
-        # the implied pole is a property of the data, not of the base used
-        pts = self.synthetic(Lambda=Lambda)
-        fit = fit_delta_scaling(pts, alpha=0.7, Lambda=Lambda)
-        assert fit.alpha_c_implied == pytest.approx(1.2, rel=1e-10)

@@ -4,11 +4,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sbnrg import numerics
 from sbnrg.numerics import (
-    TOLERANCES,
     DivergenceFit,
     FitError,
-    SymMatrix,
     fit_divergence,
     sym_eig,
 )
@@ -59,12 +58,12 @@ class TestSymEig:
     def test_rejects_asymmetric(self):
         a = np.eye(3)
         a[0, 2] = 0.5
-        with pytest.raises(ValueError):
-            SymMatrix(a)
+        with pytest.raises(ValueError, match="asymmetry"):
+            sym_eig(a)
 
     def test_rejects_nonsquare(self):
-        with pytest.raises(ValueError):
-            SymMatrix(np.zeros((2, 3)))
+        with pytest.raises(ValueError, match="square"):
+            sym_eig(np.zeros((2, 3)))
 
     @given(st.integers(0, 500))
     def test_trace_preserved(self, seed):
@@ -156,5 +155,5 @@ class TestFitDivergence:
 
 
 def test_tolerance_record_fields():
-    assert TOLERANCES.symmetry_rtol == 1e-12
-    assert TOLERANCES.fit_window == 2.0
+    assert numerics.SYMMETRY_RTOL == 1e-12
+    assert numerics.FIT_WINDOW == 2.0
