@@ -105,6 +105,9 @@ class NrgConfig:
                 f"n_s * n_b = {self.n_s * self.n_b} exceeds the "
                 f"dense-matrix limit {MAX_DENSE_DIM}"
             )
+        longest = 1 + int(-math.log(np.finfo(float).tiny, self.Lambda))
+        if self.chain_length > longest:  # bath.discretize's Lambda^-n stays normal
+            raise ValueError(f"n_star above {longest} underflows Lambda^-n")
 
     @property
     def chain_length(self) -> int:
@@ -168,10 +171,6 @@ class NrgResult:
     ground_energy: float
 
 
-def _ladder(dim: int) -> np.ndarray:
-    return np.diag(np.sqrt(np.arange(1.0, dim)), 1)
-
-
 def _kept_count(energies: np.ndarray, cfg: NrgConfig) -> int:
     """Truncation cut: n_s lowest plus the whole boundary multiplet."""
     dim = energies.size
@@ -195,39 +194,40 @@ def _add_site(h_block: np.ndarray, coupling: np.ndarray, op_sz: np.ndarray,
     """Couple chain site m to a block, rediagonalize and truncate.
 
     With scale = Lambda^m, H = h_block x 1 + scale [eps (1 x n_hat)
-    + hop (coupling^T x b + coupling x b^dag)]. The spectrum is shifted
-    to start at 0 (its ground energy, times 1/scale, is added to
-    ground_energy) and cut by _kept_count. b and the block's op_sz and
-    op_sx are lifted one at a time, after the solve, and rotated into the
-    kept basis. A site with n_b = 1 holds only its vacuum and adds nothing.
+    + hop (coupling^T x b + coupling x b^dag)] is summed into zeros on
+    (block, boson) index pairs, with the kron sum's bits. Its spectrum,
+    shifted to 0 (the shift over scale joins ground_energy), is cut by
+    _kept_count; the kept vectors rotate b by a boson-index shift and
+    op_sz, op_sx by one GEMM. A site with n_b = 1 holds only its vacuum.
     """
     db = cfg.n_b if n_b is None else n_b
-    b = _ladder(db)
-    nhat = np.diag(np.arange(db, dtype=float))
-    eye_b = np.eye(db)
     k = h_block.shape[0]
     scale = cfg.Lambda ** m
-    h = (
-        np.kron(h_block, eye_b)
-        + (scale * eps) * np.kron(np.eye(k), nhat)
-        + (scale * hop) * (np.kron(coupling.T, b) + np.kron(coupling, b.T))
-    )
-    dec = numerics.sym_eig(h)
+    root = np.sqrt(np.arange(1.0, db))
+    h = np.zeros((k, db, k, db))  # einsum "iaja->aij" views the (a, a) blocks
+    np.einsum("iaja->aij", h)[...] += h_block
+    np.einsum("iaia->ia", h)[...] += (scale * eps) * np.arange(db)
+    up = (scale * hop) * (coupling.T * root[:, None, None])
+    np.einsum("iaja->aij", h[:, :-1, :, 1:])[...] += up
+    np.einsum("iaja->aij", h[:, 1:, :, :-1])[...] += up.transpose(0, 2, 1)
+    dec = numerics.sym_eig(h.reshape(k * db, -1))
     e = dec.eigenvalues - dec.eigenvalues[0]
     kept = _kept_count(e, cfg)
     v = dec.vectors[:, :kept]
-    op_sz = v.T @ np.kron(op_sz, eye_b) @ v
+    blocks = v.reshape(k, db * kept)
+    op_sz, op_sx = ((o.T @ blocks).reshape(-1, kept).T @ v for o in (op_sz, op_sx))
     worst = float(np.abs(op_sz).max())
     if worst > 1.0 + 1e-9:
         raise NrgError(
             f"propagated sigma_z norm {worst:.12g} exceeds 1; basis corrupted"
         )
+    b_v = np.pad(v.T.reshape(kept, k, db)[:, :, :-1] * root, ((0, 0), (0, 0), (1, 0)))
     return NrgState(
         iteration=m,
         energies=e[:kept],
-        op_b=v.T @ np.kron(np.eye(k), b) @ v,
+        op_b=b_v.reshape(kept, -1) @ v,
         op_sz=op_sz,
-        op_sx=v.T @ np.kron(op_sx, eye_b) @ v,
+        op_sx=op_sx,
         ground_energy=ground_energy + float(dec.eigenvalues[0]) * cfg.Lambda ** -m,
     )
 

@@ -50,11 +50,13 @@ def sym_eig(a) -> EigenDecomposition:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("sym_eig requires a square 2-d array")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("sym_eig matrix entries must be finite")
     scale = float(np.abs(a).max()) if a.size else 0.0
+    if not math.isfinite(scale):  # NaN or inf exactly when an entry is
+        raise ValueError("sym_eig matrix entries must be finite")
     if scale > 0.0:
-        asym = float(np.abs(a - a.T).max())
+        d = a - a.T
+        asym = max(float(d.max()), -float(d.min()))
+        del d  # one n x n buffer fewer held through the solve
         if asym > SYMMETRY_RTOL * scale:
             raise ValueError(
                 f"asymmetry {asym:.3e} exceeds {SYMMETRY_RTOL:.1e} * max|A| = "

@@ -511,6 +511,19 @@ class TestExitCodes:
                      "--out", str(tmp_path / "out")]) == EXIT_CONFIG
         assert where in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n_star", [200000, 10**23])
+    def test_underflowing_chain_exits_config(self, tmp_path, monkeypatch,
+                                             capsys, n_star):
+        def started(cfg):
+            raise AssertionError("execute ran on an invalid config")
+
+        monkeypatch.setattr(cli, "execute", started)
+        payload = {**RUN_PAYLOAD, "nrg": {**RUN_PAYLOAD["nrg"], "n_star": n_star}}
+        cfg = write_config(tmp_path, payload)
+        assert main(["run", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert "n_star" in capsys.readouterr().err
+
     def test_oversized_dense_problem_is_config_error(self):
         payload = {"model": {"delta": 0.01, "alpha": 0.3},
                    "nrg": {"n_s": 10000, "n_b": 50}}

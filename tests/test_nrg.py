@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sbnrg import nrg, numerics
 from sbnrg.bath import StarBath, WilsonChain, chain_map
 from sbnrg.circuit import SpinBosonParams
 from sbnrg.nrg import (
@@ -45,6 +46,15 @@ class TestNrgConfig:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             NrgConfig(**kwargs)
+
+    @pytest.mark.parametrize("n_star", [200000, 10**23])
+    def test_rejects_underflowing_chain(self, n_star):
+        # validation only: Lambda^-n underflows past 1023 sites at Lambda = 2
+        with pytest.raises(ValueError, match="n_star"):
+            NrgConfig(n_star=n_star)
+        assert NrgConfig(n_star=1023).chain_length == 1023
+        with pytest.raises(ValueError, match="n_star"):
+            NrgConfig(Lambda=4.0, n_star=513)
 
     def test_rejects_oversized_dense_problem(self):
         # validation only: never run a config this large
@@ -269,6 +279,46 @@ class TestMechanics:
         with pytest.raises(DegeneracyError):
             build_initial(SpinBosonParams(delta=0.0, alpha=0.0), chain,
                           NrgConfig(n_s=2, n_b=4, n_iter=2))
+
+    @staticmethod
+    def dense_add_site(h_block, coupling, op_sz, op_sx, cfg, m, eps, hop, n_b):
+        """The site step on kron-built matrices, as the reference."""
+        b = np.diag(np.sqrt(np.arange(1.0, n_b)), 1)
+        eye_b, eye_k = np.eye(n_b), np.eye(h_block.shape[0])
+        scale = cfg.Lambda ** m
+        h = (np.kron(h_block, eye_b)
+             + (scale * eps) * np.kron(eye_k, np.diag(np.arange(n_b, dtype=float)))
+             + (scale * hop) * (np.kron(coupling.T, b) + np.kron(coupling, b.T)))
+        dec = numerics.sym_eig(h)
+        e = dec.eigenvalues - dec.eigenvalues[0]
+        v = dec.vectors[:, :nrg._kept_count(e, cfg)]
+        return (e[:v.shape[1]], v.T @ np.kron(eye_k, b) @ v,
+                v.T @ np.kron(op_sz, eye_b) @ v, v.T @ np.kron(op_sx, eye_b) @ v)
+
+    @pytest.mark.parametrize("n_b", [1, 2, 6])
+    @pytest.mark.parametrize("eps", [0.0, 0.37])
+    @pytest.mark.parametrize("block", ["spin", "kept"])
+    def test_site_step_matches_kron_reference(self, block, eps, n_b):
+        cfg = NrgConfig(Lambda=2.0, n_s=20, n_b=4, n_iter=4)
+        sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+        sz = np.array([[1.0, 0.0], [0.0, -1.0]])
+        if block == "spin":  # site 0: a non-diagonal 2 x 2 block
+            args = (-0.05 * sx + 0.01 * sz, sz, sz, sx, cfg, 0, eps, 0.3)
+        else:  # a later site: diagonal block of ~20 kept states
+            chain = WilsonChain(c0=0.4, eps=np.array([0.6, 0.3, 0.15]),
+                                t=np.array([0.2, 0.1]))
+            st1 = iterate(build_initial(
+                SpinBosonParams(delta=0.05, epsilon=0.01, alpha=0.3), chain,
+                cfg), chain, cfg)
+            assert 20 <= st1.kept <= 24
+            args = (np.diag(cfg.Lambda * st1.energies), st1.op_b, st1.op_sz,
+                    st1.op_sx, cfg, 2, eps, 0.1)
+        got = nrg._add_site(*args, n_b=n_b)
+        e, op_b, op_sz, op_sx = self.dense_add_site(*args, n_b=n_b)
+        npt.assert_array_equal(got.energies, e)
+        npt.assert_array_equal(got.op_b, op_b)
+        npt.assert_allclose(got.op_sz, op_sz, rtol=0, atol=1e-13)
+        npt.assert_allclose(got.op_sx, op_sx, rtol=0, atol=1e-13)
 
     @settings(max_examples=15)
     @given(st.floats(0.0, 0.8), st.floats(1e-3, 0.2))

@@ -50,10 +50,13 @@ class TestSymEig:
         assert d1.vectors.tobytes() == d2.vectors.tobytes()
 
     def test_rejects_nonfinite(self):
-        a = np.eye(3)
-        a[1, 1] = np.nan
-        with pytest.raises(ValueError):
-            sym_eig(a)
+        # every non-finite value, on and off the diagonal
+        for bad in (np.nan, np.inf, -np.inf):
+            for where in ((1, 1), (0, 2)):
+                a = np.eye(3)
+                a[where] = bad
+                with pytest.raises(ValueError, match="finite"):
+                    sym_eig(a)
 
     def test_rejects_asymmetric(self):
         a = np.eye(3)
