@@ -6,19 +6,20 @@ s = 1 is the Ohmic transmission line) is chopped into intervals
 squared coupling gamma_n^2 = (1/pi) int J and representative energy
 xi_n = int J omega / int J, both in closed form. Tridiagonalizing the
 star from the normalized coupling vector (the Lanczos chain, computed here
-by the Gragg-Harrod rotation recursion) turns it into a semi-infinite chain
-whose hoppings decay like Lambda^-n, which is what the iterative
-diagonalization needs.
+by the Gragg-Harrod rotation recursion in the standard library's decimal
+arithmetic) turns it into a semi-infinite chain whose hoppings decay like
+Lambda^-n, which is what the iterative diagonalization needs.
 """
 
 from __future__ import annotations
 
+import decimal
 import hashlib
 import itertools
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 
-import mpmath
 import numpy as np
 
 from .circuit import SpinBosonParams
@@ -130,9 +131,6 @@ def _working_digits(xi: np.ndarray) -> int:
     return max(50, 40 + int(math.ceil(span)))
 
 
-_CHAIN_CACHE: dict = {}
-
-
 def _rkpw(nodes: list, weights: list) -> tuple[list, list]:
     """Recurrence coefficients (alpha_n, beta_n) of sum_i w_i delta(x - x_i).
 
@@ -141,16 +139,16 @@ def _rkpw(nodes: list, weights: list) -> tuple[list, list]:
     """
     n = len(nodes)
     p0 = list(nodes)
-    p1 = [weights[0]] + [mpmath.mpf(0)] * (n - 1)
+    p1 = [weights[0]] + [Decimal(0)] * (n - 1)
     for m in range(1, n):
         pn, xlam = weights[m], nodes[m]
-        gam, sig, t = mpmath.mpf(1), mpmath.mpf(0), mpmath.mpf(0)
+        gam, sig, t = Decimal(1), Decimal(0), Decimal(0)
         for k in range(m + 1):
             rho = p1[k] + pn
             tmp = gam * rho
             tsig = sig
             if rho <= 0:
-                gam, sig = mpmath.mpf(1), mpmath.mpf(0)
+                gam, sig = Decimal(1), Decimal(0)
             else:
                 gam, sig = p1[k] / rho, pn / rho
             tk = sig * (p0[k] - xlam) - gam * t
@@ -167,11 +165,11 @@ def chain_map(star: StarBath) -> WilsonChain:
     The chain is the Lanczos tridiagonal of diag(xi) from the normalized
     coupling vector, taken from the recurrence of the weights gamma_i^2:
     c0 = sqrt(beta_0), eps_n = alpha_n, t_n = sqrt(beta_{n+1}). It runs in
-    mpmath at _working_digits(xi) decimal digits because t_n shrinks like
-    Lambda^-n and double precision loses the tail to roundoff. The chain
-    ends at the first t_n below 10^-(digits - 5), where a degenerate star
-    runs out of distinct energies. Chains for identical stars are cached
-    per process (the map is pure).
+    decimal at _working_digits(xi) digits, in a context of its own that the
+    caller's cannot reach, because t_n shrinks like Lambda^-n and double
+    precision loses the tail to roundoff; each float is the correctly
+    rounded decimal result. The chain ends at the first t_n below
+    10^-(digits - 5), where a degenerate star runs out of distinct energies.
     """
     xi = np.asarray(star.xi, dtype=float)
     gamma = np.asarray(star.gamma, dtype=float)
@@ -182,22 +180,18 @@ def chain_map(star: StarBath) -> WilsonChain:
     if np.any(xi <= 0):
         raise ValueError("star energies must be positive")
 
-    key = (xi.tobytes(), gamma.tobytes())
-    hit = _CHAIN_CACHE.get(key)
-    if hit is not None:
-        c0, eps, t = hit
-        return WilsonChain(c0=c0, eps=eps.copy(), t=t.copy())
-
     prec = _working_digits(xi)
-    with mpmath.workdps(prec):
-        alpha, beta = _rkpw([mpmath.mpf(v) for v in xi.tolist()],
-                            [mpmath.mpf(g) ** 2 for g in gamma.tolist()])
-        floor = mpmath.mpf(10) ** (-(prec - 5))
+    ctx = decimal.Context(prec=prec, rounding=decimal.ROUND_HALF_EVEN,
+                          Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX,
+                          traps=[decimal.InvalidOperation,
+                                 decimal.DivisionByZero, decimal.Overflow])
+    with decimal.localcontext(ctx):
+        alpha, beta = _rkpw([Decimal(v) for v in xi.tolist()],
+                            [g * g for g in map(Decimal, gamma.tolist())])
+        floor = Decimal(10) ** (-(prec - 5))
         t_out = list(itertools.takewhile(lambda t_n: t_n > floor,
-                                         map(mpmath.sqrt, beta[1:])))
-        c0 = float(mpmath.sqrt(beta[0]))
+                                         map(Decimal.sqrt, beta[1:])))
+        c0 = float(beta[0].sqrt())
         eps = np.array([float(x) for x in alpha[:len(t_out) + 1]])
         t = np.array([float(x) for x in t_out])
-
-    _CHAIN_CACHE[key] = (c0, eps.copy(), t.copy())
     return WilsonChain(c0=c0, eps=eps, t=t)

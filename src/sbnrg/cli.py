@@ -89,6 +89,7 @@ class RunConfig:
     workers: int
     model: SpinBosonParams | None = None
     nrg_config: nrg.NrgConfig | None = None
+    circuit: CircuitParams | None = None
     circuit_block: dict | None = None
     sweep: SweepSpec | None = None
     critical: CriticalSpec = CriticalSpec()
@@ -192,6 +193,17 @@ def _build_model(block: dict) -> SpinBosonParams:
         raise ConfigError(f"model: {exc}") from None
 
 
+def _build_circuit(block: dict) -> CircuitParams:
+    names = [f.name for f in fields(CircuitParams)]
+    for name in names:
+        if name not in block:
+            raise ConfigError(f"circuit.{name} is required")
+    try:
+        return CircuitParams(**{name: block[name] for name in names})
+    except ValueError as exc:
+        raise ConfigError(f"circuit: {exc}") from None
+
+
 def _build_nrg(block: dict) -> nrg.NrgConfig:
     kwargs = dict(block)
     if "lambda" in kwargs:
@@ -249,6 +261,7 @@ def parse_config(text: str, mode: str, strict: bool = True,
 
     model = None
     nrg_config = None
+    circuit = None
     circuit_block = None
     sweep = None
     critical = CriticalSpec()
@@ -258,9 +271,7 @@ def parse_config(text: str, mode: str, strict: bool = True,
         if "circuit" not in raw:
             raise ConfigError("map-circuit requires a circuit block")
         circuit_block = _typed(raw["circuit"], _CIRCUIT_KEYS, "circuit", strict)
-        for key in ("c_j", "c_0", "i_0", "i_b", "l", "c"):
-            if key not in circuit_block:
-                raise ConfigError(f"circuit.{key} is required")
+        circuit = _build_circuit(circuit_block)
         conv = circuit_block.get("delta_convention", "omega10")
         if conv not in DELTA_CONVENTIONS:
             raise ConfigError(f"circuit.delta_convention must be one of {DELTA_CONVENTIONS}")
@@ -304,6 +315,7 @@ def parse_config(text: str, mode: str, strict: bool = True,
         workers=workers,
         model=model,
         nrg_config=nrg_config,
+        circuit=circuit,
         circuit_block=circuit_block,
         sweep=sweep,
         critical=critical,
@@ -361,14 +373,7 @@ def _emit(out: Path, name: str, writer, outputs: list) -> Path:
 
 
 def _do_map_circuit(cfg: RunConfig, out: Path, outputs: list) -> None:
-    block = cfg.circuit_block
-    try:
-        params = CircuitParams(
-            c_j=block["c_j"], c_0=block["c_0"], i_0=block["i_0"],
-            i_b=block["i_b"], l=block["l"], c=block["c"],
-        )
-    except ValueError as exc:
-        raise ConfigError(f"circuit: {exc}") from None
+    params, block = cfg.circuit, cfg.circuit_block
     conv = block.get("delta_convention", "omega10")
     threshold = block.get("ej_ec_threshold", 100.0)
     spec = qubit_spectrum(params, ej_ec_threshold=threshold)

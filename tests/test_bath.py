@@ -1,3 +1,4 @@
+import decimal
 import json
 import math
 from pathlib import Path
@@ -32,6 +33,19 @@ def _reference_id(ref):
 
 def ohmic(alpha, s=1.0):
     return SpinBosonParams(delta=0.01, alpha=alpha, s=s)
+
+
+def _frozen_star(ref):
+    """The discretized star a reference chain was frozen from, bit for bit."""
+    return StarBath(xi=np.array([float.fromhex(x) for x in ref["star_xi"]]),
+                    gamma=np.array([float.fromhex(g) for g in ref["star_gamma"]]),
+                    alpha=ref["alpha"], s=ref["s"], Lambda=ref["Lambda"])
+
+
+def _assert_frozen_chain(ch, ref):
+    assert ch.c0 == float.fromhex(ref["c0"])
+    assert np.array_equal(ch.eps, [float.fromhex(x) for x in ref["eps"]])
+    assert np.array_equal(ch.t, [float.fromhex(x) for x in ref["t"]])
 
 
 class TestSpectralDensity:
@@ -200,7 +214,7 @@ class TestChainMap:
         assert ch.eps[0] == pytest.approx(0.5, rel=1e-14)
         assert ch.c0 == pytest.approx(0.5, rel=1e-14)
 
-    def test_cache_returns_fresh_arrays(self):
+    def test_returns_fresh_arrays(self):
         star = discretize(ohmic(0.25), 2.0, 8)
         a = chain_map(star)
         b = chain_map(star)
@@ -213,8 +227,6 @@ class TestChainMap:
     def test_explicit_precision_matches_default(self, monkeypatch):
         star = discretize(ohmic(0.5), 2.0, 25)
         auto = chain_map(star)
-        # a fresh cache, else the second map is a hit and compares nothing
-        monkeypatch.setattr(bath, "_CHAIN_CACHE", {})
         asked = []
 
         def eighty_digits(xi):
@@ -240,17 +252,28 @@ class TestChainMap:
         if "star_xi" in ref:
             # the chain was frozen from this star, which today's discretize
             # reproduces to rounding; map the stored one to compare bits
-            frozen = StarBath(
-                xi=np.array([float.fromhex(x) for x in ref["star_xi"]]),
-                gamma=np.array([float.fromhex(g) for g in ref["star_gamma"]]),
-                alpha=star.alpha, s=star.s, Lambda=star.Lambda)
+            frozen = _frozen_star(ref)
             npt.assert_allclose(star.xi, frozen.xi, rtol=1e-13, atol=0)
             npt.assert_allclose(star.gamma, frozen.gamma, rtol=1e-13, atol=0)
             star = frozen
-        ch = chain_map(star)
-        assert ch.c0 == float.fromhex(ref["c0"])
-        assert np.array_equal(ch.eps, [float.fromhex(x) for x in ref["eps"]])
-        assert np.array_equal(ch.t, [float.fromhex(x) for x in ref["t"]])
+        _assert_frozen_chain(chain_map(star), ref)
+
+    def test_caller_decimal_context_does_not_reach_the_map(self, monkeypatch):
+        # a trap on Inexact and truncating rounding in the caller's context,
+        # or a narrow exponent range in the prototype that new contexts copy,
+        # must neither raise nor move a bit of the chain
+        ref = next(r for r in REFERENCE_CHAINS if "star_xi" in r)
+        monkeypatch.setattr(decimal.DefaultContext, "Emin", -10)
+        monkeypatch.setattr(decimal.DefaultContext, "Emax", 10)
+        ctx = decimal.getcontext()
+        saved = ctx.copy()
+        try:
+            ctx.traps[decimal.Inexact] = True
+            ctx.rounding = decimal.ROUND_DOWN
+            chain = chain_map(_frozen_star(ref))
+        finally:
+            decimal.setcontext(saved)
+        _assert_frozen_chain(chain, ref)
 
 
 class TestWilsonChain:

@@ -358,6 +358,27 @@ class TestMapCircuitMode:
         cfg = write_config(tmp_path, bad)
         assert main(["map-circuit", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("i_b", 2e-6, "bias current must stay below"),
+        ("i_b", 3e-6, "bias current must stay below"),
+        ("c_j", 0.0, "junction capacitance"),
+        ("c_j", -1e-12, "junction capacitance"),
+    ], ids=["i_b-at-i_0", "i_b-above-i_0", "c_j-zero", "c_j-negative"])
+    def test_range_error_exits_before_execute(self, tmp_path, monkeypatch,
+                                              capsys, field, value, message):
+        # rejected while parsing: no output directory, no failed manifest
+        def started(cfg):
+            raise AssertionError("execute ran on an invalid config")
+
+        monkeypatch.setattr(cli, "execute", started)
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, {"circuit": {**self.PAYLOAD["circuit"],
+                                                  field: value}})
+        assert main(["map-circuit", "--config", cfg,
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert f"circuit: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestOracleMode:
     def test_matches_library(self, tmp_path):
