@@ -8,6 +8,13 @@ recorded flow is the rescaled spectrum Lambda^N (E - E_ground), the
 quantity whose level-1 curve crossing 0.3 defines the crossover iteration
 N*. Ground-state observables <sigma_z>, <sigma_x> come from operator
 matrices carried through every basis change.
+
+At zero bias H commutes with the parity P = sigma_x (-1)^(sum of boson
+numbers). Every kept state then carries its eigenvalue of P, each step
+diagonalizes the two parity sectors apart and merges their spectra
+before the cut, and b and sigma_z stay exactly parity-odd, so
+<sigma_z> = 0 holds exactly rather than up to truncation noise. A
+biased run labels every state 0 and is the same step with one sector.
 """
 
 from __future__ import annotations
@@ -123,7 +130,11 @@ class NrgState:
     energies are rescaled with the ground state at exactly 0. op_b is the
     current site's boson annihilator in the kept basis; op_sz and op_sx
     are the spin operators carried along. ground_energy accumulates the
-    absolute (unrescaled) ground-state energy in cutoff units.
+    absolute (unrescaled) ground-state energy in cutoff units. parity
+    labels each kept state with its eigenvalue +-1 of
+    P = sigma_x (-1)^(sum of boson numbers) when the run conserves P
+    (epsilon + epsilon_break = 0), and with 0 otherwise; op_b and op_sz
+    then vanish exactly between states of equal label.
     """
 
     iteration: int
@@ -131,6 +142,7 @@ class NrgState:
     op_b: np.ndarray
     op_sz: np.ndarray
     op_sx: np.ndarray
+    parity: np.ndarray
     ground_energy: float
 
     @property
@@ -188,17 +200,21 @@ def _kept_count(energies: np.ndarray, cfg: NrgConfig) -> int:
 
 
 def _add_site(h_block: np.ndarray, coupling: np.ndarray, op_sz: np.ndarray,
-              op_sx: np.ndarray, cfg: NrgConfig, m: int = 0, eps: float = 0.0,
-              hop: float = 0.0, ground_energy: float = 0.0,
+              op_sx: np.ndarray, parity: np.ndarray, cfg: NrgConfig, m: int = 0,
+              eps: float = 0.0, hop: float = 0.0, ground_energy: float = 0.0,
               n_b: int | None = None) -> NrgState:
     """Couple chain site m to a block, rediagonalize and truncate.
 
     With scale = Lambda^m, H = h_block x 1 + scale [eps (1 x n_hat)
     + hop (coupling^T x b + coupling x b^dag)] is summed into zeros on
-    (block, boson) index pairs, with the kron sum's bits. Its spectrum,
-    shifted to 0 (the shift over scale joins ground_energy), is cut by
-    _kept_count; the kept vectors rotate b by a boson-index shift and
-    op_sz, op_sx by one GEMM. A site with n_b = 1 holds only its vacuum.
+    (block, boson) index pairs, with the kron sum's bits. The pair
+    (i, n) carries the label parity[i] (-1)^n; H never links two labels,
+    so each label's sector is diagonalized alone. With one label that
+    sector is H itself, not a copy. The sector spectra are merged by a
+    stable sort, shifted to 0 (the shift over scale joins ground_energy)
+    and cut by _kept_count. The kept vectors, exactly zero outside their
+    sector, rotate b by a boson-index shift and op_sz, op_sx by one GEMM.
+    A site with n_b = 1 holds only its vacuum.
     """
     db = cfg.n_b if n_b is None else n_b
     k = h_block.shape[0]
@@ -210,10 +226,25 @@ def _add_site(h_block: np.ndarray, coupling: np.ndarray, op_sz: np.ndarray,
     up = (scale * hop) * (coupling.T * root[:, None, None])
     np.einsum("iaja->aij", h[:, :-1, :, 1:])[...] += up
     np.einsum("iaja->aij", h[:, 1:, :, :-1])[...] += up.transpose(0, 2, 1)
-    dec = numerics.sym_eig(h.reshape(k * db, -1))
-    e = dec.eigenvalues - dec.eigenvalues[0]
+    h = h.reshape(k * db, -1)
+    labels = np.multiply.outer(parity, (-1) ** np.arange(db)).ravel()
+    sectors = sorted(set(labels.tolist()))  # np.unique's first call costs 1 MB RSS
+    rows = [slice(None)] if len(sectors) == 1 else [
+        np.flatnonzero(labels == q) for q in sectors]
+    decs = [numerics.sym_eig(h[r][:, r]) for r in rows]
+    sizes = [d.eigenvalues.size for d in decs]
+    w = np.concatenate([d.eigenvalues for d in decs])
+    order = np.argsort(w, kind="stable")
+    e = w[order] - w[order[0]]
     kept = _kept_count(e, cfg)
-    v = dec.vectors[:, :kept]
+    if len(decs) == 1:  # a view: a copied v moves the GEMMs' last bits
+        v = decs[0].vectors[:, :kept]
+    else:  # each sector's kept vectors at their merged ranks
+        v = np.zeros((k * db, kept))
+        ranks = np.split(np.argsort(order), np.cumsum(sizes)[:-1])
+        for r, d, rank in zip(rows, decs, ranks):
+            cut = rank < kept
+            v[r[:, None], rank[cut]] = d.vectors[:, cut]
     blocks = v.reshape(k, db * kept)
     op_sz, op_sx = ((o.T @ blocks).reshape(-1, kept).T @ v for o in (op_sz, op_sx))
     worst = float(np.abs(op_sz).max())
@@ -228,7 +259,8 @@ def _add_site(h_block: np.ndarray, coupling: np.ndarray, op_sz: np.ndarray,
         op_b=b_v.reshape(kept, -1) @ v,
         op_sz=op_sz,
         op_sx=op_sx,
-        ground_energy=ground_energy + float(dec.eigenvalues[0]) * cfg.Lambda ** -m,
+        parity=np.repeat(sectors, sizes)[order[:kept]],
+        ground_energy=ground_energy + float(w[order[0]]) * cfg.Lambda ** -m,
     )
 
 
@@ -237,16 +269,25 @@ def build_initial(p: SpinBosonParams, chain: WilsonChain, cfg: NrgConfig) -> Nrg
 
     The spin block -(delta/2) sigma_x + ((epsilon + epsilon_break)/2)
     sigma_z couples to site 0 through (c0/2) sigma_z (b + b^dag), on the
-    2 x n_b product basis. An empty chain (possible only at alpha = 0)
-    leaves the bare two-level system: a site with only its vacuum. Warns
-    when the coupling-induced displacement c0/eps_0 approaches what the
-    boson basis can represent.
+    2 x n_b product basis. At epsilon + epsilon_break = 0 the spin is
+    written in the sigma_x eigenbasis, where each state carries its
+    parity label (+1, -1); otherwise in the sigma_z basis with labels 0.
+    This is the only place that decides whether a run is parity-blocked.
+    An empty chain (possible only at alpha = 0) leaves the bare two-level
+    system: a site with only its vacuum. Warns when the coupling-induced
+    displacement c0/eps_0 approaches what the boson basis can represent.
     """
-    h_spin = -0.5 * p.delta * _SX + 0.5 * (p.epsilon + cfg.epsilon_break) * _SZ
+    bias = p.epsilon + cfg.epsilon_break
+    if bias == 0:
+        spin = (np.diag([-0.5 * p.delta, 0.5 * p.delta]), _SX, _SX, _SZ,
+                np.array([1, -1]))
+    else:
+        spin = (-0.5 * p.delta * _SX + 0.5 * bias * _SZ, _SZ, _SZ, _SX,
+                np.zeros(2, dtype=int))
     if chain.n_sites == 0:
         if p.alpha != 0:
             raise ValueError("empty chain is only meaningful at alpha = 0")
-        return _add_site(h_spin, _SZ, _SZ, _SX, cfg, n_b=1)
+        return _add_site(*spin, cfg, n_b=1)
 
     eps0 = float(chain.eps[0])
     c0 = float(chain.c0)
@@ -257,7 +298,7 @@ def build_initial(p: SpinBosonParams, chain: WilsonChain, cfg: NrgConfig) -> Nrg
             RuntimeWarning,
             stacklevel=2,
         )
-    return _add_site(h_spin, _SZ, _SZ, _SX, cfg, eps=eps0, hop=0.5 * c0)
+    return _add_site(*spin, cfg, eps=eps0, hop=0.5 * c0)
 
 
 def iterate(state: NrgState, chain: WilsonChain, cfg: NrgConfig) -> NrgState:
@@ -276,8 +317,9 @@ def iterate(state: NrgState, chain: WilsonChain, cfg: NrgConfig) -> NrgState:
     if m >= chain.n_sites:
         raise ValueError(f"chain exhausted: no site {m}")
     return _add_site(np.diag(cfg.Lambda * state.energies), state.op_b,
-                     state.op_sz, state.op_sx, cfg, m, float(chain.eps[m]),
-                     float(chain.t[m - 1]), state.ground_energy)
+                     state.op_sz, state.op_sx, state.parity, cfg, m,
+                     float(chain.eps[m]), float(chain.t[m - 1]),
+                     state.ground_energy)
 
 
 def _record(state: NrgState, cfg: NrgConfig) -> FlowRecord:

@@ -3,8 +3,11 @@
 OpenBLAS reads its thread variable once, when numpy loads it, so a pin set
 only through the environment is lost whenever numpy is imported first.
 Each check runs in a fresh interpreter that imports numpy before sbnrg.
+A second BLAS thread may still move the last bits of a flow, but not the
+critical coupling that the flows give.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -35,17 +38,31 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "NUMEXPR_NUM_THREADS", "GOTO_NUM_THREADS")
 
 
-def openblas_threads_after_numpy_first(**thread_vars):
-    """Thread count OpenBLAS reports in a fresh numpy-then-sbnrg process."""
+# the sbnrg critical config of tests/test_cli.py
+CRITICAL = {
+    "model": {"delta": 3e-5},
+    "nrg": {"n_s": 60, "n_b": 6, "n_iter": 60, "n_star": 65},
+    "sweep": {"parameter": "alpha",
+              "grid": {"values": [0.55, 0.65, 0.75, 0.85]}},
+}
+
+
+def fresh_python(args, **thread_vars):
+    """Run python with args in a fresh process that sees these thread vars."""
     env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
     env.update(thread_vars)
     src = str(Path(sbnrg.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", PROBE], env=env,
+    proc = subprocess.run([sys.executable, *args], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    return int(proc.stdout)
+    return proc.stdout
+
+
+def openblas_threads_after_numpy_first(**thread_vars):
+    """Thread count OpenBLAS reports in a fresh numpy-then-sbnrg process."""
+    return int(fresh_python(["-c", PROBE], **thread_vars))
 
 
 def test_pin_holds_when_numpy_is_imported_first():
@@ -56,3 +73,15 @@ def test_pin_holds_when_numpy_is_imported_first():
 
 def test_caller_set_thread_count_is_respected():
     assert openblas_threads_after_numpy_first(OPENBLAS_NUM_THREADS="2") == 2
+
+
+def test_thread_count_does_not_move_alpha_c(tmp_path):
+    config = tmp_path / "critical.json"
+    config.write_text(json.dumps(CRITICAL))
+    alpha_c = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"out_{threads}"
+        fresh_python(["-m", "sbnrg", "critical", "--config", str(config),
+                      "--out", str(out)], OPENBLAS_NUM_THREADS=threads)
+        alpha_c[threads] = json.loads((out / "fit.json").read_text())["alpha_c"]
+    assert alpha_c["2"] == pytest.approx(alpha_c["1"], abs=1e-6)
