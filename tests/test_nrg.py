@@ -180,19 +180,26 @@ class TestPhases:
         assert r.delta_p > 0.45
         assert r.sigma_z_gs < -0.9
 
-    @pytest.mark.parametrize("delta,alpha,cfg,sx_min", [
-        (0.1, 0.5, NrgConfig(n_s=100, n_b=6, n_iter=20), 0.1),
-        # the sbnrg critical config of tests/test_cli.py
-        *((3e-5, a, NrgConfig(n_s=60, n_b=6, n_iter=60, n_star=65), 0.0)
-          for a in (0.55, 0.65, 0.75, 0.85)),
-        (3e-5, 0.75, NrgConfig(), 0.0),  # production defaults
-    ])
-    def test_unbiased_run_keeps_parity(self, delta, alpha, cfg, sx_min):
+    def test_unbiased_run_keeps_parity(self):
         # without any bias <sigma_z> must vanish identically
-        r = run(SpinBosonParams(delta=delta, alpha=alpha), cfg)
+        r = run(SpinBosonParams(delta=0.1, alpha=0.5),
+                NrgConfig(n_s=100, n_b=6, n_iter=20))
         assert abs(r.sigma_z_gs) <= 1e-12
         assert r.delta_p <= 1e-12
-        assert r.sigma_x_gs > sx_min
+        assert r.sigma_x_gs > 0.1
+
+    @pytest.mark.parametrize("alpha,cfg", [
+        # the sbnrg critical config of tests/test_cli.py
+        *((a, NrgConfig(n_s=60, n_b=6, n_iter=60, n_star=65))
+          for a in (0.55, 0.65, 0.75, 0.85)),
+        (0.75, NrgConfig()),  # production defaults
+    ])
+    def test_unbiased_critical_run_keeps_parity(self, alpha, cfg):
+        # the same at the tiny tunnelling of the critical scans
+        r = run(SpinBosonParams(delta=3e-5, alpha=alpha), cfg)
+        assert abs(r.sigma_z_gs) <= 1e-12
+        assert r.delta_p <= 1e-12
+        assert r.sigma_x_gs > 0.0
 
     def test_unbiased_localized_cut_keeps_doublets(self):
         # each localized level is a doublet split across the two parity
