@@ -12,9 +12,11 @@ matrices carried through every basis change.
 At zero bias H commutes with the parity P = sigma_x (-1)^(sum of boson
 numbers). Every kept state then carries its eigenvalue of P, each step
 diagonalizes the two parity sectors apart and merges their spectra
-before the cut, and b and sigma_z stay exactly parity-odd, so
-<sigma_z> = 0 holds exactly rather than up to truncation noise. A
-biased run labels every state 0 and is the same step with one sector.
+before the cut, and b and sigma_z stay exactly parity-odd, so every
+kept state has <sigma_z> = 0 exactly rather than up to truncation noise.
+In the localized phase the ground doublet straddles the two sectors, and
+ground_observable reads its polarized member. A biased run labels every
+state 0 and is the same step with one sector.
 """
 
 from __future__ import annotations
@@ -54,6 +56,12 @@ HOPPING_FLOOR = 1e-30
 # extension can keep up to 2 n_s states, doubling it. The largest config
 # in use (n_s = 300, n_b = 12) needs 3600.
 MAX_DENSE_DIM = 8192
+
+# A parity-blocked ground state and the level above it, from the other
+# sector, form a doublet when their splitting is below this fraction of
+# the next level: 0 at the localized fixed point, 0.5 at the delocalized
+# one (one boson against two).
+DOUBLET_RATIO = 0.1
 
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 _SZ = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -229,9 +237,11 @@ def _add_site(h_block: np.ndarray, coupling: np.ndarray, op_sz: np.ndarray,
     h = h.reshape(k * db, -1)
     labels = np.multiply.outer(parity, (-1) ** np.arange(db)).ravel()
     sectors = sorted(set(labels.tolist()))  # np.unique's first call costs 1 MB RSS
-    rows = [slice(None)] if len(sectors) == 1 else [
-        np.flatnonzero(labels == q) for q in sectors]
-    decs = [numerics.sym_eig(h[r][:, r]) for r in rows]
+    if len(sectors) == 1:
+        decs = [numerics.sym_eig(h)]
+    else:  # rows, then columns: faster than one np.ix_ gather
+        rows = [np.flatnonzero(labels == q) for q in sectors]
+        decs = [numerics.sym_eig(h[r][:, r]) for r in rows]
     sizes = [d.eigenvalues.size for d in decs]
     w = np.concatenate([d.eigenvalues for d in decs])
     order = np.argsort(w, kind="stable")
@@ -335,11 +345,15 @@ def ground_observable(state: NrgState, which: str,
                       degeneracy_tol: float = 1e-8) -> float:
     """Ground-state expectation of sigma_z or sigma_x.
 
-    A degenerate ground multiplet (rescaled splitting below
-    degeneracy_tol) is resolved by diagonalizing sigma_z inside the
-    multiplet and reporting the member with extremal |<sigma_z>|; the
+    A degenerate ground multiplet is resolved by diagonalizing sigma_z
+    inside it and reporting the member with extremal |<sigma_z>|; the
     requested operator is evaluated in that member. This is the state an
-    infinitesimal bias selects in the localized phase.
+    infinitesimal bias selects in the localized phase. The multiplet holds
+    the states within degeneracy_tol (rescaled) of the ground state. In a
+    parity-blocked run the localized doublet straddles the two sectors and
+    stays split far beyond that window at any finite N, so the level just
+    above the window joins the multiplet when it lies in the other sector
+    and below DOUBLET_RATIO times the level after it.
     """
     if which == "sigma_z":
         op = state.op_sz
@@ -349,6 +363,9 @@ def ground_observable(state: NrgState, which: str,
         raise ValueError("which must be 'sigma_z' or 'sigma_x'")
     e = state.energies
     g = max(int(np.searchsorted(e, degeneracy_tol, side="right")), 1)
+    if (g + 1 < e.size and state.parity[g] != state.parity[0]
+            and e[g] < DOUBLET_RATIO * e[g + 1]):  # labels differ only if blocked
+        g += 1
     if g == 1:
         return float(op[0, 0])
     zblock = state.op_sz[:g, :g]

@@ -18,6 +18,8 @@ import pytest
 
 import sbnrg
 
+from conftest import CRITICAL_PAYLOAD
+
 BLAS_NAME = (numpy.show_config(mode="dicts")
              .get("Build Dependencies", {}).get("blas", {}).get("name", ""))
 
@@ -36,15 +38,6 @@ print(lib.scipy_openblas_get_num_threads64_())
 
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "NUMEXPR_NUM_THREADS", "GOTO_NUM_THREADS")
-
-
-# the sbnrg critical config of tests/test_cli.py
-CRITICAL = {
-    "model": {"delta": 3e-5},
-    "nrg": {"n_s": 60, "n_b": 6, "n_iter": 60, "n_star": 65},
-    "sweep": {"parameter": "alpha",
-              "grid": {"values": [0.55, 0.65, 0.75, 0.85]}},
-}
 
 
 def fresh_python(args, **thread_vars):
@@ -77,7 +70,7 @@ def test_caller_set_thread_count_is_respected():
 
 def test_thread_count_does_not_move_alpha_c(tmp_path):
     config = tmp_path / "critical.json"
-    config.write_text(json.dumps(CRITICAL))
+    config.write_text(json.dumps(CRITICAL_PAYLOAD))
     alpha_c = {}
     for threads in ("1", "2"):
         out = tmp_path / f"out_{threads}"

@@ -20,6 +20,8 @@ from sbnrg.cli import (
 from sbnrg.nrg import DegeneracyError, NrgConfig, run
 from sbnrg.oracle import EdProblem, exact_diag
 
+from conftest import CRITICAL_PAYLOAD
+
 
 def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
@@ -442,12 +444,7 @@ class TestSweepMode:
 
 
 class TestCriticalMode:
-    PAYLOAD = {
-        "model": {"delta": 3e-5},
-        "nrg": {"n_s": 60, "n_b": 6, "n_iter": 60, "n_star": 65},
-        "sweep": {"parameter": "alpha",
-                  "grid": {"values": [0.55, 0.65, 0.75, 0.85]}},
-    }
+    PAYLOAD = CRITICAL_PAYLOAD
 
     def test_end_to_end(self, tmp_path):
         out = tmp_path / "out"

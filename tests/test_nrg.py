@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from sbnrg import nrg, numerics
 from sbnrg.bath import StarBath, WilsonChain, chain_map, discretize
 from sbnrg.circuit import SpinBosonParams
-from sbnrg.criticality import extract_nstar
+from sbnrg.criticality import classify_phase, extract_nstar
 from sbnrg.nrg import (
     DegeneracyError,
     NrgConfig,
@@ -22,6 +22,12 @@ from sbnrg.nrg import (
     run_on_chain,
 )
 from sbnrg.oracle import EdProblem, exact_diag
+
+from conftest import CRITICAL_PAYLOAD
+
+CRITICAL_DELTA = CRITICAL_PAYLOAD["model"]["delta"]
+CRITICAL_NRG = NrgConfig(**CRITICAL_PAYLOAD["nrg"])
+CRITICAL_ALPHAS = CRITICAL_PAYLOAD["sweep"]["grid"]["values"]
 
 
 class TestNrgConfig:
@@ -189,14 +195,12 @@ class TestPhases:
         assert r.sigma_x_gs > 0.1
 
     @pytest.mark.parametrize("alpha,cfg", [
-        # the sbnrg critical config of tests/test_cli.py
-        *((a, NrgConfig(n_s=60, n_b=6, n_iter=60, n_star=65))
-          for a in (0.55, 0.65, 0.75, 0.85)),
+        *((a, CRITICAL_NRG) for a in CRITICAL_ALPHAS),
         (0.75, NrgConfig()),  # production defaults
     ])
     def test_unbiased_critical_run_keeps_parity(self, alpha, cfg):
         # the same at the tiny tunnelling of the critical scans
-        r = run(SpinBosonParams(delta=3e-5, alpha=alpha), cfg)
+        r = run(SpinBosonParams(delta=CRITICAL_DELTA, alpha=alpha), cfg)
         assert abs(r.sigma_z_gs) <= 1e-12
         assert r.delta_p <= 1e-12
         assert r.sigma_x_gs > 0.0
@@ -213,10 +217,12 @@ class TestPhases:
             up, down = (state.energies[state.parity == q] for q in (1, -1))
             assert up.size == down.size
         assert np.abs(up - down).max() < np.diff(up).min()  # paired
-        # the doublet is split by 5.6e-4 at N = 19: the default window sees
-        # the symmetric ground state, a wider one the polarized member
-        assert ground_observable(state, "sigma_z") == 0.0
-        assert abs(ground_observable(state, "sigma_z", 1e-2)) > 0.9
+        # the doublet is split by 5.6e-4 at N = 19, far beyond the default
+        # window; its cross-sector pair still reads as the polarized member
+        assert state.energies[1] > 1e-4
+        sz = ground_observable(state, "sigma_z")
+        assert abs(sz) > 0.9
+        assert classify_phase(delta_p(sz)).label == "localized"
 
     @pytest.mark.parametrize("alpha", [0.5, 1.5])
     def test_blocked_flow_matches_one_sector_flow(self, alpha):
@@ -234,10 +240,10 @@ class TestPhases:
                                 atol=1e-10)
 
     def test_chain_noise_does_not_move_nstar(self):
-        # the alpha = 0.85 point of the sbnrg critical config in
-        # tests/test_cli.py, on chains perturbed in their last bits
-        p = SpinBosonParams(delta=3e-5, alpha=0.85)
-        cfg = NrgConfig(n_s=60, n_b=6, n_iter=60, n_star=65)
+        # the alpha = 0.85 point of the sbnrg critical config, on chains
+        # perturbed in their last bits
+        p = SpinBosonParams(delta=CRITICAL_DELTA, alpha=CRITICAL_ALPHAS[-1])
+        cfg = CRITICAL_NRG
         chain = chain_map(discretize(p, cfg.Lambda, cfg.chain_length))
         n_star = extract_nstar(run_on_chain(p, chain, cfg).flow).n_star
         for seed in (1, 2, 3):
@@ -450,7 +456,7 @@ class TestMechanics:
 
 class TestGroundObservable:
     @staticmethod
-    def state(energies, sz, sx):
+    def state(energies, sz, sx, parity=None):
         k = len(energies)
         return NrgState(
             iteration=3,
@@ -458,7 +464,7 @@ class TestGroundObservable:
             op_b=np.zeros((k, k)),
             op_sz=np.asarray(sz, dtype=float),
             op_sx=np.asarray(sx, dtype=float),
-            parity=np.zeros(k, dtype=int),
+            parity=np.zeros(k, dtype=int) if parity is None else np.asarray(parity),
             ground_energy=0.0,
         )
 
@@ -487,6 +493,23 @@ class TestGroundObservable:
         assert tight == 0.2
         wide = ground_observable(st_, "sigma_z", degeneracy_tol=1e-4)
         assert abs(wide) == pytest.approx(np.hypot(0.2, 0.5), abs=1e-12)
+
+    @pytest.mark.parametrize("partner,expected", [
+        (1e-3, 0.8),  # far below the next level: the localized doublet
+        (0.25, 0.0),  # half the next level: a unique ground state
+    ])
+    def test_cross_sector_doublet(self, partner, expected):
+        # sigma_z only links the two parity sectors; the level above the
+        # ground state pairs with it when it is split off from the rest of
+        # the spectrum, however far beyond degeneracy_tol it lies
+        st_ = self.state([0.0, partner, 0.5],
+                         [[0.0, 0.8, 0.0], [0.8, 0.0, 0.5], [0.0, 0.5, 0.0]],
+                         [[0.4, 0.0, 0.1], [0.0, 0.6, 0.0], [0.1, 0.0, 0.2]],
+                         parity=[1, -1, 1])
+        assert abs(ground_observable(st_, "sigma_z")) == pytest.approx(
+            expected, abs=1e-12)
+        assert ground_observable(st_, "sigma_x") == pytest.approx(
+            0.5 if expected else 0.4, abs=1e-12)
 
     def test_unknown_operator(self):
         st_ = self.state([0.0], [[0.1]], [[0.2]])
