@@ -6,19 +6,16 @@ s = 1 is the Ohmic transmission line) is chopped into intervals
 squared coupling gamma_n^2 = (1/pi) int J and representative energy
 xi_n = int J omega / int J, both in closed form. Tridiagonalizing the
 star from the normalized coupling vector (the Lanczos chain, computed here
-by the Gragg-Harrod rotation recursion in the standard library's decimal
-arithmetic) turns it into a semi-infinite chain whose hoppings decay like
-Lambda^-n, which is what the iterative diagonalization needs.
+by the Gragg-Harrod rotation recursion in float64) turns it into a
+semi-infinite chain whose hoppings decay like Lambda^-n, which is what the
+iterative diagonalization needs.
 """
 
 from __future__ import annotations
 
-import decimal
 import hashlib
-import itertools
 import math
 from dataclasses import dataclass
-from decimal import Decimal
 
 import numpy as np
 
@@ -56,8 +53,8 @@ class StarBath:
 class WilsonChain:
     """Tridiagonal chain: spin couples to site 0 with strength c0.
 
-    eps holds on-site energies, t the hoppings; len(t) = len(eps) - 1
-    (both empty for a fully decoupled bath).
+    eps holds on-site energies, t the hoppings; len(t) = len(eps) - 1.
+    A fully decoupled bath has c0 = 0 and every t zero.
     """
 
     c0: float
@@ -125,30 +122,25 @@ def discretize(p: SpinBosonParams, Lambda: float, n_star: int) -> StarBath:
     )
 
 
-def _working_digits(xi: np.ndarray) -> int:
-    """Precision needed to carry chain coefficients across the xi range."""
-    span = math.log10(float(xi.max()) / float(xi.min())) if xi.size else 0.0
-    return max(50, 40 + int(math.ceil(span)))
-
-
 def _rkpw(nodes: list, weights: list) -> tuple[list, list]:
     """Recurrence coefficients (alpha_n, beta_n) of sum_i w_i delta(x - x_i).
 
     Gragg-Harrod rotations (RKPW, Gautschi's OPQ lanczos.m) fold in one
     node at a time: O(n^2) work and no Lanczos basis. beta[0] = sum w_i.
+    Plain Python floats, so every bit is IEEE arithmetic in a fixed order.
     """
     n = len(nodes)
     p0 = list(nodes)
-    p1 = [weights[0]] + [Decimal(0)] * (n - 1)
+    p1 = [weights[0]] + [0.0] * (n - 1)
     for m in range(1, n):
         pn, xlam = weights[m], nodes[m]
-        gam, sig, t = Decimal(1), Decimal(0), Decimal(0)
+        gam, sig, t = 1.0, 0.0, 0.0
         for k in range(m + 1):
             rho = p1[k] + pn
             tmp = gam * rho
             tsig = sig
             if rho <= 0:
-                gam, sig = Decimal(1), Decimal(0)
+                gam, sig = 1.0, 0.0
             else:
                 gam, sig = p1[k] / rho, pn / rho
             tk = sig * (p0[k] - xlam) - gam * t
@@ -164,34 +156,30 @@ def chain_map(star: StarBath) -> WilsonChain:
 
     The chain is the Lanczos tridiagonal of diag(xi) from the normalized
     coupling vector, taken from the recurrence of the weights gamma_i^2:
-    c0 = sqrt(beta_0), eps_n = alpha_n, t_n = sqrt(beta_{n+1}). It runs in
-    decimal at _working_digits(xi) digits, in a context of its own that the
-    caller's cannot reach, because t_n shrinks like Lambda^-n and double
-    precision loses the tail to roundoff; each float is the correctly
-    rounded decimal result. The chain ends at the first t_n below
-    10^-(digits - 5), where a degenerate star runs out of distinct energies.
+    c0 = sqrt(beta_0), eps_n = alpha_n, t_n = sqrt(beta_{n+1}), in float64.
+    Modes of equal energy are first merged into one with the summed weight
+    and weightless modes dropped, so every beta is positive and the chain
+    has one site per distinct weighted energy; without the merge, roundoff
+    leaves spurious hoppings of order 1e-32 on repeated energies. A
+    weightless star maps to the decoupled chain: c0 = 0, eps = xi, t = 0.
+    The products of two weights must stay normal floats: at s = 1 that is
+    Lambda^-4n, the chain-length bound NrgConfig enforces. A star whose
+    chain float64 loses (some beta <= 0) raises ValueError.
     """
     xi = np.asarray(star.xi, dtype=float)
     gamma = np.asarray(star.gamma, dtype=float)
     if xi.shape != gamma.shape:
         raise ValueError("xi and gamma must have matching shapes")
-    if xi.size == 0 or not np.any(gamma > 0):
-        return WilsonChain(c0=0.0, eps=np.empty(0), t=np.empty(0))
     if np.any(xi <= 0):
         raise ValueError("star energies must be positive")
-
-    prec = _working_digits(xi)
-    ctx = decimal.Context(prec=prec, rounding=decimal.ROUND_HALF_EVEN,
-                          Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX,
-                          traps=[decimal.InvalidOperation,
-                                 decimal.DivisionByZero, decimal.Overflow])
-    with decimal.localcontext(ctx):
-        alpha, beta = _rkpw([Decimal(v) for v in xi.tolist()],
-                            [g * g for g in map(Decimal, gamma.tolist())])
-        floor = Decimal(10) ** (-(prec - 5))
-        t_out = list(itertools.takewhile(lambda t_n: t_n > floor,
-                                         map(Decimal.sqrt, beta[1:])))
-        c0 = float(beta[0].sqrt())
-        eps = np.array([float(x) for x in alpha[:len(t_out) + 1]])
-        t = np.array([float(x) for x in t_out])
-    return WilsonChain(c0=c0, eps=eps, t=t)
+    weights: dict[float, float] = {}
+    for x, g in zip(xi.tolist(), gamma.tolist()):
+        if g * g > 0:
+            weights[x] = weights.get(x, 0.0) + g * g
+    if not weights:
+        return WilsonChain(c0=0.0, eps=xi.copy(), t=np.zeros(max(xi.size - 1, 0)))
+    alpha, beta = _rkpw(list(weights), list(weights.values()))
+    if min(beta) <= 0:
+        raise ValueError("star weights span more than float64 can map")
+    return WilsonChain(c0=math.sqrt(beta[0]), eps=np.array(alpha),
+                       t=np.sqrt(beta[1:]))

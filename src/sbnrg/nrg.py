@@ -47,10 +47,6 @@ __all__ = [
     "delta_p",
 ]
 
-# Hoppings below this are pure underflow noise; exactly zero hoppings are
-# legitimate (decoupled chain at alpha = 0) and do not stop the run.
-HOPPING_FLOOR = 1e-30
-
 # Largest n_s * n_b accepted. Each iteration diagonalizes a dense
 # float64 H of that dimension, about 0.5 GiB at 8192, and the degeneracy
 # extension can keep up to 2 n_s states, doubling it. The largest config
@@ -86,7 +82,9 @@ class NrgConfig:
     bias, flow_levels how many levels each flow record stores. n_b counts
     basis states (occupations 0..n_b-1), so a quoted highest occupation
     n_max means n_b = n_max + 1. n_star overrides the chain length
-    (default 2 n_iter, floor n_iter + 5).
+    (default 2 n_iter, floor n_iter + 5); it may not exceed
+    1 + floor(log(1/tiny) / (4 log Lambda)), 256 at Lambda = 2, where the
+    float64 chain map still holds.
     """
 
     Lambda: float = 2.0
@@ -120,9 +118,14 @@ class NrgConfig:
                 f"n_s * n_b = {self.n_s * self.n_b} exceeds the "
                 f"dense-matrix limit {MAX_DENSE_DIM}"
             )
-        longest = 1 + int(-math.log(np.finfo(float).tiny, self.Lambda))
-        if self.chain_length > longest:  # bath.discretize's Lambda^-n stays normal
-            raise ValueError(f"n_star above {longest} underflows Lambda^-n")
+        # bath.chain_map multiplies pairs of star weights: Lambda^-4n at s = 1,
+        # the steepest bath SpinBosonParams allows
+        longest = 1 + int(-math.log(np.finfo(float).tiny, self.Lambda) / 4)
+        if self.chain_length > longest:
+            raise ValueError(
+                f"n_star above {longest} takes the chain map's products of "
+                "star weights, Lambda^-4n, below the float64 range"
+            )
 
     @property
     def chain_length(self) -> int:
@@ -283,9 +286,10 @@ def build_initial(p: SpinBosonParams, chain: WilsonChain, cfg: NrgConfig) -> Nrg
     written in the sigma_x eigenbasis, where each state carries its
     parity label (+1, -1); otherwise in the sigma_z basis with labels 0.
     This is the only place that decides whether a run is parity-blocked.
-    An empty chain (possible only at alpha = 0) leaves the bare two-level
-    system: a site with only its vacuum. Warns when the coupling-induced
-    displacement c0/eps_0 approaches what the boson basis can represent.
+    An empty chain (built by hand; only at alpha = 0) leaves the bare
+    two-level system: a site with only its vacuum. Warns when the
+    coupling-induced displacement c0/eps_0 approaches what the boson basis
+    can represent.
     """
     bias = p.epsilon + cfg.epsilon_break
     if bias == 0:
@@ -387,17 +391,13 @@ def delta_p(sigma_z_gs: float) -> float:
 def run_on_chain(p: SpinBosonParams, chain: WilsonChain, cfg: NrgConfig) -> NrgResult:
     """Run the iteration on an explicit chain (also the test injection point).
 
-    Stops after n_iter iterations, when the chain runs out of sites, or
-    when the next hopping underflows below HOPPING_FLOOR (exact zeros are
-    kept; they mean a genuinely decoupled chain, not underflow).
+    Stops after n_iter iterations or when the chain runs out of sites. Zero
+    hoppings (a decoupled chain) do not stop it.
     """
     state = build_initial(p, chain, cfg)
     records = [_record(state, cfg)]
     limit = min(cfg.n_iter, chain.n_sites)
     for m in range(1, limit):
-        t_next = float(chain.t[m - 1])
-        if 0.0 < t_next < HOPPING_FLOOR:
-            break
         try:
             state = iterate(state, chain, cfg)
         except DegeneracyError as exc:
@@ -422,16 +422,8 @@ def run_on_chain(p: SpinBosonParams, chain: WilsonChain, cfg: NrgConfig) -> NrgR
 def run(p: SpinBosonParams, cfg: NrgConfig) -> NrgResult:
     """Full pipeline: discretize, chain map, iterate, observables.
 
-    At alpha = 0 the chain map would return an empty chain; a decoupled
-    chain (star energies, zero hoppings) is substituted so the boson
+    At alpha = 0 the chain map gives the decoupled chain, so the boson
     sector is still represented and the flow has its usual shape.
     """
     star = bath.discretize(p, cfg.Lambda, cfg.chain_length)
-    if p.alpha == 0:
-        n = star.n_modes
-        chain = WilsonChain(
-            c0=0.0, eps=star.xi.copy(), t=np.zeros(max(n - 1, 0))
-        )
-    else:
-        chain = bath.chain_map(star)
-    return run_on_chain(p, chain, cfg)
+    return run_on_chain(p, bath.chain_map(star), cfg)

@@ -304,27 +304,29 @@ class TestRunMode:
 
 class TestChainMode:
     def test_csv_matches_library(self, tmp_path):
-        payload = {"model": {"delta": 0.01, "alpha": 0.5},
-                   "nrg": {"n_iter": 8}}
-        out = tmp_path / "out"
-        cfg = write_config(tmp_path, payload)
-        assert main(["chain", "--config", cfg, "--out", str(out)]) == EXIT_OK
-        star = discretize(SpinBosonParams(delta=0.01, alpha=0.5), 2.0, 16)
-        chain = chain_map(star)
-        lines = (out / "chain.csv").read_text().strip().split("\n")
-        assert lines[0] == "n,xi,gamma,eps,t"
-        assert len(lines) == 1 + 16
-        row0 = lines[1].split(",")
-        assert float(row0[1]) == float(star.xi[0])
-        assert float(row0[2]) == float(star.gamma[0])
-        assert float(row0[3]) == float(chain.eps[0])
-        assert float(row0[4]) == float(chain.t[0])
-        last = lines[-1].split(",")
-        assert last[4] == ""  # no hopping out of the final site
-        meta = json.loads((out / "chain.json").read_text())
-        assert meta["digest"] == chain.digest()
-        assert meta["n_sites"] == 16
-        assert meta["c0"] == chain.c0
+        # alpha = 0 writes the decoupled chain that sbnrg run iterates
+        for alpha in (0.5, 0.0):
+            payload = {"model": {"delta": 0.01, "alpha": alpha},
+                       "nrg": {"n_iter": 8}}
+            out = tmp_path / f"out{alpha}"
+            cfg = write_config(tmp_path, payload)
+            assert main(["chain", "--config", cfg, "--out", str(out)]) == EXIT_OK
+            star = discretize(SpinBosonParams(delta=0.01, alpha=alpha), 2.0, 16)
+            chain = chain_map(star)
+            lines = (out / "chain.csv").read_text().strip().split("\n")
+            assert lines[0] == "n,xi,gamma,eps,t"
+            assert len(lines) == 1 + 16
+            row0 = lines[1].split(",")
+            assert float(row0[1]) == float(star.xi[0])
+            assert float(row0[2]) == float(star.gamma[0])
+            assert float(row0[3]) == float(chain.eps[0])
+            assert float(row0[4]) == float(chain.t[0])
+            last = lines[-1].split(",")
+            assert last[4] == ""  # no hopping out of the final site
+            meta = json.loads((out / "chain.json").read_text())
+            assert meta["digest"] == chain.digest()
+            assert meta["n_sites"] == 16
+            assert meta["c0"] == chain.c0
 
 
 class TestMapCircuitMode:

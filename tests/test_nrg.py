@@ -58,12 +58,17 @@ class TestNrgConfig:
 
     @pytest.mark.parametrize("n_star", [200000, 10**23])
     def test_rejects_underflowing_chain(self, n_star):
-        # validation only: Lambda^-n underflows past 1023 sites at Lambda = 2
-        with pytest.raises(ValueError, match="n_star"):
+        # validation only: products of star weights, Lambda^-4n, leave the
+        # float64 range past 256 sites at Lambda = 2 and 128 at Lambda = 4
+        reason = "products of star weights"
+        with pytest.raises(ValueError, match=reason):
             NrgConfig(n_star=n_star)
-        assert NrgConfig(n_star=1023).chain_length == 1023
-        with pytest.raises(ValueError, match="n_star"):
-            NrgConfig(Lambda=4.0, n_star=513)
+        assert NrgConfig(n_star=256).chain_length == 256
+        with pytest.raises(ValueError, match=f"n_star above 256 .*{reason}"):
+            NrgConfig(n_star=257)
+        assert NrgConfig(Lambda=4.0, n_star=128).chain_length == 128
+        with pytest.raises(ValueError, match=f"n_star above 128 .*{reason}"):
+            NrgConfig(Lambda=4.0, n_star=129)
 
     def test_rejects_oversized_dense_problem(self):
         # validation only: never run a config this large
@@ -307,12 +312,11 @@ class TestMechanics:
             vals, [rec.energies[1] for rec in r.flow.records]
         )
 
-    def test_underflow_hopping_stops_iteration(self):
-        chain = WilsonChain(c0=0.1, eps=np.array([0.5, 0.4, 0.3]),
-                            t=np.array([1e-31, 1e-31]))
-        r = run_on_chain(SpinBosonParams(delta=0.05, alpha=0.1), chain,
-                         NrgConfig(n_s=30, n_b=4, n_iter=3))
-        assert len(r.flow.records) == 1
+    def test_tiny_hoppings_run_every_iteration(self):
+        # at Lambda = 4 the hopping reaches 1e-30 near site 50 of 60
+        r = run(SpinBosonParams(delta=1e-3, epsilon=1e-6, alpha=0.3),
+                NrgConfig(Lambda=4.0, n_s=60, n_b=5))
+        assert len(r.flow.records) == 60
 
     def test_zero_hopping_is_not_underflow(self):
         chain = WilsonChain(c0=0.0, eps=np.array([0.5, 0.4, 0.3]),
