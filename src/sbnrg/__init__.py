@@ -70,7 +70,6 @@ from .circuit import (  # noqa: E402
     qubit_spectrum,
 )
 from .criticality import (  # noqa: E402
-    CriticalFit,
     CrossoverPoint,
     PhaseDiagnosis,
     classify_phase,
@@ -90,7 +89,6 @@ __all__ = [
     "oracle",
     "CODATA",
     "CircuitParams",
-    "CriticalFit",
     "CrossoverPoint",
     "EdProblem",
     "EdResult",

@@ -32,21 +32,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class StarBath:
-    """Discretized bath modes (xi_n, gamma_n) plus provenance copies."""
+    """Discretized bath modes: energies xi_n and couplings gamma_n."""
 
     xi: np.ndarray
     gamma: np.ndarray
-    alpha: float
-    s: float
-    Lambda: float
 
     @property
     def n_modes(self) -> int:
         return int(self.xi.size)
-
-    @property
-    def modes(self) -> tuple[tuple[float, float], ...]:
-        return tuple(zip(self.xi.tolist(), self.gamma.tolist()))
 
 
 @dataclass(frozen=True)
@@ -113,13 +106,7 @@ def discretize(p: SpinBosonParams, Lambda: float, n_star: int) -> StarBath:
     g0_sq = 2.0 * p.alpha * (1.0 - Lambda ** -(s + 1.0)) / (s + 1.0)
     xi = xi0 * Lambda ** -n
     g_sq = g0_sq * Lambda ** (-(s + 1.0) * n)
-    return StarBath(
-        xi=xi,
-        gamma=np.sqrt(g_sq),
-        alpha=p.alpha,
-        s=p.s,
-        Lambda=Lambda,
-    )
+    return StarBath(xi=xi, gamma=np.sqrt(g_sq))
 
 
 def _rkpw(nodes: list, weights: list) -> tuple[list, list]:

@@ -38,7 +38,7 @@ from .circuit import (
     microwave_bias,
     qubit_spectrum,
 )
-from .numerics import FitError
+from .numerics import FIT_MIN_POINTS, FitError
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "execute", "main"]
 
@@ -51,8 +51,7 @@ MODES = ("map-circuit", "chain", "run", "sweep", "critical", "oracle")
 
 _MODEL_KEYS = {f.name: float for f in fields(SpinBosonParams)}
 _NRG_KEYS = {"lambda": float, "n_s": int, "n_b": int, "n_iter": int,
-             "degeneracy_tol": float, "epsilon_break": float,
-             "flow_levels": int, "n_star": int}
+             "degeneracy_tol": float, "flow_levels": int, "n_star": int}
 _CIRCUIT_KEYS = {"c_j": float, "c_0": float, "i_0": float, "i_b": float,
                  "l": float, "c": float, "omega_c": float,
                  "delta_convention": str, "i_uw": float, "line_length": float,
@@ -112,6 +111,16 @@ def _is_number(value) -> bool:
         return False
 
 
+# the test of a value of each declared key type, and the noun its error names
+_TYPE_CHECKS = {
+    float: (_is_number, "a number"),
+    int: (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    str: (lambda v: isinstance(v, str), "a string"),
+    dict: (lambda v: isinstance(v, dict), "an object"),
+    list: (lambda v: isinstance(v, list), "a list"),
+}
+
+
 def _grid_numbers(values: list, what: str) -> tuple[float, ...]:
     """The values as floats; each must be a number."""
     if not all(_is_number(v) for v in values):
@@ -127,27 +136,10 @@ def _typed(block: dict, allowed: dict, path: str, strict: bool) -> dict:
         if key not in allowed:
             _unknown_key(f"{path}.{key}", strict)
             continue
-        want = allowed[key]
-        if want is float:
-            if not _is_number(value):
-                raise ConfigError(f"{path}.{key} must be a number")
-            out[key] = float(value)
-        elif want is int:
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"{path}.{key} must be an integer")
-            out[key] = value
-        elif want is str:
-            if not isinstance(value, str):
-                raise ConfigError(f"{path}.{key} must be a string")
-            out[key] = value
-        elif want is dict:
-            if not isinstance(value, dict):
-                raise ConfigError(f"{path}.{key} must be an object")
-            out[key] = value
-        elif want is list:
-            if not isinstance(value, list):
-                raise ConfigError(f"{path}.{key} must be a list")
-            out[key] = value
+        check, noun = _TYPE_CHECKS[allowed[key]]
+        if not check(value):
+            raise ConfigError(f"{path}.{key} must be {noun}")
+        out[key] = float(value) if allowed[key] is float else value
     return out
 
 
@@ -302,6 +294,11 @@ def parse_config(text: str, mode: str, strict: bool = True,
                 parameter=sblock["parameter"],
                 values=_resolve_grid(sblock["grid"], "sweep.grid"),
             )
+            if mode == "critical" and len(sweep.values) < FIT_MIN_POINTS:
+                raise ConfigError(
+                    f"sweep.grid: critical needs at least {FIT_MIN_POINTS} "
+                    "alpha values to fit the divergence"
+                )
         if "critical" in raw:
             cblock = _typed(raw["critical"], _CRITICAL_KEYS, "critical", strict)
             critical = CriticalSpec(

@@ -19,7 +19,6 @@ from .nrg import NrgFlow
 __all__ = [
     "CrossoverPoint",
     "PhaseDiagnosis",
-    "CriticalFit",
     "NoCrossingError",
     "extract_nstar",
     "fit_alpha_c",
@@ -44,17 +43,6 @@ class CrossoverPoint:
 class PhaseDiagnosis:
     delta_p: float
     label: str  # delocalized | localized | undetermined
-
-
-@dataclass(frozen=True)
-class CriticalFit:
-    """Divergence fit of N*(alpha) together with the points that fed it."""
-
-    points: tuple[CrossoverPoint, ...]
-    a: float
-    b: float
-    alpha_c: float
-    rss: float
 
 
 def extract_nstar(flow: NrgFlow, threshold: float = DEFAULT_THRESHOLD) -> CrossoverPoint:
@@ -83,16 +71,10 @@ def extract_nstar(flow: NrgFlow, threshold: float = DEFAULT_THRESHOLD) -> Crosso
     )
 
 
-def fit_alpha_c(points, window: float | None = None) -> CriticalFit:
+def fit_alpha_c(points, window: float | None = None) -> numerics.DivergenceFit:
     """Extrapolate alpha_c from the pole of N*(alpha) = a + b/(alpha_c - alpha)."""
-    pts = tuple(points)
-    if len(pts) < 4:
-        raise numerics.FitError("need at least 4 crossover points")
-    fit = numerics.fit_divergence(
-        [(p.alpha, p.n_star) for p in pts], window=window
-    )
-    return CriticalFit(
-        points=pts, a=fit.a, b=fit.b, alpha_c=fit.alpha_c, rss=fit.rss
+    return numerics.fit_divergence(
+        [(p.alpha, p.n_star) for p in points], window=window
     )
 
 

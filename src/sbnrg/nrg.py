@@ -78,13 +78,14 @@ class NrgConfig:
     Lambda discretization ratio, n_s kept-states target, n_b boson basis
     states per chain site, n_iter iteration count, degeneracy_tol the
     relative window that extends the truncation cut across a degenerate
-    boundary multiplet, epsilon_break an optional tiny symmetry-breaking
-    bias, flow_levels how many levels each flow record stores. n_b counts
-    basis states (occupations 0..n_b-1), so a quoted highest occupation
-    n_max means n_b = n_max + 1. n_star overrides the chain length
-    (default 2 n_iter, floor n_iter + 5); it may not exceed
-    1 + floor(log(1/tiny) / (4 log Lambda)), 256 at Lambda = 2, where the
-    float64 chain map still holds.
+    boundary multiplet, flow_levels how many levels each flow record
+    stores. n_b counts basis states (occupations 0..n_b-1), so a quoted
+    highest occupation n_max means n_b = n_max + 1. The bias is
+    SpinBosonParams.epsilon: at epsilon = 0 the run is parity-blocked and
+    ground_observable reads the polarized member of a localized ground
+    doublet. n_star overrides the chain length (default 2 n_iter, floor
+    n_iter + 5); it may not exceed 1 + floor(log(1/tiny) / (4 log Lambda)),
+    256 at Lambda = 2, where the float64 chain map still holds.
     """
 
     Lambda: float = 2.0
@@ -92,7 +93,6 @@ class NrgConfig:
     n_b: int = 6
     n_iter: int = 60
     degeneracy_tol: float = 1e-8
-    epsilon_break: float = 0.0
     flow_levels: int = 12
     n_star: int | None = None
 
@@ -107,8 +107,6 @@ class NrgConfig:
             raise ValueError("n_iter must be at least 1")
         if not 0.0 < self.degeneracy_tol < 1e-3:
             raise ValueError("degeneracy_tol must lie in (0, 1e-3)")
-        if self.epsilon_break < 0:
-            raise ValueError("epsilon_break must be non-negative")
         if self.flow_levels < 2:
             raise ValueError("flow_levels must be at least 2")
         if self.n_star is not None and self.n_star < self.n_iter + 5:
@@ -144,8 +142,8 @@ class NrgState:
     absolute (unrescaled) ground-state energy in cutoff units. parity
     labels each kept state with its eigenvalue +-1 of
     P = sigma_x (-1)^(sum of boson numbers) when the run conserves P
-    (epsilon + epsilon_break = 0), and with 0 otherwise; op_b and op_sz
-    then vanish exactly between states of equal label.
+    (epsilon = 0), and with 0 otherwise; op_b and op_sz then vanish
+    exactly between states of equal label.
     """
 
     iteration: int
@@ -212,8 +210,8 @@ def _kept_count(energies: np.ndarray, cfg: NrgConfig) -> int:
 
 def _add_site(h_block: np.ndarray, coupling: np.ndarray, op_sz: np.ndarray,
               op_sx: np.ndarray, parity: np.ndarray, cfg: NrgConfig, m: int = 0,
-              eps: float = 0.0, hop: float = 0.0, ground_energy: float = 0.0,
-              n_b: int | None = None) -> NrgState:
+              eps: float = 0.0, hop: float = 0.0,
+              ground_energy: float = 0.0) -> NrgState:
     """Couple chain site m to a block, rediagonalize and truncate.
 
     With scale = Lambda^m, H = h_block x 1 + scale [eps (1 x n_hat)
@@ -225,9 +223,8 @@ def _add_site(h_block: np.ndarray, coupling: np.ndarray, op_sz: np.ndarray,
     stable sort, shifted to 0 (the shift over scale joins ground_energy)
     and cut by _kept_count. The kept vectors, exactly zero outside their
     sector, rotate b by a boson-index shift and op_sz, op_sx by one GEMM.
-    A site with n_b = 1 holds only its vacuum.
     """
-    db = cfg.n_b if n_b is None else n_b
+    db = cfg.n_b
     k = h_block.shape[0]
     scale = cfg.Lambda ** m
     root = np.sqrt(np.arange(1.0, db))
@@ -280,29 +277,24 @@ def _add_site(h_block: np.ndarray, coupling: np.ndarray, op_sz: np.ndarray,
 def build_initial(p: SpinBosonParams, chain: WilsonChain, cfg: NrgConfig) -> NrgState:
     """Add chain site 0 to the spin, as iterate adds every later site.
 
-    The spin block -(delta/2) sigma_x + ((epsilon + epsilon_break)/2)
-    sigma_z couples to site 0 through (c0/2) sigma_z (b + b^dag), on the
-    2 x n_b product basis. At epsilon + epsilon_break = 0 the spin is
-    written in the sigma_x eigenbasis, where each state carries its
-    parity label (+1, -1); otherwise in the sigma_z basis with labels 0.
-    This is the only place that decides whether a run is parity-blocked.
-    An empty chain (built by hand; only at alpha = 0) leaves the bare
-    two-level system: a site with only its vacuum. Warns when the
-    coupling-induced displacement c0/eps_0 approaches what the boson basis
-    can represent.
+    The spin block -(delta/2) sigma_x + (epsilon/2) sigma_z couples to
+    site 0 through (c0/2) sigma_z (b + b^dag), on the 2 x n_b product
+    basis. At epsilon = 0 the spin is written in the sigma_x eigenbasis,
+    where each state carries its parity label (+1, -1); otherwise in the
+    sigma_z basis with labels 0. This is the only place that decides
+    whether a run is parity-blocked. The chain needs a site 0: chain_map
+    always gives one, the decoupled chain at alpha = 0, and an empty chain
+    raises ValueError. Warns when the coupling-induced displacement
+    c0/eps_0 approaches what the boson basis can represent.
     """
-    bias = p.epsilon + cfg.epsilon_break
-    if bias == 0:
+    if chain.n_sites == 0:
+        raise ValueError("chain exhausted: no site 0")
+    if p.epsilon == 0:
         spin = (np.diag([-0.5 * p.delta, 0.5 * p.delta]), _SX, _SX, _SZ,
                 np.array([1, -1]))
     else:
-        spin = (-0.5 * p.delta * _SX + 0.5 * bias * _SZ, _SZ, _SZ, _SX,
+        spin = (-0.5 * p.delta * _SX + 0.5 * p.epsilon * _SZ, _SZ, _SZ, _SX,
                 np.zeros(2, dtype=int))
-    if chain.n_sites == 0:
-        if p.alpha != 0:
-            raise ValueError("empty chain is only meaningful at alpha = 0")
-        return _add_site(*spin, cfg, n_b=1)
-
     eps0 = float(chain.eps[0])
     c0 = float(chain.c0)
     if c0 > 0 and eps0 > 0 and c0 / eps0 > math.sqrt(cfg.n_b):

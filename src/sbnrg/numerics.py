@@ -21,6 +21,7 @@ __all__ = [
 ]
 
 SYMMETRY_RTOL = 1e-12  # max relative asymmetry sym_eig accepts
+FIT_MIN_POINTS = 4  # fewest (alpha, n_star) points fit_divergence accepts
 FIT_WINDOW = 2.0  # default search window above max(alpha) for the pole
 FIT_GRID_POINTS = 2000  # coarse grid size of the pole scan
 FIT_GOLDEN_ITERS = 90  # fixed golden-section refinement count (determinism)
@@ -107,8 +108,8 @@ def fit_divergence(points, window: float | None = None) -> DivergenceFit:
     pole.
     """
     pts = [(float(a), float(n)) for a, n in points]
-    if len(pts) < 4:
-        raise FitError("need at least 4 points to fit a divergence")
+    if len(pts) < FIT_MIN_POINTS:
+        raise FitError(f"need at least {FIT_MIN_POINTS} points to fit a divergence")
     alphas = np.array([p[0] for p in pts])
     ns = np.array([p[1] for p in pts])
     if not (np.all(np.isfinite(alphas)) and np.all(np.isfinite(ns))):

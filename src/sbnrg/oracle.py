@@ -6,25 +6,22 @@ Independent of the NRG engine on purpose: dense product-basis build of
         + sum_n xi_n a_n^dag a_n + (sigma_z/2) sum_n gamma_n (a_n + a_n^dag)
 
 for a handful of modes with a Fock cutoff per mode. Used to validate the
-iterative diagonalization and the circuit mode mapping.
+iterative diagonalization.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import numerics
-from .circuit import CODATA, LineModes
 
 __all__ = [
     "EdProblem",
     "EdResult",
     "exact_diag",
     "polaron_energy",
-    "problem_from_line_modes",
     "DIMENSION_LIMIT",
 ]
 
@@ -168,19 +165,3 @@ def polaron_energy(modes) -> float:
             raise ValueError("mode frequencies must be positive")
         total -= g * g / (4.0 * w)
     return total
-
-
-def problem_from_line_modes(lm: LineModes, delta: float, epsilon: float,
-                            omega_c: float, n_max: int) -> EdProblem:
-    """Convert SI transmission-line modes into a dimensionless EdProblem.
-
-    Frequencies go to omega_n / omega_c and couplings to
-    lambda_n / (hbar omega_c); delta and epsilon are already in cutoff
-    units.
-    """
-    if omega_c <= 0:
-        raise ValueError("omega_c must be positive")
-    scale = CODATA.h_bar * omega_c
-    modes = tuple((w / omega_c, lam / scale) for w, lam in lm.modes)
-    return EdProblem(delta=delta, epsilon=epsilon, modes=modes, n_max=n_max)
-

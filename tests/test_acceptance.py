@@ -107,8 +107,7 @@ def test_criterion_2_oracle_equivalence():
     worst_sz = 0.0
     for xi, gamma, delta, epsilon, n_b in cases:
         dim = 2 * n_b ** len(xi)
-        star = StarBath(xi=np.array(xi), gamma=np.array(gamma),
-                        alpha=0.1, s=1.0, Lambda=2.0)
+        star = StarBath(xi=np.array(xi), gamma=np.array(gamma))
         chain = chain_map(star)
         p = SpinBosonParams(delta=delta, epsilon=epsilon, alpha=0.1)
         # N_s >= full dimension: nothing is ever truncated. The recorded

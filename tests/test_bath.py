@@ -36,8 +36,7 @@ def ohmic(alpha, s=1.0):
 def _frozen_star(ref):
     """The discretized star a reference chain was frozen from, bit for bit."""
     return StarBath(xi=np.array([float.fromhex(x) for x in ref["star_xi"]]),
-                    gamma=np.array([float.fromhex(g) for g in ref["star_gamma"]]),
-                    alpha=ref["alpha"], s=ref["s"], Lambda=ref["Lambda"])
+                    gamma=np.array([float.fromhex(g) for g in ref["star_gamma"]]))
 
 
 def _assert_frozen_chain(ch, ref):
@@ -200,12 +199,10 @@ class TestChainMap:
     def test_rejects_bad_star(self):
         with pytest.raises(ValueError):
             chain_map(StarBath(xi=np.array([0.5, 0.0]),
-                               gamma=np.array([0.1, 0.1]),
-                               alpha=0.1, s=1.0, Lambda=2.0))
+                               gamma=np.array([0.1, 0.1])))
         with pytest.raises(ValueError):
             chain_map(StarBath(xi=np.array([0.5, 0.25]),
-                               gamma=np.array([0.1]),
-                               alpha=0.1, s=1.0, Lambda=2.0))
+                               gamma=np.array([0.1])))
         with pytest.raises(ValueError, match="float64"):
             chain_map(discretize(ohmic(0.5), 2.0, 400))  # past NrgConfig's bound
 
@@ -217,8 +214,7 @@ class TestChainMap:
             ([0.9, 0.5, 0.3, 0.5, 0.1], [0.2, 0.3, 0.1, 0.4, 0.0]),
             ([0.8, 0.4, 0.2, 0.4, 0.1, 0.05], [0.5, 0.0, 0.25, 0.3, 0.1, 0.0]),
         ]:
-            star = StarBath(xi=np.array(xi), gamma=np.array(gamma),
-                            alpha=0.1, s=1.0, Lambda=2.0)
+            star = StarBath(xi=np.array(xi), gamma=np.array(gamma))
             ch = chain_map(star)
             weighted = sorted({x for x, g in zip(xi, gamma) if g > 0})
             assert ch.n_sites == len(weighted)
@@ -241,8 +237,7 @@ class TestChainMap:
         # to 1e-13 relative against chains frozen from the reorthogonalized
         # Lanczos, and from the decimal recursion at the chain-length bound
         if "xi" in ref:
-            star = StarBath(xi=np.array(ref["xi"]), gamma=np.array(ref["gamma"]),
-                            alpha=0.0, s=1.0, Lambda=2.0)
+            star = StarBath(xi=np.array(ref["xi"]), gamma=np.array(ref["gamma"]))
         else:
             star = discretize(SpinBosonParams(delta=0.0, alpha=ref["alpha"],
                                               s=ref["s"]),

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import fields
 
 import pytest
 
@@ -47,6 +48,11 @@ class TestParseConfig:
         cfg = parse_config(json.dumps({"model": {"delta": 0.1}}), mode="run")
         assert cfg.nrg_config == NrgConfig()
 
+    def test_nrg_keys_name_the_config_fields(self):
+        # every nrg key is a field of NrgConfig and the reverse
+        keys = {"Lambda" if k == "lambda" else k for k in cli._NRG_KEYS}
+        assert keys == {f.name for f in fields(NrgConfig)}
+
     def test_lambda_key_maps_to_ratio(self):
         payload = {"model": {"delta": 0.1}, "nrg": {"lambda": 3.0}}
         cfg = parse_config(json.dumps(payload), mode="run")
@@ -88,6 +94,28 @@ class TestParseConfig:
         float_as_int = {"model": {"delta": 0.1}, "nrg": {"n_iter": 6.5}}
         with pytest.raises(ConfigError, match="must be an integer"):
             parse_config(json.dumps(float_as_int), mode="run")
+
+    @pytest.mark.parametrize("mode,payload,message", [
+        ("run", {"model": {"delta": "0.1"}}, "model.delta must be a number"),
+        ("run", {"model": {"delta": 0.1}, "nrg": {"n_iter": 6.5}},
+         "nrg.n_iter must be an integer"),
+        ("run", {"model": {"delta": 0.1}, "nrg": {"n_s": True}},
+         "nrg.n_s must be an integer"),
+        ("sweep", {"model": {"delta": 0.1},
+                   "sweep": {"parameter": 1, "grid": {"values": [0.1]}}},
+         "sweep.parameter must be a string"),
+        ("sweep", {"model": {"delta": 0.1},
+                   "sweep": {"parameter": "alpha", "grid": [0.1]}},
+         "sweep.grid must be an object"),
+        ("oracle", {"oracle": {"delta": 0.2, "modes": {"0.5": 0.1}}},
+         "oracle.modes must be a list"),
+        ("run", {"model": {"delta": 0.1}, "nrg": [40]}, "nrg must be an object"),
+    ], ids=["number", "integer", "bool-as-integer", "string", "object", "list",
+            "block"])
+    def test_type_error_messages(self, mode, payload, message):
+        with pytest.raises(ConfigError) as err:
+            parse_config(json.dumps(payload), mode=mode)
+        assert str(err.value) == message
 
     def test_invalid_json(self):
         with pytest.raises(ConfigError, match="JSON"):
@@ -510,7 +538,7 @@ class TestExitCodes:
         ("oracle", {"oracle": {"delta": 0.2, "modes": [[0.5, 10 ** 400]]}},
          "oracle.modes[0]"),
         ("run", {"model": {"delta": 0.05},
-                 "nrg": {"epsilon_break": float("inf")}}, "nrg.epsilon_break"),
+                 "nrg": {"degeneracy_tol": float("inf")}}, "nrg.degeneracy_tol"),
         ("critical", {"model": {"delta": 0.05},
                       "sweep": {"parameter": "alpha",
                                 "grid": {"values": [0.1, 0.2, 0.3, 0.4]}},
@@ -520,7 +548,7 @@ class TestExitCodes:
                    "sweep": {"parameter": "alpha",
                              "grid": {"from": -1e308, "to": 1e308,
                                       "step": 1e-300}}}, "sweep.grid"),
-    ], ids=["huge-int-delta", "huge-int-mode", "inf-epsilon-break",
+    ], ids=["huge-int-delta", "huge-int-mode", "inf-degeneracy-tol",
             "nan-threshold", "overflowing-grid"])
     def test_nonfinite_number_exits_config(self, tmp_path, monkeypatch, capsys,
                                            mode, payload, where):
@@ -533,6 +561,23 @@ class TestExitCodes:
         assert main([mode, "--config", cfg,
                      "--out", str(tmp_path / "out")]) == EXIT_CONFIG
         assert where in capsys.readouterr().err
+
+    def test_critical_with_three_alphas_exits_config(self, tmp_path,
+                                                    monkeypatch, capsys):
+        # the divergence fit needs 4 points: rejected before any NRG point runs
+        def started(cfg):
+            raise AssertionError("execute ran on an invalid config")
+
+        monkeypatch.setattr(cli, "execute", started)
+        payload = {"model": {"delta": 0.05},
+                   "nrg": {"n_s": 20, "n_b": 4, "n_iter": 10},
+                   "sweep": {"parameter": "alpha",
+                             "grid": {"values": [0.1, 0.2, 0.3]}}}
+        cfg = write_config(tmp_path, payload)
+        assert main(["critical", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert "at least 4 alpha values" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("n_star", [200000, 10**23])
     def test_underflowing_chain_exits_config(self, tmp_path, monkeypatch,

@@ -48,7 +48,6 @@ class TestNrgConfig:
         {"n_iter": 0},
         {"degeneracy_tol": 0.0},
         {"degeneracy_tol": 1e-2},
-        {"epsilon_break": -1e-9},
         {"flow_levels": 1},
         {"n_iter": 30, "n_star": 34},
     ])
@@ -118,8 +117,7 @@ class TestAgainstExactDiagonalization:
 
     def setup_method(self):
         star = StarBath(xi=np.array([0.6, 0.15]),
-                        gamma=np.array([0.05, 0.02]),
-                        alpha=0.1, s=1.0, Lambda=2.0)
+                        gamma=np.array([0.05, 0.02]))
         self.chain = chain_map(star)
         self.p = SpinBosonParams(delta=0.2, epsilon=0.05, alpha=0.1)
         self.cfg = NrgConfig(n_s=300, n_b=12, n_iter=2)
@@ -186,8 +184,8 @@ class TestAgainstExactDiagonalization:
 class TestPhases:
     def test_strong_coupling_localizes(self):
         # deep in the localized phase a tiny bias pins the spin
-        r = run(SpinBosonParams(delta=0.1, alpha=1.5),
-                NrgConfig(n_s=100, n_b=6, n_iter=20, epsilon_break=1e-6))
+        r = run(SpinBosonParams(delta=0.1, epsilon=1e-6, alpha=1.5),
+                NrgConfig(n_s=100, n_b=6, n_iter=20))
         assert r.delta_p > 0.45
         assert r.sigma_z_gs < -0.9
 
@@ -281,8 +279,7 @@ class TestPhases:
 
 class TestMechanics:
     def test_result_provenance(self):
-        star = StarBath(xi=np.array([0.5, 0.25]), gamma=np.array([0.1, 0.05]),
-                        alpha=0.2, s=1.0, Lambda=2.0)
+        star = StarBath(xi=np.array([0.5, 0.25]), gamma=np.array([0.1, 0.05]))
         chain = chain_map(star)
         p = SpinBosonParams(delta=0.1, alpha=0.2)
         cfg = NrgConfig(n_s=40, n_b=4, n_iter=2)
@@ -333,26 +330,28 @@ class TestMechanics:
         with pytest.raises(ValueError, match="exhausted"):
             iterate(state, chain, cfg)
 
-    def test_empty_chain_needs_decoupling(self):
+    def test_empty_chain_is_rejected(self):
+        # chain_map always gives a site 0; a chain built without one is an error
         empty = WilsonChain(c0=0.0, eps=np.empty(0), t=np.empty(0))
         cfg = NrgConfig(n_s=10, n_b=4, n_iter=1)
-        with pytest.raises(ValueError):
-            build_initial(SpinBosonParams(delta=0.1, alpha=0.2), empty, cfg)
-        state = build_initial(SpinBosonParams(delta=0.1, alpha=0.0),
-                              empty, cfg)
-        assert state.energies[0] == 0.0
-        assert state.ground_energy == pytest.approx(-0.05, abs=1e-15)
+        for alpha in (0.0, 0.2):
+            with pytest.raises(ValueError, match="no site 0"):
+                build_initial(SpinBosonParams(delta=0.1, alpha=alpha), empty,
+                              cfg)
 
     @pytest.mark.parametrize("delta,epsilon",
                              [(0.1, 0.05), (0.2, -0.03), (0.1, 0.0)])
     def test_empty_chain_is_the_bare_spin(self, delta, epsilon):
-        # H = -(delta/2) sigma_x + (epsilon/2) sigma_z has levels -+ r/2
-        empty = WilsonChain(c0=0.0, eps=np.empty(0), t=np.empty(0))
-        state = build_initial(
-            SpinBosonParams(delta=delta, epsilon=epsilon, alpha=0.0), empty,
-            NrgConfig(n_s=10, n_b=4, n_iter=1))
+        # H = -(delta/2) sigma_x + (epsilon/2) sigma_z has levels -+ r/2; at
+        # alpha = 0 the chain is decoupled and site 0 only adds its boson
+        # levels n xi_0, all above r
+        p = SpinBosonParams(delta=delta, epsilon=epsilon, alpha=0.0)
+        cfg = NrgConfig(n_s=10, n_b=4, n_iter=1)
+        chain = chain_map(discretize(p, cfg.Lambda, cfg.chain_length))
+        state = build_initial(p, chain, cfg)
         r = np.hypot(delta, epsilon)
-        assert state.kept == 2
+        assert state.kept == 2 * cfg.n_b
+        assert state.energies[2] == pytest.approx(chain.eps[0], abs=1e-14)
         assert ground_observable(state, "sigma_z") == pytest.approx(
             -epsilon / r, abs=1e-14)
         assert ground_observable(state, "sigma_x") == pytest.approx(
@@ -375,8 +374,9 @@ class TestMechanics:
 
     @staticmethod
     def dense_add_site(h_block, coupling, op_sz, op_sx, parity, cfg, m, eps,
-                       hop, n_b):
+                       hop):
         """The site step on kron-built matrices, in one sector, as the reference."""
+        n_b = cfg.n_b
         b = np.diag(np.sqrt(np.arange(1.0, n_b)), 1)
         eye_b, eye_k = np.eye(n_b), np.eye(h_block.shape[0])
         scale = cfg.Lambda ** m
@@ -390,16 +390,20 @@ class TestMechanics:
                 v.T @ np.kron(op_sz, eye_b) @ v, v.T @ np.kron(op_sx, eye_b) @ v)
 
     @staticmethod
-    def site_step_args(block, bias, eps, cfg):
-        """_add_site arguments for site 0 or site 2, biased or not."""
+    def site_step_args(block, bias, eps, cfg, n_b):
+        """_add_site arguments for site 0 or site 2, biased or not.
+
+        The block comes from cfg and the site holds n_b boson states.
+        """
+        site_cfg = replace(cfg, n_b=n_b)
         if block == "spin":  # site 0: the 2 x 2 spin block, as build_initial
             sx = np.array([[0.0, 1.0], [1.0, 0.0]])
             sz = np.array([[1.0, 0.0], [0.0, -1.0]])
             if bias:
                 return (-0.05 * sx + bias * sz, sz, sz, sx, np.zeros(2, int),
-                        cfg, 0, eps, 0.3)
+                        site_cfg, 0, eps, 0.3)
             return (np.diag([-0.05, 0.05]), sx, sx, sz, np.array([1, -1]),
-                    cfg, 0, eps, 0.3)
+                    site_cfg, 0, eps, 0.3)
         # a later site: diagonal block of ~20 kept states
         chain = WilsonChain(c0=0.4, eps=np.array([0.6, 0.3, 0.15]),
                             t=np.array([0.2, 0.1]))
@@ -408,24 +412,24 @@ class TestMechanics:
             cfg), chain, cfg)
         assert 20 <= st1.kept <= 24
         return (np.diag(cfg.Lambda * st1.energies), st1.op_b, st1.op_sz,
-                st1.op_sx, st1.parity, cfg, 2, eps, 0.1)
+                st1.op_sx, st1.parity, site_cfg, 2, eps, 0.1)
 
-    @pytest.mark.parametrize("n_b", [1, 2, 6])
+    @pytest.mark.parametrize("n_b", [2, 6])
     @pytest.mark.parametrize("eps", [0.0, 0.37])
     @pytest.mark.parametrize("block", ["spin", "kept"])
     def test_site_step_matches_kron_reference(self, block, eps, n_b):
         # with a bias there is one sector, and the step is the reference's
         cfg = NrgConfig(Lambda=2.0, n_s=20, n_b=4, n_iter=4)
-        args = self.site_step_args(block, 0.01, eps, cfg)
-        got = nrg._add_site(*args, n_b=n_b)
-        e, op_b, op_sz, op_sx = self.dense_add_site(*args, n_b=n_b)
+        args = self.site_step_args(block, 0.01, eps, cfg, n_b)
+        got = nrg._add_site(*args)
+        e, op_b, op_sz, op_sx = self.dense_add_site(*args)
         assert not got.parity.any()
         npt.assert_array_equal(got.energies, e)
         npt.assert_array_equal(got.op_b, op_b)
         npt.assert_allclose(got.op_sz, op_sz, rtol=0, atol=1e-13)
         npt.assert_allclose(got.op_sx, op_sx, rtol=0, atol=1e-13)
 
-    @pytest.mark.parametrize("n_b", [1, 2, 6])
+    @pytest.mark.parametrize("n_b", [2, 6])
     @pytest.mark.parametrize("block,eps", [
         ("spin", 0.37), ("kept", 0.0), ("kept", 0.37)])
     def test_blocked_site_step_matches_kron_reference(self, block, eps, n_b):
@@ -434,9 +438,9 @@ class TestMechanics:
         # (Site 0 at eps = 0 has degenerate levels in opposite sectors, whose
         # vectors are the solver's choice, so it is left out.)
         cfg = NrgConfig(Lambda=2.0, n_s=20, n_b=4, n_iter=4)
-        args = self.site_step_args(block, 0.0, eps, cfg)
-        got = nrg._add_site(*args, n_b=n_b)
-        e, op_b, op_sz, op_sx = self.dense_add_site(*args, n_b=n_b)
+        args = self.site_step_args(block, 0.0, eps, cfg, n_b)
+        got = nrg._add_site(*args)
+        e, op_b, op_sz, op_sx = self.dense_add_site(*args)
         assert set(got.parity.tolist()) == {-1, 1}
         npt.assert_allclose(got.energies, e, rtol=0, atol=1e-13)
         for ours, ref in ((got.op_b, op_b), (got.op_sz, op_sz),

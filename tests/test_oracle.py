@@ -4,14 +4,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sbnrg.circuit import CODATA
-from sbnrg.circuit import CircuitParams, finite_line_modes
 from sbnrg.oracle import (
     DIMENSION_LIMIT,
     EdProblem,
     exact_diag,
     polaron_energy,
-    problem_from_line_modes,
 )
 
 
@@ -35,6 +32,9 @@ class TestEdProblem:
     def test_dimension_guard(self):
         with pytest.raises(ValueError):
             EdProblem(delta=0.1, epsilon=0.0, modes=((0.5, 0.1),) * 6, n_max=10)
+
+    def test_dimension_limit_exported(self):
+        assert DIMENSION_LIMIT == 1_000_000
 
 
 class TestExactDiag:
@@ -135,29 +135,3 @@ class TestPolaronEnergy:
     def test_rejects_nonpositive_frequency(self):
         with pytest.raises(ValueError):
             polaron_energy(((0.0, 0.1),))
-
-
-class TestProblemFromLineModes:
-    CIRCUIT = CircuitParams(c_j=0.85e-12, c_0=4.25e-12, i_0=2e-6,
-                            i_b=0.98 * 2e-6, l=4e-7, c=1.6e-10)
-
-    def test_scaling(self):
-        lm = finite_line_modes(self.CIRCUIT, length=1.0, n_c=3)
-        omega_c = 1e14
-        p = problem_from_line_modes(lm, delta=1.5e-4, epsilon=0.0,
-                                    omega_c=omega_c, n_max=4)
-        assert p.delta == 1.5e-4
-        assert len(p.modes) == 3
-        for (w_si, lam_si), (w, g) in zip(lm.modes, p.modes):
-            assert w == pytest.approx(w_si / omega_c, rel=1e-14)
-            assert g == pytest.approx(lam_si / (CODATA.h_bar * omega_c),
-                                      rel=1e-14)
-
-    def test_rejects_bad_cutoff(self):
-        lm = finite_line_modes(self.CIRCUIT, length=1.0, n_c=2)
-        with pytest.raises(ValueError):
-            problem_from_line_modes(lm, delta=1e-4, epsilon=0.0,
-                                    omega_c=0.0, n_max=4)
-
-    def test_dimension_limit_exported(self):
-        assert DIMENSION_LIMIT == 1_000_000
