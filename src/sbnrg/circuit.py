@@ -36,7 +36,6 @@ __all__ = [
     "qubit_spectrum",
     "map_to_spin_boson",
     "microwave_bias",
-    "bias_from_splitting",
     "finite_line_modes",
     "DELTA_CONVENTIONS",
 ]
@@ -198,6 +197,14 @@ def qubit_spectrum(p: CircuitParams, ej_ec_threshold: float = 100.0) -> QubitSpe
     )
 
 
+def _splitting(p: CircuitParams, delta_convention: str) -> tuple[QubitSpectrum, float]:
+    """The junction spectrum and the qubit splitting (rad/s) the convention names."""
+    if delta_convention not in DELTA_CONVENTIONS:
+        raise ValueError(f"unknown delta convention {delta_convention!r}")
+    spec = qubit_spectrum(p)
+    return spec, spec.omega_10 if delta_convention == "omega10" else 0.5 * spec.omega_p
+
+
 def map_to_spin_boson(p: CircuitParams, omega_c: float,
                       delta_convention: str = "omega10",
                       alpha_window: tuple[float, float] = (0.2, 3.0)) -> SpinBosonParams:
@@ -209,12 +216,9 @@ def map_to_spin_boson(p: CircuitParams, omega_c: float,
     (see microwave_bias for driving). Warns when alpha leaves the
     experimentally motivated window.
     """
-    if delta_convention not in DELTA_CONVENTIONS:
-        raise ValueError(f"unknown delta convention {delta_convention!r}")
-    spec = qubit_spectrum(p)
+    spec, split = _splitting(p, delta_convention)
     if omega_c <= spec.omega_10:
         raise ValueError("cutoff omega_c must lie above the qubit splitting")
-    split = spec.omega_10 if delta_convention == "omega10" else 0.5 * spec.omega_p
     alpha = (split / math.pi) * (p.c_0 ** 2 / p.c_total) * p.impedance
     if alpha > 0 and not alpha_window[0] <= alpha <= alpha_window[1]:
         warnings.warn(
@@ -231,19 +235,13 @@ def map_to_spin_boson(p: CircuitParams, omega_c: float,
     )
 
 
-def bias_from_splitting(omega_10: float, c_total: float, i_uw: float) -> float:
-    """Static microwave bias epsilon = sqrt(hbar / (2 omega_10 C)) I_uw, in J."""
-    if omega_10 <= 0:
-        raise ValueError("omega_10 must be positive")
-    if c_total <= 0:
-        raise ValueError("total capacitance must be positive")
-    return math.sqrt(CODATA.h_bar / (2.0 * omega_10 * c_total)) * i_uw
-
-
 def microwave_bias(p: CircuitParams, i_uw: float) -> float:
-    """Bias energy (J) a static microwave current amplitude produces."""
-    spec = qubit_spectrum(p)
-    return bias_from_splitting(spec.omega_10, p.c_total, i_uw)
+    """Bias energy (J) a static microwave current amplitude produces.
+
+    epsilon = sqrt(hbar / (2 omega_10 C)) I_uw.
+    """
+    omega_10 = qubit_spectrum(p).omega_10
+    return math.sqrt(CODATA.h_bar / (2.0 * omega_10 * p.c_total)) * i_uw
 
 
 def finite_line_modes(p: CircuitParams, length: float, n_c: int,
@@ -260,11 +258,7 @@ def finite_line_modes(p: CircuitParams, length: float, n_c: int,
         raise ValueError("line length must be positive")
     if n_c < 1:
         raise ValueError("need at least one mode")
-    if delta_convention not in DELTA_CONVENTIONS:
-        raise ValueError(f"unknown delta convention {delta_convention!r}")
-    spec = qubit_spectrum(p)
-    split = spec.omega_10 if delta_convention == "omega10" else 0.5 * spec.omega_p
-    delta_energy = CODATA.h_bar * split
+    delta_energy = CODATA.h_bar * _splitting(p, delta_convention)[1]
     spacing = math.pi / (length * math.sqrt(p.l * p.c))
     ctot = p.c_total
     modes = []

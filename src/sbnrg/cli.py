@@ -19,6 +19,7 @@ import hashlib
 import json
 import math
 import multiprocessing
+import os
 import sys
 import warnings
 from dataclasses import asdict, dataclass, fields, replace
@@ -301,6 +302,9 @@ def parse_config(text: str, mode: str, strict: bool = True,
                 )
         if "critical" in raw:
             cblock = _typed(raw["critical"], _CRITICAL_KEYS, "critical", strict)
+            for key, value in cblock.items():
+                if value <= 0:
+                    raise ConfigError(f"critical.{key} must be positive")
             critical = CriticalSpec(
                 threshold=cblock.get("threshold", criticality.DEFAULT_THRESHOLD),
                 window=cblock.get("window"),
@@ -349,10 +353,13 @@ def _run_sweep_points(cfg: RunConfig):
         (replace(cfg.model, **{cfg.sweep.parameter: v}), cfg.nrg_config)
         for v in cfg.sweep.values
     ]
-    if cfg.workers == 1 or len(tasks) == 1:
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    processes = min(cfg.workers, len(tasks), cpus)
+    if processes == 1:
         return [_run_point(t) for t in tasks]
     # grid-order merge: pool.map preserves task order regardless of timing
-    with multiprocessing.Pool(processes=min(cfg.workers, len(tasks))) as pool:
+    with multiprocessing.Pool(processes=processes) as pool:
         return pool.map(_run_point, tasks, chunksize=1)
 
 
@@ -606,7 +613,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", required=True, help="JSON config path")
         sp.add_argument("--out", default="./out", help="output directory")
         sp.add_argument("--workers", type=int, default=1,
-                        help="parallel workers for sweep points")
+                        help="parallel workers for sweep points, at most one per CPU")
         sp.add_argument("--strict", action=argparse.BooleanOptionalAction,
                         default=True, help="reject unknown config keys")
     return parser

@@ -15,7 +15,7 @@ diagonalizes the two parity sectors apart and merges their spectra
 before the cut, and b and sigma_z stay exactly parity-odd, so every
 kept state has <sigma_z> = 0 exactly rather than up to truncation noise.
 In the localized phase the ground doublet straddles the two sectors, and
-ground_observable reads its polarized member. A biased run labels every
+ground_spin reads its polarized member. A biased run labels every
 state 0 and is the same step with one sector.
 """
 
@@ -43,7 +43,7 @@ __all__ = [
     "iterate",
     "run",
     "run_on_chain",
-    "ground_observable",
+    "ground_spin",
     "delta_p",
 ]
 
@@ -82,7 +82,7 @@ class NrgConfig:
     stores. n_b counts basis states (occupations 0..n_b-1), so a quoted
     highest occupation n_max means n_b = n_max + 1. The bias is
     SpinBosonParams.epsilon: at epsilon = 0 the run is parity-blocked and
-    ground_observable reads the polarized member of a localized ground
+    ground_spin reads the polarized member of a localized ground
     doublet. n_star overrides the chain length (default 2 n_iter, floor
     n_iter + 5); it may not exceed 1 + floor(log(1/tiny) / (4 log Lambda)),
     256 at Lambda = 2, where the float64 chain map still holds.
@@ -337,13 +337,12 @@ def _record(state: NrgState, cfg: NrgConfig) -> FlowRecord:
     )
 
 
-def ground_observable(state: NrgState, which: str,
-                      degeneracy_tol: float = 1e-8) -> float:
-    """Ground-state expectation of sigma_z or sigma_x.
+def ground_spin(state: NrgState, degeneracy_tol: float) -> tuple[float, float]:
+    """Ground-state expectations (<sigma_z>, <sigma_x>).
 
     A degenerate ground multiplet is resolved by diagonalizing sigma_z
-    inside it and reporting the member with extremal |<sigma_z>|; the
-    requested operator is evaluated in that member. This is the state an
+    inside it and reporting the member with extremal |<sigma_z>|; both
+    operators are evaluated in that member. This is the state an
     infinitesimal bias selects in the localized phase. The multiplet holds
     the states within degeneracy_tol (rescaled) of the ground state. In a
     parity-blocked run the localized doublet straddles the two sectors and
@@ -351,25 +350,17 @@ def ground_observable(state: NrgState, which: str,
     above the window joins the multiplet when it lies in the other sector
     and below DOUBLET_RATIO times the level after it.
     """
-    if which == "sigma_z":
-        op = state.op_sz
-    elif which == "sigma_x":
-        op = state.op_sx
-    else:
-        raise ValueError("which must be 'sigma_z' or 'sigma_x'")
     e = state.energies
     g = max(int(np.searchsorted(e, degeneracy_tol, side="right")), 1)
     if (g + 1 < e.size and state.parity[g] != state.parity[0]
             and e[g] < DOUBLET_RATIO * e[g + 1]):  # labels differ only if blocked
         g += 1
     if g == 1:
-        return float(op[0, 0])
-    zblock = state.op_sz[:g, :g]
-    dec = numerics.sym_eig(0.5 * (zblock + zblock.T))
-    pick = int(np.argmax(np.abs(dec.eigenvalues)))
-    vec = dec.vectors[:, pick]
-    block = op[:g, :g]
-    return float(vec @ (0.5 * (block + block.T)) @ vec)
+        return float(state.op_sz[0, 0]), float(state.op_sx[0, 0])
+    sz, sx = (0.5 * (o[:g, :g] + o[:g, :g].T) for o in (state.op_sz, state.op_sx))
+    dec = numerics.sym_eig(sz)
+    vec = dec.vectors[:, int(np.argmax(np.abs(dec.eigenvalues)))]
+    return float(vec @ sz @ vec), float(vec @ sx @ vec)
 
 
 def delta_p(sigma_z_gs: float) -> float:
@@ -397,8 +388,7 @@ def run_on_chain(p: SpinBosonParams, chain: WilsonChain, cfg: NrgConfig) -> NrgR
         except (np.linalg.LinAlgError, FloatingPointError, ValueError) as exc:
             raise NrgError(f"iteration {m}: {exc}") from exc
         records.append(_record(state, cfg))
-    sz = ground_observable(state, "sigma_z", cfg.degeneracy_tol)
-    sx = ground_observable(state, "sigma_x", cfg.degeneracy_tol)
+    sz, sx = ground_spin(state, cfg.degeneracy_tol)
     return NrgResult(
         flow=NrgFlow(records=tuple(records), alpha=p.alpha),
         sigma_z_gs=sz,

@@ -43,10 +43,13 @@ def sym_eig(a) -> EigenDecomposition:
     """Diagonalize a real symmetric matrix.
 
     a must be a square, finite array whose asymmetry is at most
-    SYMMETRY_RTOL * max|a|; its symmetric part is what gets diagonalized.
-    Eigenvalues come back ascending; each eigenvector is normalized and
-    signed so that its largest-magnitude component is positive (first such
-    index on ties), which makes the output reproducible bit for bit.
+    SYMMETRY_RTOL * max|a|. LAPACK gets a as it is and reads only its
+    lower triangle, so an input symmetric only to that bound is
+    diagonalized as its lower triangle mirrored; a caller that forms an
+    operator product symmetrizes it first. Eigenvalues come back
+    ascending; each eigenvector is normalized and signed so that its
+    largest-magnitude component is positive (first such index on ties),
+    which makes the output reproducible bit for bit.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -63,12 +66,10 @@ def sym_eig(a) -> EigenDecomposition:
                 f"asymmetry {asym:.3e} exceeds {SYMMETRY_RTOL:.1e} * max|A| = "
                 f"{SYMMETRY_RTOL * scale:.3e}"
             )
-    w, v = np.linalg.eigh(0.5 * (a + a.T))
-
+    w, v = np.linalg.eigh(a)
+    # a unit vector's largest |component| is at least 1/sqrt(n), never 0
     idx = np.argmax(np.abs(v), axis=0)
-    signs = np.sign(v[idx, np.arange(v.shape[1])])
-    signs[signs == 0] = 1.0
-    v = v * signs
+    v *= np.where(v[idx, np.arange(v.shape[1])] < 0, -1.0, 1.0)
     return EigenDecomposition(eigenvalues=w, vectors=v)
 
 

@@ -119,15 +119,12 @@ def _ground_expectations(energies, vectors, sz_full, sx_full):
     """
     g = int(np.searchsorted(energies, energies[0] + _DEGENERACY_TOL, side="right"))
     g = max(g, 1)
-    vg = vectors[:, :g]
-    zblock = vg.T @ sz_full @ vg
-    zblock = 0.5 * (zblock + zblock.T)
-    if g == 1:
-        vec = vg[:, 0]
-        return float(vec @ sz_full @ vec), float(vec @ sx_full @ vec)
-    dec = numerics.sym_eig(zblock)
-    pick = int(np.argmax(np.abs(dec.eigenvalues)))
-    vec = vg @ dec.vectors[:, pick]
+    vec = vectors[:, 0]
+    if g > 1:
+        vg = vectors[:, :g]
+        zblock = vg.T @ sz_full @ vg
+        dec = numerics.sym_eig(0.5 * (zblock + zblock.T))
+        vec = vg @ dec.vectors[:, int(np.argmax(np.abs(dec.eigenvalues)))]
     return float(vec @ sz_full @ vec), float(vec @ sx_full @ vec)
 
 

@@ -3,12 +3,13 @@
 OpenBLAS reads its thread variable once, when numpy loads it, so a pin set
 only through the environment is lost whenever numpy is imported first.
 Each check runs in a fresh interpreter that imports numpy before sbnrg.
-A second BLAS thread may still move the last bits of a flow, but not the
-critical coupling that the flows give.
+A second BLAS thread or another BLAS kernel may still move the last bits
+of a flow, but not the critical coupling that the flows give.
 """
 
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -20,8 +21,8 @@ import sbnrg
 
 from conftest import CRITICAL_PAYLOAD
 
-BLAS_NAME = (numpy.show_config(mode="dicts")
-             .get("Build Dependencies", {}).get("blas", {}).get("name", ""))
+BLAS = numpy.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+BLAS_NAME = BLAS.get("name", "")
 
 pytestmark = pytest.mark.skipif(
     "openblas" not in BLAS_NAME.lower(),
@@ -36,14 +37,27 @@ lib = ctypes.CDLL(numpy.linalg._umath_linalg.__file__)
 print(lib.scipy_openblas_get_num_threads64_())
 """
 
-THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-               "NUMEXPR_NUM_THREADS", "GOTO_NUM_THREADS")
+CORE_PROBE = """
+import ctypes
+import numpy
+lib = ctypes.CDLL(numpy.linalg._umath_linalg.__file__)
+lib.scipy_openblas_get_corename64_.argtypes = []
+lib.scipy_openblas_get_corename64_.restype = ctypes.c_char_p
+print(lib.scipy_openblas_get_corename64_().decode())
+"""
+
+BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "NUMEXPR_NUM_THREADS", "GOTO_NUM_THREADS", "OPENBLAS_CORETYPE")
 
 
-def fresh_python(args, **thread_vars):
-    """Run python with args in a fresh process that sees these thread vars."""
-    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
-    env.update(thread_vars)
+def fresh_python(args, **blas_vars):
+    """Run python with args in a fresh process that sees these BLAS vars.
+
+    Thread counts and the OpenBLAS kernel the caller's environment sets
+    are dropped, so what is not passed here takes its default.
+    """
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env.update(blas_vars)
     src = str(Path(sbnrg.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
@@ -68,13 +82,33 @@ def test_caller_set_thread_count_is_respected():
     assert openblas_threads_after_numpy_first(OPENBLAS_NUM_THREADS="2") == 2
 
 
-def test_thread_count_does_not_move_alpha_c(tmp_path):
+def critical_alpha_c(tmp_path, tag, **blas_vars):
+    """alpha_c that sbnrg critical fits to CRITICAL_PAYLOAD in a fresh process."""
     config = tmp_path / "critical.json"
     config.write_text(json.dumps(CRITICAL_PAYLOAD))
-    alpha_c = {}
-    for threads in ("1", "2"):
-        out = tmp_path / f"out_{threads}"
-        fresh_python(["-m", "sbnrg", "critical", "--config", str(config),
-                      "--out", str(out)], OPENBLAS_NUM_THREADS=threads)
-        alpha_c[threads] = json.loads((out / "fit.json").read_text())["alpha_c"]
+    out = tmp_path / f"out_{tag}"
+    fresh_python(["-m", "sbnrg", "critical", "--config", str(config),
+                  "--out", str(out)], **blas_vars)
+    return json.loads((out / "fit.json").read_text())["alpha_c"]
+
+
+def test_thread_count_does_not_move_alpha_c(tmp_path):
+    alpha_c = {threads: critical_alpha_c(tmp_path, threads,
+                                         OPENBLAS_NUM_THREADS=threads)
+               for threads in ("1", "2")}
     assert alpha_c["2"] == pytest.approx(alpha_c["1"], abs=1e-6)
+
+
+@pytest.mark.skipif(
+    "DYNAMIC_ARCH" not in BLAS.get("openblas configuration", "")
+    or platform.machine() not in ("x86_64", "AMD64"),
+    reason="the kernels named here need an x86 DYNAMIC_ARCH OpenBLAS",
+)
+def test_blas_kernel_does_not_move_alpha_c(tmp_path):
+    # measured on an AVX-512 host: the four kernels spread alpha_c by 1.7e-9
+    default = critical_alpha_c(tmp_path, "default")
+    for kernel in ("Haswell", "Sandybridge", "Nehalem"):
+        core = fresh_python(["-c", CORE_PROBE], OPENBLAS_CORETYPE=kernel)
+        assert core.strip() == kernel
+        assert critical_alpha_c(tmp_path, kernel, OPENBLAS_CORETYPE=kernel) == (
+            pytest.approx(default, abs=1e-6)), kernel

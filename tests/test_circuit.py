@@ -11,7 +11,6 @@ from sbnrg.circuit import (
     CircuitParams,
     PhysicalConstants,
     SpinBosonParams,
-    bias_from_splitting,
     finite_line_modes,
     map_to_spin_boson,
     microwave_bias,
@@ -173,21 +172,11 @@ class TestBias:
         eps = microwave_bias(REFERENCE, 1e-9)
         assert eps == pytest.approx(2.6551415630181494e-26, rel=1e-12)
 
-    def test_frozen_bias_from_splitting(self):
-        eps = bias_from_splitting(1.467e10, 5.1e-12, 1e-9)
-        assert eps == pytest.approx(2.65474577155327e-26, rel=1e-12)
-
     def test_linear_in_drive(self):
         assert microwave_bias(REFERENCE, 2e-9) == pytest.approx(
             2.0 * microwave_bias(REFERENCE, 1e-9), rel=1e-15
         )
         assert microwave_bias(REFERENCE, 0.0) == 0.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            bias_from_splitting(0.0, 5.1e-12, 1e-9)
-        with pytest.raises(ValueError):
-            bias_from_splitting(1.467e10, 0.0, 1e-9)
 
 
 class TestSpinBosonParams:

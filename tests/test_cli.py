@@ -460,6 +460,32 @@ class TestSweepMode:
                      "--workers", "2"]) == EXIT_OK
         assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
 
+    def test_pool_is_capped_by_cpus(self, monkeypatch):
+        # --workers 10000 on a 3-point grid with 2 usable CPUs starts 2
+        started = []
+
+        class SerialPool:
+            def __init__(self, processes):
+                started.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, func, tasks, chunksize=1):
+                return [func(t) for t in tasks]
+
+        monkeypatch.setattr(cli.multiprocessing, "Pool", SerialPool)
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        monkeypatch.setattr(cli, "_run_point", lambda task: task[0].alpha)
+        cfg = parse_config(json.dumps(self.PAYLOAD), mode="sweep",
+                           workers=10000)
+        assert cli._run_sweep_points(cfg) == list(cfg.sweep.values)
+        assert started == [2]
+
     def test_no_crossing_writes_nan(self, tmp_path):
         payload = {
             "model": {"delta": 0.01},
@@ -577,6 +603,29 @@ class TestExitCodes:
         assert main(["critical", "--config", cfg,
                      "--out", str(tmp_path / "out")]) == EXIT_CONFIG
         assert "at least 4 alpha values" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("mode,key", [("sweep", "threshold"),
+                                          ("critical", "threshold"),
+                                          ("critical", "window")])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_nonpositive_critical_value_exits_config(self, tmp_path,
+                                                     monkeypatch, capsys,
+                                                     mode, key, value):
+        # once ran every grid point before failing, the window with exit 3
+        def started(cfg):
+            raise AssertionError("execute ran on an invalid config")
+
+        monkeypatch.setattr(cli, "execute", started)
+        payload = {"model": {"delta": 0.05},
+                   "nrg": {"n_s": 20, "n_b": 4, "n_iter": 10},
+                   "sweep": {"parameter": "alpha",
+                             "grid": {"values": [0.1, 0.2, 0.3, 0.4]}},
+                   "critical": {key: value}}
+        cfg = write_config(tmp_path, payload)
+        assert main([mode, "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert f"critical.{key} must be positive" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("n_star", [200000, 10**23])

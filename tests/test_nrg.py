@@ -16,7 +16,7 @@ from sbnrg.nrg import (
     NrgState,
     build_initial,
     delta_p,
-    ground_observable,
+    ground_spin,
     iterate,
     run,
     run_on_chain,
@@ -223,7 +223,7 @@ class TestPhases:
         # the doublet is split by 5.6e-4 at N = 19, far beyond the default
         # window; its cross-sector pair still reads as the polarized member
         assert state.energies[1] > 1e-4
-        sz = ground_observable(state, "sigma_z")
+        sz, _ = ground_spin(state, cfg.degeneracy_tol)
         assert abs(sz) > 0.9
         assert classify_phase(delta_p(sz)).label == "localized"
 
@@ -352,10 +352,9 @@ class TestMechanics:
         r = np.hypot(delta, epsilon)
         assert state.kept == 2 * cfg.n_b
         assert state.energies[2] == pytest.approx(chain.eps[0], abs=1e-14)
-        assert ground_observable(state, "sigma_z") == pytest.approx(
-            -epsilon / r, abs=1e-14)
-        assert ground_observable(state, "sigma_x") == pytest.approx(
-            delta / r, abs=1e-14)
+        sz, sx = ground_spin(state, cfg.degeneracy_tol)
+        assert sz == pytest.approx(-epsilon / r, abs=1e-14)
+        assert sx == pytest.approx(delta / r, abs=1e-14)
         assert state.ground_energy == pytest.approx(-r / 2, abs=1e-14)
         assert state.energies[1] == pytest.approx(r, abs=1e-14)
 
@@ -479,27 +478,30 @@ class TestGroundObservable:
     def test_unique_ground(self):
         st_ = self.state([0.0, 0.5], [[0.3, 0.1], [0.1, -0.3]],
                          [[0.9, 0.0], [0.0, 0.1]])
-        assert ground_observable(st_, "sigma_z") == 0.3
-        assert ground_observable(st_, "sigma_x") == 0.9
+        assert ground_spin(st_, 1e-8) == (0.3, 0.9)
 
-    def test_degenerate_doublet_polarizes(self):
+    def test_degenerate_doublet_polarizes(self, monkeypatch):
         # sigma_z couples the doublet off-diagonally; the extremal member
-        # is the symmetric/antisymmetric combination with <sigma_z> = +-1
+        # is the symmetric/antisymmetric combination with <sigma_z> = +-1,
+        # and one solve of the doublet's sigma_z block serves both operators
         st_ = self.state([0.0, 0.0, 1.0],
                          [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.5]],
                          [[0.3, 0.0, 0.0], [0.0, -0.3, 0.0], [0.0, 0.0, 0.2]])
-        assert abs(ground_observable(st_, "sigma_z")) == pytest.approx(
-            1.0, abs=1e-12
-        )
-        assert ground_observable(st_, "sigma_x") == pytest.approx(0.0,
-                                                                  abs=1e-12)
+        solves = []
+        sym_eig = numerics.sym_eig
+        monkeypatch.setattr(numerics, "sym_eig",
+                            lambda a: solves.append(a.shape) or sym_eig(a))
+        sz, sx = ground_spin(st_, 1e-8)
+        assert abs(sz) == pytest.approx(1.0, abs=1e-12)
+        assert sx == pytest.approx(0.0, abs=1e-12)
+        assert solves == [(2, 2)]
 
     def test_window_is_configurable(self):
         st_ = self.state([0.0, 1e-6], [[0.2, 0.5], [0.5, -0.2]],
                          [[0.0, 0.0], [0.0, 0.0]])
-        tight = ground_observable(st_, "sigma_z", degeneracy_tol=1e-8)
+        tight, _ = ground_spin(st_, degeneracy_tol=1e-8)
         assert tight == 0.2
-        wide = ground_observable(st_, "sigma_z", degeneracy_tol=1e-4)
+        wide, _ = ground_spin(st_, degeneracy_tol=1e-4)
         assert abs(wide) == pytest.approx(np.hypot(0.2, 0.5), abs=1e-12)
 
     @pytest.mark.parametrize("partner,expected", [
@@ -514,15 +516,9 @@ class TestGroundObservable:
                          [[0.0, 0.8, 0.0], [0.8, 0.0, 0.5], [0.0, 0.5, 0.0]],
                          [[0.4, 0.0, 0.1], [0.0, 0.6, 0.0], [0.1, 0.0, 0.2]],
                          parity=[1, -1, 1])
-        assert abs(ground_observable(st_, "sigma_z")) == pytest.approx(
-            expected, abs=1e-12)
-        assert ground_observable(st_, "sigma_x") == pytest.approx(
-            0.5 if expected else 0.4, abs=1e-12)
-
-    def test_unknown_operator(self):
-        st_ = self.state([0.0], [[0.1]], [[0.2]])
-        with pytest.raises(ValueError):
-            ground_observable(st_, "sigma_y")
+        sz, sx = ground_spin(st_, 1e-8)
+        assert abs(sz) == pytest.approx(expected, abs=1e-12)
+        assert sx == pytest.approx(0.5 if expected else 0.4, abs=1e-12)
 
 
 class TestDeltaP:

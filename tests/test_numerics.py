@@ -49,6 +49,34 @@ class TestSymEig:
         assert d1.eigenvalues.tobytes() == d2.eigenvalues.tobytes()
         assert d1.vectors.tobytes() == d2.vectors.tobytes()
 
+    def test_symmetric_input_goes_to_eigh_as_is(self):
+        # the output is LAPACK's on the caller's array, signed and no more
+        a = random_symmetric(40, seed=21)
+        w, v = np.linalg.eigh(a)
+        for j in range(v.shape[1]):
+            if v[np.argmax(np.abs(v[:, j])), j] < 0:
+                v[:, j] = -v[:, j]
+        dec = sym_eig(a)
+        assert dec.eigenvalues.tobytes() == w.tobytes()
+        assert dec.vectors.tobytes() == v.tobytes()
+
+    def test_tolerated_asymmetry_stays_within_weyl_bound(self):
+        # LAPACK reads the lower triangle; that matrix differs from the
+        # symmetric part by e, so each eigenvalue moves by at most |e|_2
+        # plus both solves' rounding
+        n = 40
+        sym = random_symmetric(n, seed=8)
+        noise = np.random.default_rng(4).uniform(-1.0, 1.0, (n, n))
+        a = sym + 0.25e-13 * np.abs(sym).max() * (noise - noise.T)
+        d = a - a.T
+        assert 0 < np.abs(d).max() <= 1.01e-13 * np.abs(a).max()
+        part = 0.5 * (a + a.T)
+        e = np.tril(a) + np.tril(a, -1).T - part
+        rounding = 4 * n * np.finfo(float).eps * np.linalg.norm(part, 2)
+        bound = np.linalg.norm(e, 2) + rounding
+        shift = np.abs(sym_eig(a).eigenvalues - np.linalg.eigvalsh(part)).max()
+        assert shift <= bound
+
     def test_rejects_nonfinite(self):
         # every non-finite value, on and off the diagonal
         for bad in (np.nan, np.inf, -np.inf):
