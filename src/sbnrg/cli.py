@@ -268,6 +268,10 @@ def parse_config(text: str, mode: str, strict: bool = True,
         conv = circuit_block.get("delta_convention", "omega10")
         if conv not in DELTA_CONVENTIONS:
             raise ConfigError(f"circuit.delta_convention must be one of {DELTA_CONVENTIONS}")
+        if circuit_block.get("line_length", 1.0) <= 0:
+            raise ConfigError("circuit.line_length must be positive")
+        if circuit_block.get("n_modes", 10) < 1:
+            raise ConfigError("circuit.n_modes must be at least 1")
     elif mode == "oracle":
         if "oracle" not in raw:
             raise ConfigError("oracle mode requires an oracle block")
@@ -295,6 +299,11 @@ def parse_config(text: str, mode: str, strict: bool = True,
                 parameter=sblock["parameter"],
                 values=_resolve_grid(sblock["grid"], "sweep.grid"),
             )
+            for value in sweep.values:  # each point's model, as the run builds it
+                try:
+                    replace(model, **{sweep.parameter: value})
+                except ValueError as exc:
+                    raise ConfigError(f"sweep.grid: {exc}") from None
             if mode == "critical" and len(sweep.values) < FIT_MIN_POINTS:
                 raise ConfigError(
                     f"sweep.grid: critical needs at least {FIT_MIN_POINTS} "

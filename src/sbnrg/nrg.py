@@ -47,12 +47,6 @@ __all__ = [
     "delta_p",
 ]
 
-# Largest n_s * n_b accepted. Each iteration diagonalizes a dense
-# float64 H of that dimension, about 0.5 GiB at 8192, and the degeneracy
-# extension can keep up to 2 n_s states, doubling it. The largest config
-# in use (n_s = 300, n_b = 12) needs 3600.
-MAX_DENSE_DIM = 8192
-
 # A parity-blocked ground state and the level above it, from the other
 # sector, form a doublet when their splitting is below this fraction of
 # the next level: 0 at the localized fixed point, 0.5 at the delocalized
@@ -111,10 +105,10 @@ class NrgConfig:
             raise ValueError("flow_levels must be at least 2")
         if self.n_star is not None and self.n_star < self.n_iter + 5:
             raise ValueError("n_star must be at least n_iter + 5")
-        if self.n_s * self.n_b > MAX_DENSE_DIM:
+        if self.n_s * self.n_b > numerics.MAX_DENSE_DIM:
             raise ValueError(
                 f"n_s * n_b = {self.n_s * self.n_b} exceeds the "
-                f"dense-matrix limit {MAX_DENSE_DIM}"
+                f"dense-matrix limit {numerics.MAX_DENSE_DIM}"
             )
         # bath.chain_map multiplies pairs of star weights: Lambda^-4n at s = 1,
         # the steepest bath SpinBosonParams allows

@@ -20,6 +20,12 @@ __all__ = [
     "fit_divergence",
 ]
 
+# Largest dense matrix dimension accepted anywhere: NrgConfig bounds
+# n_s * n_b by it and EdProblem its product-basis dimension. A float64
+# matrix of dimension 8192 takes 0.5 GiB, and the NRG's degeneracy
+# extension can keep up to 2 n_s states, doubling its H. The largest NRG
+# config in use (n_s = 300, n_b = 12) needs 3600.
+MAX_DENSE_DIM = 8192
 SYMMETRY_RTOL = 1e-12  # max relative asymmetry sym_eig accepts
 FIT_MIN_POINTS = 4  # fewest (alpha, n_star) points fit_divergence accepts
 FIT_WINDOW = 2.0  # default search window above max(alpha) for the pole

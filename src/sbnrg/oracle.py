@@ -22,16 +22,10 @@ __all__ = [
     "EdResult",
     "exact_diag",
     "polaron_energy",
-    "DIMENSION_LIMIT",
 ]
 
-DIMENSION_LIMIT = 1_000_000
-_MAX_MODES = 6
 _DEGENERACY_TOL = 1e-10
 _CONVERGENCE_TOL = 1e-10
-
-_SX = np.array([[0.0, 1.0], [1.0, 0.0]])
-_SZ = np.array([[1.0, 0.0], [0.0, -1.0]])
 
 
 @dataclass(frozen=True)
@@ -51,17 +45,14 @@ class EdProblem:
         object.__setattr__(
             self, "modes", tuple((float(w), float(g)) for w, g in self.modes)
         )
-        if len(self.modes) > _MAX_MODES:
-            raise ValueError(f"at most {_MAX_MODES} modes supported")
         for w, _ in self.modes:
             if w <= 0:
                 raise ValueError("mode frequencies must be positive")
         if self.n_max < 1:
             raise ValueError("n_max must be at least 1")
-        if self.dimension > DIMENSION_LIMIT:
-            raise ValueError(
-                f"dimension {self.dimension} exceeds the guard {DIMENSION_LIMIT}"
-            )
+        if self.dimension > numerics.MAX_DENSE_DIM:
+            raise ValueError(f"dimension {self.dimension} exceeds the "
+                             f"dense-matrix limit {numerics.MAX_DENSE_DIM}")
 
     @property
     def dimension(self) -> int:
@@ -72,8 +63,8 @@ class EdProblem:
 class EdResult:
     """Ground-state data; converged reports the n_max -> n_max + 5 check.
 
-    converged is None when the enlarged problem would blow the dimension
-    guard, so the check could not run.
+    converged is None when the enlarged problem would exceed the
+    dense-matrix limit, so the check could not run.
     """
 
     ground_energy: float
@@ -84,64 +75,62 @@ class EdResult:
 
 
 def _build_hamiltonian(delta: float, epsilon: float, modes, n_max: int):
-    """Dense H plus the spin operators in the same product basis."""
-    dim_b = n_max + 1
-    ladder = np.diag(np.sqrt(np.arange(1.0, dim_b)), 1)
-    nhat = np.diag(np.arange(dim_b, dtype=float))
-    pos = ladder + ladder.T
-    eye_b = np.eye(dim_b)
+    """Dense H = [[B + X + eps/2, -Delta/2], [-Delta/2, B - X - eps/2]].
 
-    def lift(site_op, site):
-        """Embed a one-mode operator at the given site of the boson product."""
-        op = np.eye(1)
-        for j in range(len(modes)):
-            op = np.kron(op, site_op if j == site else eye_b)
-        return op
-
-    bos_dim = dim_b ** len(modes) if modes else 1
-    eye_bos = np.eye(bos_dim)
-    h = -0.5 * delta * np.kron(_SX, eye_bos) + 0.5 * epsilon * np.kron(_SZ, eye_bos)
-    for site, (w, g) in enumerate(modes):
-        h += w * np.kron(np.eye(2), lift(nhat, site))
-        h += 0.5 * g * np.kron(_SZ, lift(pos, site))
-    sz_full = np.kron(_SZ, eye_bos)
-    sx_full = np.kron(_SX, eye_bos)
-    return h, sz_full, sx_full
-
-
-def _ground_expectations(energies, vectors, sz_full, sx_full):
-    """Expectations in the ground state, resolving a degenerate pair.
-
-    Within a degenerate ground multiplet the sigma_z operator is
-    diagonalized and the member with extremal |<sigma_z>| reported, the
-    same convention the NRG engine uses, so cross checks compare like
-    with like.
+    Spin index slowest; B = sum xi n and X = sum (gamma/2)(a + a^dag) act
+    on the boson product, first mode slowest.
     """
+    dim_b = n_max + 1
+    pos = np.diag(np.sqrt(np.arange(1.0, dim_b)), 1)
+    pos += pos.T
+    diag = np.array([0.5 * epsilon, -0.5 * epsilon])  # H's diagonal, +-eps/2 + B
+    x = np.zeros((1, 1))
+    for w, g in modes:
+        x = np.kron(x, np.eye(dim_b)) + np.kron(np.eye(x.shape[0]), 0.5 * g * pos)
+        diag = np.add.outer(diag, w * np.arange(dim_b)).ravel()
+    n = x.shape[0]
+    h = np.zeros((2 * n, 2 * n))
+    h[:n, :n], h[n:, n:] = x, -x
+    np.fill_diagonal(h, diag)
+    i = np.arange(n)
+    h[i, i + n] = h[i + n, i] = -0.5 * delta
+    return h
+
+
+def _ground_expectations(energies, vectors):
+    """<sigma_z>, <sigma_x> in the ground state, resolving a degenerate pair.
+
+    Everything is read from the spin halves u_up, u_dn of the
+    eigenvectors. Within a degenerate ground multiplet the sigma_z block
+    U_up^T U_up - U_dn^T U_dn is diagonalized and the member with extremal
+    |<sigma_z>| reported, the same convention the NRG engine uses, so
+    cross checks compare like with like.
+    """
+    n = vectors.shape[0] // 2
     g = int(np.searchsorted(energies, energies[0] + _DEGENERACY_TOL, side="right"))
-    g = max(g, 1)
     vec = vectors[:, 0]
     if g > 1:
-        vg = vectors[:, :g]
-        zblock = vg.T @ sz_full @ vg
+        up, dn = vectors[:n, :g], vectors[n:, :g]
+        zblock = up.T @ up - dn.T @ dn
         dec = numerics.sym_eig(0.5 * (zblock + zblock.T))
-        vec = vg @ dec.vectors[:, int(np.argmax(np.abs(dec.eigenvalues)))]
-    return float(vec @ sz_full @ vec), float(vec @ sx_full @ vec)
+        vec = vectors[:, :g] @ dec.vectors[:, int(np.argmax(np.abs(dec.eigenvalues)))]
+    up, dn = vec[:n], vec[n:]
+    return float(up @ up - dn @ dn), float(2.0 * (up @ dn))
 
 
 def exact_diag(p: EdProblem, check_convergence: bool = True) -> EdResult:
     """Dense diagonalization of the full product-basis Hamiltonian."""
-    h, sz_full, sx_full = _build_hamiltonian(p.delta, p.epsilon, p.modes, p.n_max)
-    dec = numerics.sym_eig(h)
+    dec = numerics.sym_eig(_build_hamiltonian(p.delta, p.epsilon, p.modes, p.n_max))
     e = dec.eigenvalues
-    sz, sx = _ground_expectations(e, dec.vectors, sz_full, sx_full)
+    sz, sx = _ground_expectations(e, dec.vectors)
 
     converged = None
     if check_convergence:
-        bigger_dim = 2 * (p.n_max + 6) ** max(len(p.modes), 1)
+        bigger_dim = 2 * (p.n_max + 6) ** len(p.modes)
         if not p.modes:
             converged = True
-        elif bigger_dim <= DIMENSION_LIMIT:
-            h_big, _, _ = _build_hamiltonian(p.delta, p.epsilon, p.modes, p.n_max + 5)
+        elif bigger_dim <= numerics.MAX_DENSE_DIM:
+            h_big = _build_hamiltonian(p.delta, p.epsilon, p.modes, p.n_max + 5)
             e0_big = float(np.linalg.eigvalsh(h_big)[0])
             converged = abs(e0_big - float(e[0])) < _CONVERGENCE_TOL
 

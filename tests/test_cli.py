@@ -605,6 +605,41 @@ class TestExitCodes:
         assert "at least 4 alpha values" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("mode,payload,message", [
+        ("critical", {"model": {"delta": 0.05},
+                      "sweep": {"parameter": "alpha",
+                                "grid": {"values": [-0.1, 0.1, 0.2, 0.3]}}},
+         "sweep.grid: alpha must be non-negative"),
+        ("sweep", {"model": {"delta": 0.05, "alpha": 0.3},
+                   "sweep": {"parameter": "delta",
+                             "grid": {"values": [0.1, -0.1]}}},
+         "sweep.grid: delta must be non-negative"),
+        ("map-circuit", {"circuit": {**TestMapCircuitMode.PAYLOAD["circuit"],
+                                     "line_length": -1}},
+         "circuit.line_length must be positive"),
+        ("map-circuit", {"circuit": {**TestMapCircuitMode.PAYLOAD["circuit"],
+                                     "n_modes": 0}},
+         "circuit.n_modes must be at least 1"),
+        # dimension 2 * 5^6 = 31250, a 7.8 GB matrix
+        ("oracle", {"oracle": {"delta": 0.2, "modes": [[0.5, 0.1]] * 6,
+                               "n_max": 4}},
+         "exceeds the dense-matrix limit 8192"),
+    ], ids=["negative-alpha-point", "negative-delta-point",
+            "negative-line-length", "zero-line-modes", "oracle-over-budget"])
+    def test_invalid_config_exits_before_execute(self, tmp_path, monkeypatch,
+                                                 capsys, mode, payload,
+                                                 message):
+        # each once failed inside execute, leaving --out behind
+        def started(cfg):
+            raise AssertionError("execute ran on an invalid config")
+
+        monkeypatch.setattr(cli, "execute", started)
+        cfg = write_config(tmp_path, payload)
+        assert main([mode, "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("mode,key", [("sweep", "threshold"),
                                           ("critical", "threshold"),
                                           ("critical", "window")])

@@ -77,6 +77,12 @@ class TestNrgConfig:
             NrgConfig(n_s=1366, n_b=6)
         assert NrgConfig(n_s=300, n_b=12).n_s == 300
 
+    def test_dense_limit_is_read_from_numerics(self, monkeypatch):
+        assert NrgConfig(n_s=1024, n_b=8).n_s * 8 == numerics.MAX_DENSE_DIM
+        monkeypatch.setattr(numerics, "MAX_DENSE_DIM", 100)
+        with pytest.raises(ValueError, match="limit 100"):
+            NrgConfig(n_s=20, n_b=6)
+
 
 class TestDecoupledLimit:
     """alpha = 0 is exactly solvable: free spin plus free chain."""

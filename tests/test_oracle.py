@@ -4,22 +4,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sbnrg.oracle import (
-    DIMENSION_LIMIT,
-    EdProblem,
-    exact_diag,
-    polaron_energy,
-)
+from sbnrg import numerics
+from sbnrg.oracle import EdProblem, exact_diag, polaron_energy
 
 
 class TestEdProblem:
     def test_dimension(self):
         p = EdProblem(delta=0.1, epsilon=0.0, modes=((0.5, 0.1),) * 3, n_max=4)
         assert p.dimension == 2 * 5 ** 3
-
-    def test_mode_count_guard(self):
-        with pytest.raises(ValueError):
-            EdProblem(delta=0.1, epsilon=0.0, modes=((0.5, 0.1),) * 7, n_max=2)
 
     def test_positive_frequencies(self):
         with pytest.raises(ValueError):
@@ -33,8 +25,21 @@ class TestEdProblem:
         with pytest.raises(ValueError):
             EdProblem(delta=0.1, epsilon=0.0, modes=((0.5, 0.1),) * 6, n_max=10)
 
-    def test_dimension_limit_exported(self):
-        assert DIMENSION_LIMIT == 1_000_000
+    def test_budget_is_the_dense_matrix_limit(self):
+        # construct only: never diagonalize a problem this large
+        assert numerics.MAX_DENSE_DIM == 8192
+        p = EdProblem(delta=0.1, epsilon=0.0, modes=((0.5, 0.1),), n_max=4095)
+        assert p.dimension == 8192
+        with pytest.raises(ValueError, match="8192"):
+            EdProblem(delta=0.1, epsilon=0.0, modes=((0.5, 0.1),), n_max=4096)
+
+    def test_mode_count_bounded_by_dimension_only(self):
+        # 7 modes at n_max = 1 is a 256-dim problem; the n_max + 5 check
+        # would need 2 * 7^7 states and is skipped
+        r = exact_diag(EdProblem(delta=0.2, epsilon=0.0,
+                                 modes=((0.5, 0.1),) * 7, n_max=1))
+        assert r.converged is None
+        assert r.ground_energy < -0.1
 
 
 class TestExactDiag:
@@ -90,7 +95,7 @@ class TestExactDiag:
         assert r.converged is None
 
     def test_guard_blocks_convergence_check(self, monkeypatch):
-        monkeypatch.setattr("sbnrg.oracle.DIMENSION_LIMIT", 100)
+        monkeypatch.setattr("sbnrg.numerics.MAX_DENSE_DIM", 100)
         p = EdProblem(delta=0.1, epsilon=0.0, modes=((0.5, 0.1),), n_max=46)
         r = exact_diag(p)
         assert r.converged is None
