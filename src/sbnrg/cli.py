@@ -64,6 +64,7 @@ _TOP_KEYS = {"mode", "model", "nrg", "circuit", "sweep", "critical", "oracle"}
 
 _SWEEP_PARAMETERS = ("alpha", "delta", "epsilon")
 MAX_GRID_POINTS = 10_000  # each point is a full NRG run
+MAX_LINE_MODES = 10_000  # each mode is one entry of circuit.json
 
 
 class ConfigError(ValueError):
@@ -272,6 +273,16 @@ def parse_config(text: str, mode: str, strict: bool = True,
             raise ConfigError("circuit.line_length must be positive")
         if circuit_block.get("n_modes", 10) < 1:
             raise ConfigError("circuit.n_modes must be at least 1")
+        if circuit_block.get("n_modes", 10) > MAX_LINE_MODES:
+            raise ConfigError(f"circuit.n_modes must be at most {MAX_LINE_MODES}")
+        if "omega_c" in circuit_block:  # the mapping execute runs, checked now
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")  # execute warns once
+                    map_to_spin_boson(circuit, circuit_block["omega_c"],
+                                      delta_convention=conv)
+            except ValueError as exc:
+                raise ConfigError(f"circuit: {exc}") from None
     elif mode == "oracle":
         if "oracle" not in raw:
             raise ConfigError("oracle mode requires an oracle block")
@@ -404,10 +415,7 @@ def _do_map_circuit(cfg: RunConfig, out: Path, outputs: list) -> None:
         }
     }
     if "omega_c" in block:
-        try:
-            sb = map_to_spin_boson(params, block["omega_c"], delta_convention=conv)
-        except ValueError as exc:
-            raise ConfigError(f"circuit: {exc}") from None
+        sb = map_to_spin_boson(params, block["omega_c"], delta_convention=conv)
         payload["spin_boson"] = {
             "delta": sb.delta, "epsilon": sb.epsilon, "alpha": sb.alpha,
             "s": sb.s, "omega_c": sb.omega_c,

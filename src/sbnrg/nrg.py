@@ -11,17 +11,23 @@ matrices carried through every basis change.
 
 At zero bias H commutes with the parity P = sigma_x (-1)^(sum of boson
 numbers). Every kept state then carries its eigenvalue of P, each step
-diagonalizes the two parity sectors apart and merges their spectra
-before the cut, and b and sigma_z stay exactly parity-odd, so every
-kept state has <sigma_z> = 0 exactly rather than up to truncation noise.
-In the localized phase the ground doublet straddles the two sectors, and
-ground_spin reads its polarized member. A biased run labels every
-state 0 and is the same step with one sector.
+builds and diagonalizes the two parity sectors apart, never the full H,
+and merges their spectra before the cut, and b and sigma_z stay exactly
+parity-odd, so every kept state has <sigma_z> = 0 exactly rather than up
+to truncation noise. With two or more CPUs free, run_on_chain solves the
+second sector on a worker thread while the caller solves the first; each
+solve is the serial step's call on the serial step's matrix, so the bits
+are the serial step's. In the localized phase the ground doublet
+straddles the two sectors, and ground_spin reads its polarized member. A
+biased run labels every state 0 and is the same step with one sector.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import multiprocessing
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -202,40 +208,92 @@ def _kept_count(energies: np.ndarray, cfg: NrgConfig) -> int:
     return kept
 
 
+def _sector_h(h_block: np.ndarray, coupling: np.ndarray, parity: np.ndarray,
+              label: int, n_b: int, on_site: float,
+              hop: float) -> tuple[np.ndarray, np.ndarray]:
+    """H on one label's (block, boson) pairs, and their flat indices.
+
+    The pair (i, n) carries the label parity[i] (-1)^n, or 0 in a run
+    without parity. Label 0 holds every pair. Otherwise block state i
+    holds the levels n = s_i + 2c, where s_i is 0 if parity[i] is the
+    label and 1 if not. Either way the sector is a (block, c, block, c)
+    grid in the full H's (i, n) order, padded where an odd n_b leaves
+    block state i a level short. The terms h_block x 1 + on_site n_hat
+    + hop (coupling^T x b + coupling x b^dag) are summed into zeros
+    through strided views of the grid, with the products and in the order
+    of a build of the full H, so every entry has that build's bits. This
+    holds because h_block links only states of equal parity and coupling
+    only states of opposite parity, exactly: the terms that land on
+    another term's entries are exact zeros. The padding is cut out last.
+    """
+    k = h_block.shape[0]
+    stride = 2 if label else 1
+    size = -(-n_b // stride)
+    level = (parity != label)[:, None] + stride * np.arange(size)
+    h = np.zeros((k, size, k, size))  # einsum "iaja->aij" views the (c, c) blocks
+    np.einsum("iaja->aij", h)[...] += h_block
+    np.einsum("iaia->ia", h)[...] += on_site * level
+    # b^dag lifts (i, n) to (j, n + 1) with sqrt(n + 1). With one label
+    # n = c lands at c + 1; with two, n = s_i + 2c lands at c + s_i.
+    if stride == 1:
+        lifts = [(1, 0, coupling.T)]  # (lag in c, s_i of the lifted rows, their couplings)
+    else:
+        lifts = [(s, s, np.where(level[:, :1] == s, coupling.T, 0.0)) for s in (0, 1)]
+    for lag, s, lifted in lifts:
+        root = np.sqrt(s + stride * np.arange(size - lag) + 1.0)
+        low, high = slice(0, size - lag), slice(lag, size)
+        up = hop * (lifted * root[:, None, None])
+        np.einsum("iaja->aij", h[:, low, :, high])[...] += up
+        np.einsum("iaja->aij", h[:, high, :, low])[...] += up.transpose(0, 2, 1)
+    rows = (n_b * np.arange(k)[:, None] + level).ravel()
+    h = h.reshape(k * size, -1)
+    if size * stride > n_b:  # an odd n_b: drop the padded levels
+        real = level.ravel() < n_b
+        h, rows = h[real][:, real], rows[real]
+    return h, rows
+
+
 def _add_site(h_block: np.ndarray, coupling: np.ndarray, op_sz: np.ndarray,
               op_sx: np.ndarray, parity: np.ndarray, cfg: NrgConfig, m: int = 0,
-              eps: float = 0.0, hop: float = 0.0,
-              ground_energy: float = 0.0) -> NrgState:
+              eps: float = 0.0, hop: float = 0.0, ground_energy: float = 0.0,
+              pool=None) -> NrgState:
     """Couple chain site m to a block, rediagonalize and truncate.
 
     With scale = Lambda^m, H = h_block x 1 + scale [eps (1 x n_hat)
-    + hop (coupling^T x b + coupling x b^dag)] is summed into zeros on
-    (block, boson) index pairs, with the kron sum's bits. The pair
-    (i, n) carries the label parity[i] (-1)^n; H never links two labels,
-    so each label's sector is diagonalized alone. With one label that
-    sector is H itself, not a copy. The sector spectra are merged by a
-    stable sort, shifted to 0 (the shift over scale joins ground_energy)
-    and cut by _kept_count. The kept vectors, exactly zero outside their
-    sector, rotate b by a boson-index shift and op_sz, op_sx by one GEMM.
+    + hop (coupling^T x b + coupling x b^dag)]. H never links two labels
+    (see _sector_h), so each label's sector is built and diagonalized
+    alone, and the full H is never formed; with one label the sector is
+    all of H. Given pool, an executor, the second of two sectors is built
+    and solved on its thread while this one does the first; each solve
+    gets the same matrix either way, so the bits do not depend on it. The
+    sector spectra are merged by a stable sort, shifted to 0 (the shift
+    over scale joins ground_energy) and cut by _kept_count. The kept
+    vectors, exactly zero outside their sector, rotate b by a boson-index
+    shift and op_sz, op_sx by one GEMM.
     """
     db = cfg.n_b
     k = h_block.shape[0]
     scale = cfg.Lambda ** m
-    root = np.sqrt(np.arange(1.0, db))
-    h = np.zeros((k, db, k, db))  # einsum "iaja->aij" views the (a, a) blocks
-    np.einsum("iaja->aij", h)[...] += h_block
-    np.einsum("iaia->ia", h)[...] += (scale * eps) * np.arange(db)
-    up = (scale * hop) * (coupling.T * root[:, None, None])
-    np.einsum("iaja->aij", h[:, :-1, :, 1:])[...] += up
-    np.einsum("iaja->aij", h[:, 1:, :, :-1])[...] += up.transpose(0, 2, 1)
-    h = h.reshape(k * db, -1)
-    labels = np.multiply.outer(parity, (-1) ** np.arange(db)).ravel()
-    sectors = sorted(set(labels.tolist()))  # np.unique's first call costs 1 MB RSS
-    if len(sectors) == 1:
-        decs = [numerics.sym_eig(h)]
-    else:  # rows, then columns: faster than one np.ix_ gather
-        rows = [np.flatnonzero(labels == q) for q in sectors]
-        decs = [numerics.sym_eig(h[r][:, r]) for r in rows]
+    sectors = (-1, 1) if parity.any() else (0,)
+
+    def solve(label):
+        # h is returned to live as long as the step: freed any earlier,
+        # glibc hands its pages back and the next step faults them in
+        # again (in a biased run, 13 times the page faults, 17% more time)
+        h, rows = _sector_h(h_block, coupling, parity, label, db, scale * eps,
+                            scale * hop)
+        return h, rows, numerics.sym_eig(h)
+
+    if pool is None or len(sectors) == 1:
+        solved = [solve(q) for q in sectors]
+    else:
+        second = pool.submit(solve, sectors[1])
+        try:
+            first = solve(sectors[0])
+        finally:  # the step never returns with its worker busy or its error unread
+            other = second.result()
+        solved = [first, other]
+    _, rows, decs = zip(*solved)
     sizes = [d.eigenvalues.size for d in decs]
     w = np.concatenate([d.eigenvalues for d in decs])
     order = np.argsort(w, kind="stable")
@@ -256,6 +314,7 @@ def _add_site(h_block: np.ndarray, coupling: np.ndarray, op_sz: np.ndarray,
         raise NrgError(
             f"propagated sigma_z norm {worst:.12g} exceeds 1; basis corrupted"
         )
+    root = np.sqrt(np.arange(1.0, db))
     b_v = np.pad(v.T.reshape(kept, k, db)[:, :, :-1] * root, ((0, 0), (0, 0), (1, 0)))
     return NrgState(
         iteration=m,
@@ -301,7 +360,8 @@ def build_initial(p: SpinBosonParams, chain: WilsonChain, cfg: NrgConfig) -> Nrg
     return _add_site(*spin, cfg, eps=eps0, hop=0.5 * c0)
 
 
-def iterate(state: NrgState, chain: WilsonChain, cfg: NrgConfig) -> NrgState:
+def iterate(state: NrgState, chain: WilsonChain, cfg: NrgConfig,
+            pool=None) -> NrgState:
     """Add the next chain site to the kept block, as site 0 was added.
 
     The block is Lambda diag(E_kept) and couples through the previous
@@ -311,7 +371,8 @@ def iterate(state: NrgState, chain: WilsonChain, cfg: NrgConfig) -> NrgState:
                 + t_N (b_N^dag b_N+1 + h.c.)],
 
     then the new ground energy is subtracted (and accumulated unrescaled)
-    so each recorded spectrum starts at exactly 0.
+    so each recorded spectrum starts at exactly 0. pool, an executor or
+    None, goes to _add_site for the second parity sector.
     """
     m = state.iteration + 1
     if m >= chain.n_sites:
@@ -319,7 +380,7 @@ def iterate(state: NrgState, chain: WilsonChain, cfg: NrgConfig) -> NrgState:
     return _add_site(np.diag(cfg.Lambda * state.energies), state.op_b,
                      state.op_sz, state.op_sx, state.parity, cfg, m,
                      float(chain.eps[m]), float(chain.t[m - 1]),
-                     state.ground_energy)
+                     state.ground_energy, pool)
 
 
 def _record(state: NrgState, cfg: NrgConfig) -> FlowRecord:
@@ -369,19 +430,32 @@ def run_on_chain(p: SpinBosonParams, chain: WilsonChain, cfg: NrgConfig) -> NrgR
     """Run the iteration on an explicit chain (also the test injection point).
 
     Stops after n_iter iterations or when the chain runs out of sites. Zero
-    hoppings (a decoupled chain) do not stop it.
+    hoppings (a decoupled chain) do not stop it. A parity-blocked run
+    solves its second sector on one worker thread when two or more CPUs
+    are free, unless this process is itself a multiprocessing child (a
+    sweep's --workers pool), which solves serially so the workers do not
+    oversubscribe the CPUs. The thread lives for this call only: an
+    executor whose thread has started hangs a child forked from it.
     """
     state = build_initial(p, chain, cfg)
     records = [_record(state, cfg)]
     limit = min(cfg.n_iter, chain.n_sites)
-    for m in range(1, limit):
-        try:
-            state = iterate(state, chain, cfg)
-        except DegeneracyError as exc:
-            raise DegeneracyError(f"iteration {m}: {exc}") from None
-        except (np.linalg.LinAlgError, FloatingPointError, ValueError) as exc:
-            raise NrgError(f"iteration {m}: {exc}") from exc
-        records.append(_record(state, cfg))
+    pool = contextlib.nullcontext()
+    if (state.parity.any() and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2
+            and multiprocessing.parent_process() is None):
+        from concurrent.futures import ThreadPoolExecutor  # 7-11 ms to import
+
+        pool = ThreadPoolExecutor(max_workers=1)
+    with pool as sector_pool:
+        for m in range(1, limit):
+            try:
+                state = iterate(state, chain, cfg, sector_pool)
+            except DegeneracyError as exc:
+                raise DegeneracyError(f"iteration {m}: {exc}") from None
+            except (np.linalg.LinAlgError, FloatingPointError, ValueError) as exc:
+                raise NrgError(f"iteration {m}: {exc}") from exc
+            records.append(_record(state, cfg))
     sz, sx = ground_spin(state, cfg.degeneracy_tol)
     return NrgResult(
         flow=NrgFlow(records=tuple(records), alpha=p.alpha),

@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +33,34 @@ def write_config(tmp_path, payload, name="config.json"):
     path.write_text(json.dumps(payload))
     return str(path)
 
+
+# Runs sbnrg critical serially, then with --workers 2, in one process, and
+# prints how many sector thread pools the parent built. A pool built in a
+# worker child fails that child's point, and with it the run.
+SERIAL_THEN_WORKERS = """
+import concurrent.futures, multiprocessing, sys
+from pathlib import Path
+
+
+class ParentOnlyPool(concurrent.futures.ThreadPoolExecutor):
+    built = 0
+
+    def __init__(self, *args, **kwargs):
+        if multiprocessing.parent_process() is not None:
+            raise AssertionError("a --workers child built a sector pool")
+        ParentOnlyPool.built += 1
+        super().__init__(*args, **kwargs)
+
+
+concurrent.futures.ThreadPoolExecutor = ParentOnlyPool
+from sbnrg.cli import main
+
+config, out = sys.argv[1], Path(sys.argv[2])
+assert main(["critical", "--config", config, "--out", str(out / "serial")]) == 0
+assert main(["critical", "--config", config, "--out", str(out / "workers"),
+             "--workers", "2"]) == 0
+print(ParentOnlyPool.built)
+"""
 
 RUN_PAYLOAD = {
     "model": {"delta": 0.05, "alpha": 0.3},
@@ -252,6 +284,16 @@ class TestParseConfig:
                                "delta_convention": "zeeman"}}
         with pytest.raises(ConfigError, match="delta_convention"):
             parse_config(json.dumps(payload), mode="map-circuit")
+
+    def test_line_mode_bound(self):
+        block = dict(TestMapCircuitMode.PAYLOAD["circuit"])
+        for n_modes in (1, cli.MAX_LINE_MODES):
+            cfg = parse_config(json.dumps({"circuit": {**block, "n_modes": n_modes}}),
+                               mode="map-circuit")
+            assert cfg.circuit_block["n_modes"] == n_modes
+        with pytest.raises(ConfigError, match="n_modes must be at most"):
+            parse_config(json.dumps({"circuit": {
+                **block, "n_modes": cli.MAX_LINE_MODES + 1}}), mode="map-circuit")
 
     def test_oracle_modes_validation(self):
         payload = {"oracle": {"delta": 0.2, "modes": [[0.5, 0.1], [0.25]]}}
@@ -521,6 +563,29 @@ class TestCriticalMode:
         assert fit["n_points"] == 4
         assert fit["threshold"] == 0.3
 
+    def test_workers_after_serial_run(self, tmp_path):
+        # A serial run starts and stops its sector thread; a --workers run
+        # in the same process then forks children that must neither hang on
+        # that thread nor start their own. A fresh interpreter under a
+        # timeout turns a hang into a failure.
+        cfg = write_config(tmp_path, self.PAYLOAD)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        proc = subprocess.run(
+            [sys.executable, "-c", SERIAL_THEN_WORKERS, cfg, str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        pools = 4 if len(os.sched_getaffinity(0)) >= 2 else 0
+        # one per serial point, none in the children
+        assert int(proc.stdout.splitlines()[-1]) == pools
+        serial, workers = tmp_path / "serial", tmp_path / "workers"
+        names = sorted(p.name for p in serial.iterdir())
+        assert names == sorted(p.name for p in workers.iterdir())
+        for name in names:
+            if name != "run_manifest.json":
+                assert (serial / name).read_bytes() == (workers / name).read_bytes()
+
     def test_localized_grid_exits_numerical(self, tmp_path):
         payload = {
             "model": {"delta": 0.01},
@@ -620,12 +685,20 @@ class TestExitCodes:
         ("map-circuit", {"circuit": {**TestMapCircuitMode.PAYLOAD["circuit"],
                                      "n_modes": 0}},
          "circuit.n_modes must be at least 1"),
+        # once ran 14 s and wrote a 107 MB circuit.json
+        ("map-circuit", {"circuit": {**TestMapCircuitMode.PAYLOAD["circuit"],
+                                     "n_modes": 10**6}},
+         "circuit.n_modes must be at most 10000"),
+        ("map-circuit", {"circuit": {**TestMapCircuitMode.PAYLOAD["circuit"],
+                                     "omega_c": 1e3}},
+         "circuit: cutoff omega_c must lie above the qubit splitting"),
         # dimension 2 * 5^6 = 31250, a 7.8 GB matrix
         ("oracle", {"oracle": {"delta": 0.2, "modes": [[0.5, 0.1]] * 6,
                                "n_max": 4}},
          "exceeds the dense-matrix limit 8192"),
     ], ids=["negative-alpha-point", "negative-delta-point",
-            "negative-line-length", "zero-line-modes", "oracle-over-budget"])
+            "negative-line-length", "zero-line-modes", "too-many-line-modes",
+            "cutoff-below-splitting", "oracle-over-budget"])
     def test_invalid_config_exits_before_execute(self, tmp_path, monkeypatch,
                                                  capsys, mode, payload,
                                                  message):

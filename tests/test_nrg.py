@@ -1,3 +1,5 @@
+import multiprocessing
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -28,6 +30,15 @@ from conftest import CRITICAL_PAYLOAD
 CRITICAL_DELTA = CRITICAL_PAYLOAD["model"]["delta"]
 CRITICAL_NRG = NrgConfig(**CRITICAL_PAYLOAD["nrg"])
 CRITICAL_ALPHAS = CRITICAL_PAYLOAD["sweep"]["grid"]["values"]
+
+
+def assert_same_state(a, b):
+    """Two NrgStates with the same bits in every array and number."""
+    for name in ("energies", "op_b", "op_sz", "op_sx", "parity"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.shape == y.shape, name
+        assert x.tobytes() == y.tobytes(), name
+    assert (a.iteration, a.ground_energy) == (b.iteration, b.ground_energy)
 
 
 class TestNrgConfig:
@@ -315,6 +326,52 @@ class TestMechanics:
             vals, [rec.energies[1] for rec in r.flow.records]
         )
 
+    @pytest.mark.parametrize("epsilon,cpus,parent,pools", [
+        (0.0, {0, 1}, None, 1),
+        (0.0, {0}, None, 0),
+        (0.0, {0, 1}, "a sweep pool", 0),
+        (1e-3, {0, 1}, None, 0),
+    ], ids=["two-cpus", "one-cpu", "pool-child", "biased"])
+    def test_sector_thread_needs_two_sectors_and_two_cpus(
+            self, monkeypatch, epsilon, cpus, parent, pools):
+        # the run starts its sector thread only where it pays, and no step
+        # moves a bit with it
+        import concurrent.futures
+
+        p = SpinBosonParams(delta=0.05, alpha=0.6, epsilon=epsilon)
+        cfg = NrgConfig(n_s=30, n_b=4, n_iter=8)
+        chain = chain_map(discretize(p, cfg.Lambda, cfg.chain_length))
+        step = nrg.iterate
+
+        def states():
+            seen = []
+
+            def recorded(*args):
+                seen.append(step(*args))
+                return seen[-1]
+
+            monkeypatch.setattr(nrg, "iterate", recorded)
+            run_on_chain(p, chain, cfg)
+            return seen
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        serial = states()
+        built = []
+
+        class CountedPool(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountedPool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        monkeypatch.setattr(multiprocessing, "parent_process", lambda: parent)
+        got = states()
+        assert len(built) == pools
+        assert len(got) == len(serial) == cfg.n_iter - 1
+        for a, b in zip(got, serial):
+            assert_same_state(a, b)
+
     def test_tiny_hoppings_run_every_iteration(self):
         # at Lambda = 4 the hopping reaches 1e-30 near site 50 of 60
         r = run(SpinBosonParams(delta=1e-3, epsilon=1e-6, alpha=0.3),
@@ -454,6 +511,61 @@ class TestMechanics:
         same = np.equal.outer(got.parity, got.parity)
         assert not got.op_b[same].any() and not got.op_sz[same].any()
         assert not got.op_sx[~same].any()
+
+    @staticmethod
+    def gathered_sectors(h_block, coupling, parity, n_b, on_site, hop):
+        """Each label's sector gathered from the full H, as the step once built it.
+
+        Maps each label to its matrix and its rows in the full H.
+        """
+        k = h_block.shape[0]
+        root = np.sqrt(np.arange(1.0, n_b))
+        h = np.zeros((k, n_b, k, n_b))
+        np.einsum("iaja->aij", h)[...] += h_block
+        np.einsum("iaia->ia", h)[...] += on_site * np.arange(n_b)
+        up = hop * (coupling.T * root[:, None, None])
+        np.einsum("iaja->aij", h[:, :-1, :, 1:])[...] += up
+        np.einsum("iaja->aij", h[:, 1:, :, :-1])[...] += up.transpose(0, 2, 1)
+        h = h.reshape(k * n_b, -1)
+        labels = np.multiply.outer(parity, (-1) ** np.arange(n_b)).ravel()
+        rows = {q: np.flatnonzero(labels == q) for q in set(labels.tolist())}
+        return {q: (h[r][:, r], r) for q, r in rows.items()}
+
+    @pytest.mark.parametrize("n_b", [2, 3, 6, 7])
+    @pytest.mark.parametrize("bias", [0.01, 0.0], ids=["one-label", "two-labels"])
+    @pytest.mark.parametrize("block", ["spin", "kept"])
+    def test_sector_h_has_the_full_h_bits(self, block, bias, n_b):
+        # each sector, built on its own, is the gathered block of the full H
+        # bit for bit, odd n_b (a ragged sector) included
+        cfg = NrgConfig(Lambda=2.0, n_s=20, n_b=4, n_iter=4)
+        h_block, coupling, _, _, parity, site_cfg, m, eps, hop = (
+            self.site_step_args(block, bias, 0.37, cfg, n_b))
+        scale = site_cfg.Lambda ** m
+        ref = self.gathered_sectors(h_block, coupling, parity, n_b,
+                                    scale * eps, scale * hop)
+        assert sorted(ref) == ([0] if bias else [-1, 1])
+        for label, (h, rows) in ref.items():
+            got, got_rows = nrg._sector_h(h_block, coupling, parity, label,
+                                          n_b, scale * eps, scale * hop)
+            assert got.shape == h.shape
+            assert got.tobytes() == h.tobytes()
+            npt.assert_array_equal(got_rows, rows)
+
+    def test_pooled_step_matches_serial_step(self):
+        # the second sector solved on a worker thread gives the same bits
+        from concurrent.futures import ThreadPoolExecutor
+
+        cfg = NrgConfig(Lambda=2.0, n_s=40, n_b=6, n_iter=8)
+        p = SpinBosonParams(delta=0.05, alpha=0.6)
+        chain = chain_map(discretize(p, cfg.Lambda, cfg.chain_length))
+        state = build_initial(p, chain, cfg)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            for _ in range(1, cfg.n_iter):
+                pooled = iterate(state, chain, cfg, pool)
+                serial = iterate(state, chain, cfg)
+                assert set(serial.parity.tolist()) == {-1, 1}
+                assert_same_state(pooled, serial)
+                state = serial
 
     @settings(max_examples=15)
     @given(st.floats(0.0, 0.8), st.floats(1e-3, 0.2))
