@@ -7,9 +7,11 @@ sha256 digests into --out, and exits 0 on success, 2 on config errors,
 A DegeneracyError (a boundary multiplet wider than 2 n_s at truncation)
 exits 2: its remedy is a config change, raising n_s or shrinking
 degeneracy_tol, and the class subclasses ValueError. Unknown config keys
-are errors; with --no-strict each one is ignored with a RuntimeWarning
-naming its path. Outputs are byte-identical across reruns and worker
-counts; only manifest timestamps differ.
+are errors, and so is a top-level block the subcommand does not read;
+with --no-strict each one is ignored with a RuntimeWarning naming its
+path. --workers N runs up to N sweep points at once, each on its own
+thread. Outputs are byte-identical across reruns and worker counts; only
+manifest timestamps differ.
 """
 
 from __future__ import annotations
@@ -18,8 +20,6 @@ import argparse
 import hashlib
 import json
 import math
-import multiprocessing
-import os
 import sys
 import warnings
 from dataclasses import asdict, dataclass, fields, replace
@@ -60,7 +60,15 @@ _CIRCUIT_KEYS = {"c_j": float, "c_0": float, "i_0": float, "i_b": float,
 _SWEEP_KEYS = {"parameter": str, "grid": dict}
 _CRITICAL_KEYS = {"threshold": float, "window": float}
 _ORACLE_KEYS = {"delta": float, "epsilon": float, "modes": list, "n_max": int}
-_TOP_KEYS = {"mode", "model", "nrg", "circuit", "sweep", "critical", "oracle"}
+# the top-level keys each subcommand reads; any other is an unknown key
+_MODE_KEYS = {
+    "map-circuit": {"mode", "circuit"},
+    "chain": {"mode", "model", "nrg"},
+    "run": {"mode", "model", "nrg"},
+    "sweep": {"mode", "model", "nrg", "sweep", "critical"},
+    "critical": {"mode", "model", "nrg", "sweep", "critical"},
+    "oracle": {"mode", "oracle"},
+}
 
 _SWEEP_PARAMETERS = ("alpha", "delta", "epsilon")
 MAX_GRID_POINTS = 10_000  # each point is a full NRG run
@@ -73,8 +81,11 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class SweepSpec:
+    """The swept parameter, its grid, and each grid point's model."""
+
     parameter: str
     values: tuple[float, ...]
+    models: tuple[SpinBosonParams, ...]
 
 
 @dataclass(frozen=True)
@@ -243,8 +254,9 @@ def parse_config(text: str, mode: str, strict: bool = True,
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
     for key in raw:
-        if key not in _TOP_KEYS:
+        if key not in _MODE_KEYS[mode]:
             _unknown_key(key, strict)
+    raw = {key: value for key, value in raw.items() if key in _MODE_KEYS[mode]}
     if "mode" in raw:
         if not isinstance(raw["mode"], str):
             raise ConfigError("mode must be a string")
@@ -306,16 +318,14 @@ def parse_config(text: str, mode: str, strict: bool = True,
                 )
             if mode == "critical" and sblock["parameter"] != "alpha":
                 raise ConfigError("critical mode sweeps alpha only")
-            sweep = SweepSpec(
-                parameter=sblock["parameter"],
-                values=_resolve_grid(sblock["grid"], "sweep.grid"),
-            )
-            for value in sweep.values:  # each point's model, as the run builds it
-                try:
-                    replace(model, **{sweep.parameter: value})
-                except ValueError as exc:
-                    raise ConfigError(f"sweep.grid: {exc}") from None
-            if mode == "critical" and len(sweep.values) < FIT_MIN_POINTS:
+            values = _resolve_grid(sblock["grid"], "sweep.grid")
+            try:
+                models = tuple(replace(model, **{sblock["parameter"]: value})
+                               for value in values)
+            except ValueError as exc:
+                raise ConfigError(f"sweep.grid: {exc}") from None
+            sweep = SweepSpec(sblock["parameter"], values, models)
+            if mode == "critical" and len(values) < FIT_MIN_POINTS:
                 raise ConfigError(
                     f"sweep.grid: critical needs at least {FIT_MIN_POINTS} "
                     "alpha values to fit the divergence"
@@ -363,24 +373,17 @@ def _digest(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _run_point(task) -> nrg.NrgResult:
-    params, cfg = task
-    return nrg.run(params, cfg)
+def _run_sweep_points(cfg: RunConfig) -> list[nrg.NrgResult]:
+    models = cfg.sweep.models
+    configs = [cfg.nrg_config] * len(models)
+    threads = min(cfg.workers, len(models), nrg.usable_cpus())
+    if threads == 1:  # on this thread, where each run may start its sector thread
+        return list(map(nrg.run, models, configs))
+    from concurrent.futures import ThreadPoolExecutor  # 7-11 ms to import
 
-
-def _run_sweep_points(cfg: RunConfig):
-    tasks = [
-        (replace(cfg.model, **{cfg.sweep.parameter: v}), cfg.nrg_config)
-        for v in cfg.sweep.values
-    ]
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    processes = min(cfg.workers, len(tasks), cpus)
-    if processes == 1:
-        return [_run_point(t) for t in tasks]
-    # grid-order merge: pool.map preserves task order regardless of timing
-    with multiprocessing.Pool(processes=processes) as pool:
-        return pool.map(_run_point, tasks, chunksize=1)
+    # map yields in grid order, and a point's error cancels the points not started
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(nrg.run, models, configs))
 
 
 def _flow_rows(result: nrg.NrgResult):
@@ -630,7 +633,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", required=True, help="JSON config path")
         sp.add_argument("--out", default="./out", help="output directory")
         sp.add_argument("--workers", type=int, default=1,
-                        help="parallel workers for sweep points, at most one per CPU")
+                        help="sweep points run at once, each on its own thread, "
+                             "at most one per CPU")
         sp.add_argument("--strict", action=argparse.BooleanOptionalAction,
                         default=True, help="reject unknown config keys")
     return parser

@@ -14,10 +14,10 @@ numbers). Every kept state then carries its eigenvalue of P, each step
 builds and diagonalizes the two parity sectors apart, never the full H,
 and merges their spectra before the cut, and b and sigma_z stay exactly
 parity-odd, so every kept state has <sigma_z> = 0 exactly rather than up
-to truncation noise. With two or more CPUs free, run_on_chain solves the
-second sector on a worker thread while the caller solves the first; each
-solve is the serial step's call on the serial step's matrix, so the bits
-are the serial step's. In the localized phase the ground doublet
+to truncation noise. A run on the main thread with two or more CPUs
+free solves the second sector on a worker thread while it solves the
+first; each solve is the serial step's call on the serial step's matrix,
+so the bits are the serial step's. In the localized phase the ground doublet
 straddles the two sectors, and ground_spin reads its polarized member. A
 biased run labels every state 0 and is the same step with one sector.
 """
@@ -26,8 +26,8 @@ from __future__ import annotations
 
 import contextlib
 import math
-import multiprocessing
 import os
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -51,6 +51,7 @@ __all__ = [
     "run_on_chain",
     "ground_spin",
     "delta_p",
+    "usable_cpus",
 ]
 
 # A parity-blocked ground state and the level above it, from the other
@@ -426,24 +427,31 @@ def delta_p(sigma_z_gs: float) -> float:
     return min(abs(sz), 1.0) / 2.0
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    has one, else every CPU the system reports."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_on_chain(p: SpinBosonParams, chain: WilsonChain, cfg: NrgConfig) -> NrgResult:
     """Run the iteration on an explicit chain (also the test injection point).
 
     Stops after n_iter iterations or when the chain runs out of sites. Zero
-    hoppings (a decoupled chain) do not stop it. A parity-blocked run
-    solves its second sector on one worker thread when two or more CPUs
-    are free, unless this process is itself a multiprocessing child (a
-    sweep's --workers pool), which solves serially so the workers do not
-    oversubscribe the CPUs. The thread lives for this call only: an
-    executor whose thread has started hangs a child forked from it.
+    hoppings (a decoupled chain) do not stop it. A parity-blocked run on
+    the main thread solves its second sector on one worker thread, which
+    lives for this call only, when usable_cpus() is two or more. A run on
+    any other thread, such as one point of a sweep's --workers pool,
+    solves its sectors serially, so the sweep's threads are the only ones
+    that share the CPUs.
     """
     state = build_initial(p, chain, cfg)
     records = [_record(state, cfg)]
     limit = min(cfg.n_iter, chain.n_sites)
     pool = contextlib.nullcontext()
-    if (state.parity.any() and hasattr(os, "sched_getaffinity")
-            and len(os.sched_getaffinity(0)) >= 2
-            and multiprocessing.parent_process() is None):
+    if (state.parity.any() and usable_cpus() >= 2
+            and threading.current_thread() is threading.main_thread()):
         from concurrent.futures import ThreadPoolExecutor  # 7-11 ms to import
 
         pool = ThreadPoolExecutor(max_workers=1)

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from dataclasses import fields
 from pathlib import Path
 
@@ -22,7 +23,7 @@ from sbnrg.cli import (
     main,
     parse_config,
 )
-from sbnrg.nrg import DegeneracyError, NrgConfig, run
+from sbnrg.nrg import DegeneracyError, NrgConfig, NrgError, run
 from sbnrg.oracle import EdProblem, exact_diag
 
 from conftest import CRITICAL_PAYLOAD
@@ -35,32 +36,40 @@ def write_config(tmp_path, payload, name="config.json"):
 
 
 # Runs sbnrg critical serially, then with --workers 2, in one process, and
-# prints how many sector thread pools the parent built. A pool built in a
-# worker child fails that child's point, and with it the run.
+# prints the thread count of every thread pool built, in order. A pool
+# built on a sweep thread fails that thread's point, and with it the run.
 SERIAL_THEN_WORKERS = """
-import concurrent.futures, multiprocessing, sys
+import concurrent.futures, sys, threading
 from pathlib import Path
 
 
-class ParentOnlyPool(concurrent.futures.ThreadPoolExecutor):
-    built = 0
+class MainThreadPool(concurrent.futures.ThreadPoolExecutor):
+    built = []
 
-    def __init__(self, *args, **kwargs):
-        if multiprocessing.parent_process() is not None:
-            raise AssertionError("a --workers child built a sector pool")
-        ParentOnlyPool.built += 1
-        super().__init__(*args, **kwargs)
+    def __init__(self, max_workers):
+        if threading.current_thread() is not threading.main_thread():
+            raise AssertionError("a sweep thread built a sector pool")
+        MainThreadPool.built.append(max_workers)
+        super().__init__(max_workers)
 
 
-concurrent.futures.ThreadPoolExecutor = ParentOnlyPool
+concurrent.futures.ThreadPoolExecutor = MainThreadPool
 from sbnrg.cli import main
 
 config, out = sys.argv[1], Path(sys.argv[2])
 assert main(["critical", "--config", config, "--out", str(out / "serial")]) == 0
 assert main(["critical", "--config", config, "--out", str(out / "workers"),
              "--workers", "2"]) == 0
-print(ParentOnlyPool.built)
+print(*MainThreadPool.built)
 """
+
+
+def src_env() -> dict:
+    """The environment with this checkout's sbnrg first on PYTHONPATH."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
 
 RUN_PAYLOAD = {
     "model": {"delta": 0.05, "alpha": 0.3},
@@ -454,12 +463,14 @@ class TestMapCircuitMode:
         assert not out.exists()
 
 
+ORACLE_PAYLOAD = {"oracle": {"delta": 0.3, "epsilon": 0.1,
+                             "modes": [[0.5, 0.2]], "n_max": 8}}
+
+
 class TestOracleMode:
     def test_matches_library(self, tmp_path):
-        payload = {"oracle": {"delta": 0.3, "epsilon": 0.1,
-                              "modes": [[0.5, 0.2]], "n_max": 8}}
         out = tmp_path / "out"
-        cfg = write_config(tmp_path, payload)
+        cfg = write_config(tmp_path, ORACLE_PAYLOAD)
         assert main(["oracle", "--config", cfg, "--out", str(out)]) == EXIT_OK
         doc = json.loads((out / "oracle.json").read_text())
         ref = exact_diag(EdProblem(delta=0.3, epsilon=0.1,
@@ -504,29 +515,77 @@ class TestSweepMode:
 
     def test_pool_is_capped_by_cpus(self, monkeypatch):
         # --workers 10000 on a 3-point grid with 2 usable CPUs starts 2
+        # threads, also where the platform has no sched_getaffinity
+        import concurrent.futures
+
         started = []
 
-        class SerialPool:
-            def __init__(self, processes):
-                started.append(processes)
+        class CountedPool(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                started.append(max_workers)
+                super().__init__(max_workers)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, func, tasks, chunksize=1):
-                return [func(t) for t in tasks]
-
-        monkeypatch.setattr(cli.multiprocessing, "Pool", SerialPool)
-        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1},
-                            raising=False)
-        monkeypatch.setattr(cli, "_run_point", lambda task: task[0].alpha)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountedPool)
+        monkeypatch.setattr(cli.nrg, "run", lambda params, config: params.alpha)
         cfg = parse_config(json.dumps(self.PAYLOAD), mode="sweep",
                            workers=10000)
-        assert cli._run_sweep_points(cfg) == list(cfg.sweep.values)
-        assert started == [2]
+        with monkeypatch.context() as m:
+            m.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+            assert cli._run_sweep_points(cfg) == list(cfg.sweep.values)
+        with monkeypatch.context() as m:
+            m.delattr(os, "sched_getaffinity", raising=False)
+            m.setattr(os, "cpu_count", lambda: 2)
+            assert cli._run_sweep_points(cfg) == list(cfg.sweep.values)
+        assert started == [2, 2]
+
+    def test_points_are_the_parsed_models(self, monkeypatch):
+        # each point runs the model parse_config built and checked, in grid order
+        seen = []
+        monkeypatch.setattr(cli.nrg, "run",
+                            lambda params, config: seen.append(params))
+        cfg = parse_config(json.dumps(self.PAYLOAD), mode="sweep")
+        cli._run_sweep_points(cfg)
+        assert [p.alpha for p in cfg.sweep.models] == list(cfg.sweep.values)
+        assert all(a is b for a, b in zip(seen, cfg.sweep.models, strict=True))
+
+    @pytest.mark.parametrize("error,code", [
+        (NrgError("iteration 3: eigh did not converge"), EXIT_NUMERICAL),
+        (DegeneracyError("kept set 90 exceeds 2 n_s = 80"), EXIT_CONFIG),
+    ], ids=["numerical", "degeneracy"])
+    def test_failed_point_stops_the_threads(self, tmp_path, monkeypatch,
+                                            error, code):
+        # the first of 8 points fails at once and every other takes 0.2 s, so
+        # with 2 threads at most 2 more start before the error cancels the rest
+        calls = []
+
+        def point(params, config):
+            calls.append(params.alpha)
+            if params.alpha == 0.1:
+                raise error
+            time.sleep(0.2)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        monkeypatch.setattr(cli.nrg, "run", point)
+        payload = {**self.PAYLOAD, "sweep": {
+            "parameter": "alpha", "grid": {"values": [0.1 * i for i in range(1, 9)]}}}
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, payload)
+        assert main(["sweep", "--config", cfg, "--out", str(out),
+                     "--workers", "2"]) == code
+        assert 0.1 in calls and len(calls) <= 3
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["failure"] == f"{type(error).__name__}: {error}"
+
+    def test_import_loads_no_pool(self):
+        # the thread pool is imported only by a run that starts one
+        probe = ("import sys, sbnrg.cli; print(*sorted(m for m in "
+                 "('multiprocessing', 'concurrent.futures') if m in sys.modules))")
+        proc = subprocess.run([sys.executable, "-c", probe], env=src_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == ""
 
     def test_no_crossing_writes_nan(self, tmp_path):
         payload = {
@@ -564,21 +623,19 @@ class TestCriticalMode:
         assert fit["threshold"] == 0.3
 
     def test_workers_after_serial_run(self, tmp_path):
-        # A serial run starts and stops its sector thread; a --workers run
-        # in the same process then forks children that must neither hang on
-        # that thread nor start their own. A fresh interpreter under a
-        # timeout turns a hang into a failure.
+        # A serial run starts and stops its sector thread per point; a
+        # --workers run in the same process then runs its points on sweep
+        # threads, which must start no sector thread of their own. A fresh
+        # interpreter under a timeout turns a hang into a failure.
         cfg = write_config(tmp_path, self.PAYLOAD)
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
         proc = subprocess.run(
             [sys.executable, "-c", SERIAL_THEN_WORKERS, cfg, str(tmp_path)],
-            env=env, capture_output=True, text=True, timeout=300)
+            env=src_env(), capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
-        pools = 4 if len(os.sched_getaffinity(0)) >= 2 else 0
-        # one per serial point, none in the children
-        assert int(proc.stdout.splitlines()[-1]) == pools
+        # one 1-thread sector pool per serial point, then the 2-thread sweep
+        # pool and nothing on its threads; with one CPU, no pool at all
+        pools = "1 1 1 1 2" if cli.nrg.usable_cpus() >= 2 else ""
+        assert proc.stdout.splitlines()[-1] == pools
         serial, workers = tmp_path / "serial", tmp_path / "workers"
         names = sorted(p.name for p in serial.iterdir())
         assert names == sorted(p.name for p in workers.iterdir())
@@ -614,6 +671,41 @@ class TestExitCodes:
         code = main(["run", "--config", str(cfg),
                      "--out", str(tmp_path / "out")])
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("mode,payload,block", [
+        ("run", RUN_PAYLOAD, "sweep"),
+        ("run", RUN_PAYLOAD, "critical"),
+        ("run", RUN_PAYLOAD, "oracle"),
+        ("run", RUN_PAYLOAD, "circuit"),
+        ("chain", RUN_PAYLOAD, "sweep"),
+        ("sweep", TestSweepMode.PAYLOAD, "oracle"),
+        ("critical", CRITICAL_PAYLOAD, "circuit"),
+        ("map-circuit", TestMapCircuitMode.PAYLOAD, "model"),
+        ("oracle", ORACLE_PAYLOAD, "nrg"),
+    ])
+    def test_block_the_mode_does_not_read(self, tmp_path, monkeypatch, capsys,
+                                          mode, payload, block):
+        # once dropped in silence: `run` with a sweep block ran one point
+        blocks = {"sweep": {"parameter": "alpha", "grid": {"values": [0.1]}},
+                  "critical": {"threshold": 0.3},
+                  "oracle": {"delta": 0.2, "modes": [[0.5, 0.1]]},
+                  "circuit": {"c_j": 1e-12},
+                  "model": {"delta": 0.1},
+                  "nrg": {"n_s": 40}}
+
+        def started(cfg):
+            raise AssertionError("execute ran on an invalid config")
+
+        monkeypatch.setattr(cli, "execute", started)
+        config = {**payload, block: blocks[block]}
+        out = tmp_path / "out"
+        assert main([mode, "--config", write_config(tmp_path, config),
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert f"unknown key {block}" in capsys.readouterr().err
+        assert not out.exists()
+        with pytest.warns(RuntimeWarning, match=f"^ignoring unknown key {block}$"):
+            lenient = parse_config(json.dumps(config), mode=mode, strict=False)
+        assert lenient == parse_config(json.dumps(payload), mode=mode)
 
     def test_unknown_key_strict_vs_lenient(self, tmp_path):
         payload = dict(RUN_PAYLOAD, extras={"note": 1})

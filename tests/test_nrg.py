@@ -1,4 +1,3 @@
-import multiprocessing
 import os
 from dataclasses import replace
 
@@ -326,18 +325,21 @@ class TestMechanics:
             vals, [rec.energies[1] for rec in r.flow.records]
         )
 
-    @pytest.mark.parametrize("epsilon,cpus,parent,pools", [
-        (0.0, {0, 1}, None, 1),
-        (0.0, {0}, None, 0),
-        (0.0, {0, 1}, "a sweep pool", 0),
-        (1e-3, {0, 1}, None, 0),
-    ], ids=["two-cpus", "one-cpu", "pool-child", "biased"])
+    @pytest.mark.parametrize("epsilon,cpus,on_main,pools", [
+        (0.0, {0, 1}, True, 1),
+        (0.0, {0}, True, 0),
+        (0.0, {0, 1}, False, 0),
+        (1e-3, {0, 1}, True, 0),
+        (0.0, None, True, 1),
+    ], ids=["two-cpus", "one-cpu", "sweep-thread", "biased", "no-affinity"])
     def test_sector_thread_needs_two_sectors_and_two_cpus(
-            self, monkeypatch, epsilon, cpus, parent, pools):
-        # the run starts its sector thread only where it pays, and no step
-        # moves a bit with it
+            self, monkeypatch, epsilon, cpus, on_main, pools):
+        # the run starts its sector thread only on the main thread and where
+        # it pays, and no step moves a bit with it; cpus None is a platform
+        # without sched_getaffinity and two CPUs
         import concurrent.futures
 
+        sweep_pool = concurrent.futures.ThreadPoolExecutor
         p = SpinBosonParams(delta=0.05, alpha=0.6, epsilon=epsilon)
         cfg = NrgConfig(n_s=30, n_b=4, n_iter=8)
         chain = chain_map(discretize(p, cfg.Lambda, cfg.chain_length))
@@ -364,13 +366,28 @@ class TestMechanics:
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountedPool)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
-        monkeypatch.setattr(multiprocessing, "parent_process", lambda: parent)
-        got = states()
+        if cpus is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        if on_main:
+            got = states()
+        else:
+            with sweep_pool(max_workers=1) as sweep:
+                got = sweep.submit(states).result(timeout=300)
         assert len(built) == pools
         assert len(got) == len(serial) == cfg.n_iter - 1
         for a, b in zip(got, serial):
             assert_same_state(a, b)
+
+    def test_usable_cpus_without_affinity(self, monkeypatch):
+        # a platform without sched_getaffinity (macOS) counts every CPU
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert nrg.usable_cpus() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert nrg.usable_cpus() == 1
 
     def test_tiny_hoppings_run_every_iteration(self):
         # at Lambda = 4 the hopping reaches 1e-30 near site 50 of 60
