@@ -197,12 +197,12 @@ def qubit_spectrum(p: CircuitParams, ej_ec_threshold: float = 100.0) -> QubitSpe
     )
 
 
-def _splitting(p: CircuitParams, delta_convention: str) -> tuple[QubitSpectrum, float]:
-    """The junction spectrum and the qubit splitting (rad/s) the convention names."""
+def _splitting(p: CircuitParams, delta_convention: str) -> float:
+    """The qubit splitting (rad/s) the convention names."""
     if delta_convention not in DELTA_CONVENTIONS:
         raise ValueError(f"unknown delta convention {delta_convention!r}")
     spec = qubit_spectrum(p)
-    return spec, spec.omega_10 if delta_convention == "omega10" else 0.5 * spec.omega_p
+    return spec.omega_10 if delta_convention == "omega10" else 0.5 * spec.omega_p
 
 
 def map_to_spin_boson(p: CircuitParams, omega_c: float,
@@ -212,13 +212,15 @@ def map_to_spin_boson(p: CircuitParams, omega_c: float,
 
     alpha = (Delta / hbar pi)(C_0^2 / C) sqrt(l/c) and delta is the
     splitting frequency over omega_c. The splitting follows
-    delta_convention; see DELTA_CONVENTIONS. Bias epsilon starts at zero
+    delta_convention; see DELTA_CONVENTIONS. omega_c must lie above that
+    splitting, so delta < 1, or ValueError. Bias epsilon starts at zero
     (see microwave_bias for driving). Warns when alpha leaves the
     experimentally motivated window.
     """
-    spec, split = _splitting(p, delta_convention)
-    if omega_c <= spec.omega_10:
-        raise ValueError("cutoff omega_c must lie above the qubit splitting")
+    split = _splitting(p, delta_convention)
+    if omega_c <= split:
+        raise ValueError("cutoff omega_c must lie above the qubit splitting, "
+                         f"{split:.6g} rad/s under {delta_convention}")
     alpha = (split / math.pi) * (p.c_0 ** 2 / p.c_total) * p.impedance
     if alpha > 0 and not alpha_window[0] <= alpha <= alpha_window[1]:
         warnings.warn(
@@ -258,7 +260,7 @@ def finite_line_modes(p: CircuitParams, length: float, n_c: int,
         raise ValueError("line length must be positive")
     if n_c < 1:
         raise ValueError("need at least one mode")
-    delta_energy = CODATA.h_bar * _splitting(p, delta_convention)[1]
+    delta_energy = CODATA.h_bar * _splitting(p, delta_convention)
     spacing = math.pi / (length * math.sqrt(p.l * p.c))
     ctot = p.c_total
     modes = []

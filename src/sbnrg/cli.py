@@ -6,12 +6,14 @@ sha256 digests into --out, and exits 0 on success, 2 on config errors,
 3 on numerical failures (a MemoryError counts as one), 4 on I/O errors.
 A DegeneracyError (a boundary multiplet wider than 2 n_s at truncation)
 exits 2: its remedy is a config change, raising n_s or shrinking
-degeneracy_tol, and the class subclasses ValueError. Unknown config keys
-are errors, and so is a top-level block the subcommand does not read;
-with --no-strict each one is ignored with a RuntimeWarning naming its
-path. --workers N runs up to N sweep points at once, each on its own
-thread. Outputs are byte-identical across reruns and worker counts; only
-manifest timestamps differ.
+degeneracy_tol, and the class subclasses ValueError. A config block's
+keys are the fields of the dataclass it builds, in lower case. Unknown
+config keys are errors, and so is a top-level block the subcommand does
+not read; with --no-strict each one is ignored with a RuntimeWarning
+naming its path. --workers N runs up to N sweep points at once, each on
+its own thread; a failed point or an interrupt ends the running points
+before their next iteration. Outputs are byte-identical across reruns and
+worker counts; only manifest timestamps differ.
 """
 
 from __future__ import annotations
@@ -21,10 +23,12 @@ import hashlib
 import json
 import math
 import sys
+import threading
 import warnings
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -50,16 +54,7 @@ EXIT_IO = 4
 
 MODES = ("map-circuit", "chain", "run", "sweep", "critical", "oracle")
 
-_MODEL_KEYS = {f.name: float for f in fields(SpinBosonParams)}
-_NRG_KEYS = {"lambda": float, "n_s": int, "n_b": int, "n_iter": int,
-             "degeneracy_tol": float, "flow_levels": int, "n_star": int}
-_CIRCUIT_KEYS = {"c_j": float, "c_0": float, "i_0": float, "i_b": float,
-                 "l": float, "c": float, "omega_c": float,
-                 "delta_convention": str, "i_uw": float, "line_length": float,
-                 "n_modes": int, "ej_ec_threshold": float}
 _SWEEP_KEYS = {"parameter": str, "grid": dict}
-_CRITICAL_KEYS = {"threshold": float, "window": float}
-_ORACLE_KEYS = {"delta": float, "epsilon": float, "modes": list, "n_max": int}
 # the top-level keys each subcommand reads; any other is an unknown key
 _MODE_KEYS = {
     "map-circuit": {"mode", "circuit"},
@@ -90,8 +85,48 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class CriticalSpec:
+    """The N* threshold, and the window of the pole fit."""
+
     threshold: float = criticality.DEFAULT_THRESHOLD
     window: float | None = None
+
+    def __post_init__(self):
+        for name in ("threshold", "window"):
+            value = getattr(self, name)
+            if value is not None and value <= 0:
+                raise ConfigError(f"critical.{name} must be positive")
+
+
+@dataclass(frozen=True)
+class CircuitSpec:
+    """The circuit, and what map-circuit derives from it: omega_c (rad/s)
+    adds the spin-boson model, i_uw (A) the microwave bias, line_length (m)
+    the first n_modes modes of a line that long; ej_ec_threshold is the
+    E_J/E_C ratio the qubit spectrum must exceed to count as valid."""
+
+    params: CircuitParams
+    omega_c: float | None = None
+    delta_convention: str = "omega10"
+    i_uw: float | None = None
+    line_length: float | None = None
+    n_modes: int = 10
+    ej_ec_threshold: float = 100.0
+
+    def __post_init__(self):
+        if self.delta_convention not in DELTA_CONVENTIONS:
+            raise ConfigError(
+                f"circuit.delta_convention must be one of {DELTA_CONVENTIONS}")
+        if self.line_length is not None and self.line_length <= 0:
+            raise ConfigError("circuit.line_length must be positive")
+        if self.n_modes < 1:
+            raise ConfigError("circuit.n_modes must be at least 1")
+        if self.n_modes > MAX_LINE_MODES:
+            raise ConfigError(f"circuit.n_modes must be at most {MAX_LINE_MODES}")
+        if self.omega_c is not None:  # the mapping execute runs, checked now
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # execute warns once
+                map_to_spin_boson(self.params, self.omega_c,
+                                  delta_convention=self.delta_convention)
 
 
 @dataclass(frozen=True)
@@ -101,8 +136,7 @@ class RunConfig:
     workers: int
     model: SpinBosonParams | None = None
     nrg_config: nrg.NrgConfig | None = None
-    circuit: CircuitParams | None = None
-    circuit_block: dict | None = None
+    circuit: CircuitSpec | None = None
     sweep: SweepSpec | None = None
     critical: CriticalSpec = CriticalSpec()
     oracle_problem: oracle.EdProblem | None = None
@@ -130,7 +164,6 @@ _TYPE_CHECKS = {
     int: (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
     str: (lambda v: isinstance(v, str), "a string"),
     dict: (lambda v: isinstance(v, dict), "an object"),
-    list: (lambda v: isinstance(v, list), "a list"),
 }
 
 
@@ -141,19 +174,73 @@ def _grid_numbers(values: list, what: str) -> tuple[float, ...]:
     return tuple(float(v) for v in values)
 
 
-def _typed(block: dict, allowed: dict, path: str, strict: bool) -> dict:
+def _fields(cls):
+    """(field, key, type) for each field of a config block's dataclass: the
+    key is the field's name in lower case, the type X of X | None."""
+    hints = get_type_hints(cls)
+    for f in fields(cls):
+        tp = hints[f.name]
+        if type(None) in get_args(tp):
+            (tp,) = (arg for arg in get_args(tp) if arg is not type(None))
+        yield f, f.name.lower(), tp
+
+
+def _keys(cls) -> dict:
+    """The keys of cls's config block, each with its value's type; a field
+    that is itself a dataclass adds that class's keys to the block."""
+    keys = {}
+    for _, key, tp in _fields(cls):
+        keys.update(_keys(tp) if is_dataclass(tp) else {key: tp})
+    return keys
+
+
+def _value(value, tp, path: str):
+    """The JSON value at path as the type tp. A tuple[X, ...] takes a list
+    of X, and a tuple of n X a list of n X."""
+    if get_origin(tp) is tuple:
+        item, *rest = get_args(tp)
+        size = None if rest == [Ellipsis] else 1 + len(rest)
+        if not isinstance(value, list) or size not in (None, len(value)):
+            raise ConfigError(f"{path} must be a list"
+                              + (f" of {size}" if size else ""))
+        return tuple(_value(v, item, f"{path}[{i}]") for i, v in enumerate(value))
+    check, noun = _TYPE_CHECKS[tp]
+    if not check(value):
+        raise ConfigError(f"{path} must be {noun}")
+    return float(value) if tp is float else value
+
+
+def _typed(block: dict, keys: dict, path: str, strict: bool) -> dict:
     if not isinstance(block, dict):
         raise ConfigError(f"{path} must be an object")
     out = {}
     for key, value in block.items():
-        if key not in allowed:
+        if key not in keys:
             _unknown_key(f"{path}.{key}", strict)
             continue
-        check, noun = _TYPE_CHECKS[allowed[key]]
-        if not check(value):
-            raise ConfigError(f"{path}.{key} must be {noun}")
-        out[key] = float(value) if allowed[key] is float else value
+        out[key] = _value(value, keys[key], f"{path}.{key}")
     return out
+
+
+def _build(cls, block: dict, path: str):
+    """cls from the typed config block at path. A dataclass field is built
+    from the same block; any other takes its key, required if it has no
+    default. cls's ValueError becomes a ConfigError that names path; its
+    ConfigError, which names the key, passes unchanged."""
+    kwargs = {}
+    for f, key, tp in _fields(cls):
+        if is_dataclass(tp):
+            kwargs[f.name] = _build(tp, block, path)
+        elif key in block:
+            kwargs[f.name] = block[key]
+        elif f.default is MISSING:
+            raise ConfigError(f"{path}.{key} is required")
+    try:
+        return cls(**kwargs)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def _resolve_grid(grid: dict, path: str) -> tuple[float, ...]:
@@ -189,57 +276,6 @@ def _resolve_grid(grid: dict, path: str) -> tuple[float, ...]:
     return out
 
 
-def _build_model(block: dict) -> SpinBosonParams:
-    if "delta" not in block:
-        raise ConfigError("model.delta is required")
-    try:
-        return SpinBosonParams(**block)
-    except ValueError as exc:
-        raise ConfigError(f"model: {exc}") from None
-
-
-def _build_circuit(block: dict) -> CircuitParams:
-    names = [f.name for f in fields(CircuitParams)]
-    for name in names:
-        if name not in block:
-            raise ConfigError(f"circuit.{name} is required")
-    try:
-        return CircuitParams(**{name: block[name] for name in names})
-    except ValueError as exc:
-        raise ConfigError(f"circuit: {exc}") from None
-
-
-def _build_nrg(block: dict) -> nrg.NrgConfig:
-    kwargs = dict(block)
-    if "lambda" in kwargs:
-        kwargs["Lambda"] = kwargs.pop("lambda")
-    try:
-        return nrg.NrgConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"nrg: {exc}") from None
-
-
-def _build_oracle(block: dict) -> oracle.EdProblem:
-    for key in ("delta", "modes"):
-        if key not in block:
-            raise ConfigError(f"oracle.{key} is required")
-    modes = []
-    for i, pair in enumerate(block["modes"]):
-        if (not isinstance(pair, (list, tuple)) or len(pair) != 2
-                or not all(_is_number(x) for x in pair)):
-            raise ConfigError(f"oracle.modes[{i}] must be a [frequency, coupling] pair")
-        modes.append((float(pair[0]), float(pair[1])))
-    try:
-        return oracle.EdProblem(
-            delta=block["delta"],
-            epsilon=block.get("epsilon", 0.0),
-            modes=tuple(modes),
-            n_max=block.get("n_max", 20),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"oracle: {exc}") from None
-
-
 def parse_config(text: str, mode: str, strict: bool = True,
                  out_dir: str = "./out", workers: int = 1) -> RunConfig:
     """Validate the JSON config text against the chosen subcommand."""
@@ -265,47 +301,26 @@ def parse_config(text: str, mode: str, strict: bool = True,
                 f"config mode {raw['mode']!r} conflicts with subcommand {mode!r}"
             )
 
-    model = None
-    nrg_config = None
-    circuit = None
-    circuit_block = None
-    sweep = None
+    model = nrg_config = circuit = sweep = oracle_problem = None
     critical = CriticalSpec()
-    oracle_problem = None
+
+    def read(cls, name: str, keys: dict | None = None):
+        block = _typed(raw.get(name, {}), keys or _keys(cls), name, strict)
+        return _build(cls, block, name)
 
     if mode == "map-circuit":
         if "circuit" not in raw:
             raise ConfigError("map-circuit requires a circuit block")
-        circuit_block = _typed(raw["circuit"], _CIRCUIT_KEYS, "circuit", strict)
-        circuit = _build_circuit(circuit_block)
-        conv = circuit_block.get("delta_convention", "omega10")
-        if conv not in DELTA_CONVENTIONS:
-            raise ConfigError(f"circuit.delta_convention must be one of {DELTA_CONVENTIONS}")
-        if circuit_block.get("line_length", 1.0) <= 0:
-            raise ConfigError("circuit.line_length must be positive")
-        if circuit_block.get("n_modes", 10) < 1:
-            raise ConfigError("circuit.n_modes must be at least 1")
-        if circuit_block.get("n_modes", 10) > MAX_LINE_MODES:
-            raise ConfigError(f"circuit.n_modes must be at most {MAX_LINE_MODES}")
-        if "omega_c" in circuit_block:  # the mapping execute runs, checked now
-            try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")  # execute warns once
-                    map_to_spin_boson(circuit, circuit_block["omega_c"],
-                                      delta_convention=conv)
-            except ValueError as exc:
-                raise ConfigError(f"circuit: {exc}") from None
+        circuit = read(CircuitSpec, "circuit")
     elif mode == "oracle":
         if "oracle" not in raw:
             raise ConfigError("oracle mode requires an oracle block")
-        oracle_problem = _build_oracle(
-            _typed(raw["oracle"], _ORACLE_KEYS, "oracle", strict)
-        )
+        oracle_problem = read(oracle.EdProblem, "oracle")
     else:
         if "model" not in raw:
             raise ConfigError(f"{mode} requires a model block")
-        model = _build_model(_typed(raw["model"], _MODEL_KEYS, "model", strict))
-        nrg_config = _build_nrg(_typed(raw.get("nrg", {}), _NRG_KEYS, "nrg", strict))
+        model = read(SpinBosonParams, "model")
+        nrg_config = read(nrg.NrgConfig, "nrg")
         if mode in ("sweep", "critical"):
             if "sweep" not in raw:
                 raise ConfigError(f"{mode} requires a sweep block")
@@ -330,15 +345,10 @@ def parse_config(text: str, mode: str, strict: bool = True,
                     f"sweep.grid: critical needs at least {FIT_MIN_POINTS} "
                     "alpha values to fit the divergence"
                 )
-        if "critical" in raw:
-            cblock = _typed(raw["critical"], _CRITICAL_KEYS, "critical", strict)
-            for key, value in cblock.items():
-                if value <= 0:
-                    raise ConfigError(f"critical.{key} must be positive")
-            critical = CriticalSpec(
-                threshold=cblock.get("threshold", criticality.DEFAULT_THRESHOLD),
-                window=cblock.get("window"),
-            )
+            keys = _keys(CriticalSpec)
+            if mode == "sweep":  # only critical fits the pole that a window bounds
+                del keys["window"]
+            critical = read(CriticalSpec, "critical", keys)
 
     return RunConfig(
         mode=mode,
@@ -347,7 +357,6 @@ def parse_config(text: str, mode: str, strict: bool = True,
         model=model,
         nrg_config=nrg_config,
         circuit=circuit,
-        circuit_block=circuit_block,
         sweep=sweep,
         critical=critical,
         oracle_problem=oracle_problem,
@@ -379,11 +388,25 @@ def _run_sweep_points(cfg: RunConfig) -> list[nrg.NrgResult]:
     threads = min(cfg.workers, len(models), nrg.usable_cpus())
     if threads == 1:  # on this thread, where each run may start its sector thread
         return list(map(nrg.run, models, configs))
-    from concurrent.futures import ThreadPoolExecutor  # 7-11 ms to import
+    from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait  # 7-11 ms
 
-    # map yields in grid order, and a point's error cancels the points not started
+    # the first error or an interrupt cancels the points not started, and
+    # stop ends the running ones before their next iteration
+    stop = threading.Event()
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(nrg.run, models, configs))
+        futures = [pool.submit(nrg.run, model, cfg.nrg_config, stop=stop)
+                   for model in models]
+        try:
+            wait(futures, return_when=FIRST_EXCEPTION)
+        finally:
+            stop.set()
+            for future in futures:
+                future.cancel()
+    # the first failed point in grid order raises its own error, not a stopped one's
+    for error in [f.exception() for f in futures if not f.cancelled()]:
+        if error is not None and not isinstance(error, nrg.RunStopped):
+            raise error
+    return [f.result() for f in futures]
 
 
 def _flow_rows(result: nrg.NrgResult):
@@ -400,10 +423,9 @@ def _emit(out: Path, name: str, writer, outputs: list) -> Path:
 
 
 def _do_map_circuit(cfg: RunConfig, out: Path, outputs: list) -> None:
-    params, block = cfg.circuit, cfg.circuit_block
-    conv = block.get("delta_convention", "omega10")
-    threshold = block.get("ej_ec_threshold", 100.0)
-    spec = qubit_spectrum(params, ej_ec_threshold=threshold)
+    circuit = cfg.circuit
+    params, conv = circuit.params, circuit.delta_convention
+    spec = qubit_spectrum(params, ej_ec_threshold=circuit.ej_ec_threshold)
     payload = {
         "qubit": {
             "omega_p": spec.omega_p,
@@ -417,23 +439,21 @@ def _do_map_circuit(cfg: RunConfig, out: Path, outputs: list) -> None:
             "is_valid": spec.is_valid,
         }
     }
-    if "omega_c" in block:
-        sb = map_to_spin_boson(params, block["omega_c"], delta_convention=conv)
+    if circuit.omega_c is not None:
+        sb = map_to_spin_boson(params, circuit.omega_c, delta_convention=conv)
         payload["spin_boson"] = {
             "delta": sb.delta, "epsilon": sb.epsilon, "alpha": sb.alpha,
             "s": sb.s, "omega_c": sb.omega_c,
             "delta_convention": conv,
         }
-    if "i_uw" in block:
-        bias = microwave_bias(params, block["i_uw"])
+    if circuit.i_uw is not None:
+        bias = microwave_bias(params, circuit.i_uw)
         payload["bias_j"] = bias
-        if "omega_c" in block:
-            payload["bias"] = bias / (CODATA.h_bar * block["omega_c"])
-    if "line_length" in block:
-        lm = finite_line_modes(
-            params, block["line_length"], block.get("n_modes", 10),
-            delta_convention=conv,
-        )
+        if circuit.omega_c is not None:
+            payload["bias"] = bias / (CODATA.h_bar * circuit.omega_c)
+    if circuit.line_length is not None:
+        lm = finite_line_modes(params, circuit.line_length, circuit.n_modes,
+                               delta_convention=conv)
         payload["line_modes"] = [
             {"n": i + 1, "omega": w, "lambda_j": lam}
             for i, (w, lam) in enumerate(lm.modes)
@@ -548,29 +568,28 @@ _HANDLERS = {
 }
 
 
+def _echo(obj) -> dict:
+    """A config block's keys and the values its dataclass holds."""
+    echo = {}
+    for name, value in asdict(obj).items():
+        if isinstance(value, dict):  # a nested dataclass: its keys are the block's
+            echo.update(value)
+        else:
+            echo[name.lower()] = value
+    return echo
+
+
 def config_echo(cfg: RunConfig) -> dict:
     echo: dict = {"mode": cfg.mode, "out_dir": cfg.out_dir, "workers": cfg.workers}
-    if cfg.model is not None:
-        echo["model"] = asdict(cfg.model)
-    if cfg.nrg_config is not None:
-        d = asdict(cfg.nrg_config)
-        d["lambda"] = d.pop("Lambda")
-        echo["nrg"] = d
-    if cfg.circuit_block is not None:
-        echo["circuit"] = dict(cfg.circuit_block)
+    for name, block in (("model", cfg.model), ("nrg", cfg.nrg_config),
+                        ("circuit", cfg.circuit), ("oracle", cfg.oracle_problem)):
+        if block is not None:
+            echo[name] = _echo(block)
     if cfg.sweep is not None:
         echo["sweep"] = {"parameter": cfg.sweep.parameter,
                          "values": list(cfg.sweep.values)}
     if cfg.mode in ("sweep", "critical"):
-        echo["critical"] = {"threshold": cfg.critical.threshold,
-                            "window": cfg.critical.window}
-    if cfg.oracle_problem is not None:
-        echo["oracle"] = {
-            "delta": cfg.oracle_problem.delta,
-            "epsilon": cfg.oracle_problem.epsilon,
-            "modes": [list(m) for m in cfg.oracle_problem.modes],
-            "n_max": cfg.oracle_problem.n_max,
-        }
+        echo["critical"] = _echo(cfg.critical)
     return echo
 
 

@@ -45,6 +45,7 @@ __all__ = [
     "NrgResult",
     "NrgError",
     "DegeneracyError",
+    "RunStopped",
     "build_initial",
     "iterate",
     "run",
@@ -70,6 +71,10 @@ class NrgError(RuntimeError):
 
 class DegeneracyError(ValueError):
     """Degeneracy extension blew past 2 n_s; the configuration is pathological."""
+
+
+class RunStopped(RuntimeError):
+    """A run ended before its last iteration because its stop event was set."""
 
 
 @dataclass(frozen=True)
@@ -435,11 +440,14 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def run_on_chain(p: SpinBosonParams, chain: WilsonChain, cfg: NrgConfig) -> NrgResult:
+def run_on_chain(p: SpinBosonParams, chain: WilsonChain, cfg: NrgConfig, *,
+                 stop: threading.Event | None = None) -> NrgResult:
     """Run the iteration on an explicit chain (also the test injection point).
 
     Stops after n_iter iterations or when the chain runs out of sites. Zero
-    hoppings (a decoupled chain) do not stop it. A parity-blocked run on
+    hoppings (a decoupled chain) do not stop it. Given stop, the run reads
+    it before each iteration and raises RunStopped once another thread has
+    set it, so a sweep can end its running points. A parity-blocked run on
     the main thread solves its second sector on one worker thread, which
     lives for this call only, when usable_cpus() is two or more. A run on
     any other thread, such as one point of a sweep's --workers pool,
@@ -457,6 +465,8 @@ def run_on_chain(p: SpinBosonParams, chain: WilsonChain, cfg: NrgConfig) -> NrgR
         pool = ThreadPoolExecutor(max_workers=1)
     with pool as sector_pool:
         for m in range(1, limit):
+            if stop is not None and stop.is_set():
+                raise RunStopped(f"stopped before iteration {m}")
             try:
                 state = iterate(state, chain, cfg, sector_pool)
             except DegeneracyError as exc:
@@ -477,11 +487,13 @@ def run_on_chain(p: SpinBosonParams, chain: WilsonChain, cfg: NrgConfig) -> NrgR
     )
 
 
-def run(p: SpinBosonParams, cfg: NrgConfig) -> NrgResult:
+def run(p: SpinBosonParams, cfg: NrgConfig, *,
+        stop: threading.Event | None = None) -> NrgResult:
     """Full pipeline: discretize, chain map, iterate, observables.
 
     At alpha = 0 the chain map gives the decoupled chain, so the boson
-    sector is still represented and the flow has its usual shape.
+    sector is still represented and the flow has its usual shape. stop
+    goes to run_on_chain.
     """
     star = bath.discretize(p, cfg.Lambda, cfg.chain_length)
-    return run_on_chain(p, bath.chain_map(star), cfg)
+    return run_on_chain(p, bath.chain_map(star), cfg, stop=stop)

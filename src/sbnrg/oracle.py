@@ -37,9 +37,9 @@ class EdProblem:
     """
 
     delta: float
-    epsilon: float
     modes: tuple[tuple[float, float], ...]
-    n_max: int
+    epsilon: float = 0.0
+    n_max: int = 20
 
     def __post_init__(self):
         object.__setattr__(

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -131,6 +132,33 @@ class TestMapToSpinBoson:
     def test_cutoff_must_clear_splitting(self):
         with pytest.raises(ValueError):
             map_to_spin_boson(REFERENCE, 1e10)
+
+    @pytest.mark.parametrize("convention,cutoff,valid", [
+        ("omega10", 0.95 * (1 + 1e-9), True),
+        ("omega10", 0.95 * (1 - 1e-9), False),
+        ("omega10", 0.7, False),
+        ("half_omega_p", 0.5 * (1 + 1e-9), True),
+        ("half_omega_p", 0.5 * (1 - 1e-9), False),
+        ("half_omega_p", 0.7, True),
+    ], ids=["omega10-above", "omega10-below", "omega10-0.7",
+            "half_omega_p-above", "half_omega_p-below", "half_omega_p-0.7"])
+    def test_cutoff_bound_is_the_conventions_splitting(self, convention,
+                                                       cutoff, valid):
+        # omega_c = cutoff * omega_p against omega_10 = 0.95 omega_p or
+        # omega_p / 2; 0.7 omega_p once failed under half_omega_p as well
+        p = make(i_b=0.95 * 2e-6)
+        omega_p = qubit_spectrum(p).omega_p
+        split = 0.95 * omega_p if convention == "omega10" else 0.5 * omega_p
+        omega_c = cutoff * omega_p
+        if valid:
+            sb = map_to_spin_boson(p, omega_c, delta_convention=convention,
+                                   alpha_window=(0.0, math.inf))
+            assert sb.delta == pytest.approx(split / omega_c, rel=1e-12)
+        else:
+            with pytest.raises(ValueError, match=re.escape(
+                    f"above the qubit splitting, {split:.6g} rad/s "
+                    f"under {convention}")):
+                map_to_spin_boson(p, omega_c, delta_convention=convention)
 
     def test_unknown_convention(self):
         with pytest.raises(ValueError):

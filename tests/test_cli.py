@@ -3,21 +3,29 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import time
-from dataclasses import fields
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import pytest
 
 from sbnrg import cli
 from sbnrg.bath import chain_map, discretize
-from sbnrg.circuit import SpinBosonParams
+from sbnrg.circuit import (
+    DELTA_CONVENTIONS,
+    CircuitParams,
+    SpinBosonParams,
+    qubit_spectrum,
+)
 from sbnrg.cli import (
     EXIT_CONFIG,
     EXIT_IO,
     EXIT_NUMERICAL,
     EXIT_OK,
+    CircuitSpec,
     ConfigError,
+    CriticalSpec,
     config_echo,
     execute,
     main,
@@ -64,6 +72,34 @@ print(*MainThreadPool.built)
 """
 
 
+# Runs a 4-point sbnrg sweep on 2 threads, each iteration slowed to 0.1 s,
+# sends SIGINT to the main thread once the two running points have made 4
+# iterations between them, and prints how many they made in all.
+INTERRUPTED_SWEEP = """
+import itertools, os, signal, sys, threading, time
+from sbnrg import cli, nrg
+
+real_iterate, calls, count = nrg.iterate, [], itertools.count(1)
+
+
+def slow_iterate(*args, **kwargs):
+    calls.append(threading.get_ident())
+    if next(count) == 4:  # one C call: exactly one thread sees 4
+        signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+    time.sleep(0.1)
+    return real_iterate(*args, **kwargs)
+
+
+nrg.iterate = slow_iterate
+os.sched_getaffinity = lambda pid: {0, 1}
+try:
+    cli.main(["sweep", "--config", sys.argv[1], "--out", sys.argv[2],
+              "--workers", "2"])
+except KeyboardInterrupt:
+    print("interrupted", len(calls), len(set(calls)))
+"""
+
+
 def src_env() -> dict:
     """The environment with this checkout's sbnrg first on PYTHONPATH."""
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -74,6 +110,46 @@ def src_env() -> dict:
 RUN_PAYLOAD = {
     "model": {"delta": 0.05, "alpha": 0.3},
     "nrg": {"n_s": 40, "n_b": 4, "n_iter": 8},
+}
+
+# Each config block with every key it reads, and a value off the default
+# where the field has one: (mode, the other blocks that mode needs, the
+# block, its required keys, names that are no key of it, the RunConfig
+# field it builds, the value built).
+BLOCKS = {
+    "model": ("run", {}, {"delta": 0.05, "epsilon": 0.01, "alpha": 0.3,
+                          "s": 0.9, "omega_c": 2e14},
+              ["delta"], [], "model",
+              SpinBosonParams(delta=0.05, epsilon=0.01, alpha=0.3, s=0.9,
+                              omega_c=2e14)),
+    "nrg": ("run", {"model": {"delta": 0.05}},
+            {"lambda": 2.5, "n_s": 40, "n_b": 4, "n_iter": 8,
+             "degeneracy_tol": 1e-7, "flow_levels": 6, "n_star": 20},
+            [], ["Lambda"], "nrg_config",
+            NrgConfig(Lambda=2.5, n_s=40, n_b=4, n_iter=8, degeneracy_tol=1e-7,
+                      flow_levels=6, n_star=20)),
+    "circuit": ("map-circuit", {},
+                {"c_j": 0.85e-12, "c_0": 4.25e-12, "i_0": 2e-6, "i_b": 1.96e-6,
+                 "l": 4e-7, "c": 1.6e-10, "omega_c": 1e14,
+                 "delta_convention": "half_omega_p", "i_uw": 1e-9,
+                 "line_length": 1.0, "n_modes": 3, "ej_ec_threshold": 50.0},
+                ["c_j", "c_0", "i_0", "i_b", "l", "c"], ["params"], "circuit",
+                CircuitSpec(params=CircuitParams(c_j=0.85e-12, c_0=4.25e-12,
+                                                 i_0=2e-6, i_b=1.96e-6, l=4e-7,
+                                                 c=1.6e-10),
+                            omega_c=1e14, delta_convention="half_omega_p",
+                            i_uw=1e-9, line_length=1.0, n_modes=3,
+                            ej_ec_threshold=50.0)),
+    "critical": ("critical",
+                 {"model": {"delta": 0.05},
+                  "sweep": {"parameter": "alpha",
+                            "grid": {"values": [0.1, 0.2, 0.3, 0.4]}}},
+                 {"threshold": 0.25, "window": 4.0}, [], [], "critical",
+                 CriticalSpec(threshold=0.25, window=4.0)),
+    "oracle": ("oracle", {},
+               {"delta": 0.3, "epsilon": 0.1, "modes": [[0.5, 0.2]], "n_max": 8},
+               ["delta", "modes"], [], "oracle_problem",
+               EdProblem(delta=0.3, epsilon=0.1, modes=((0.5, 0.2),), n_max=8)),
 }
 
 
@@ -89,10 +165,23 @@ class TestParseConfig:
         cfg = parse_config(json.dumps({"model": {"delta": 0.1}}), mode="run")
         assert cfg.nrg_config == NrgConfig()
 
-    def test_nrg_keys_name_the_config_fields(self):
-        # every nrg key is a field of NrgConfig and the reverse
-        keys = {"Lambda" if k == "lambda" else k for k in cli._NRG_KEYS}
-        assert keys == {f.name for f in fields(NrgConfig)}
+    @pytest.mark.parametrize("name", BLOCKS)
+    def test_block_keys_are_the_fields(self, name):
+        mode, others, block, required, unread, field, built = BLOCKS[name]
+
+        def parse(value):
+            return parse_config(json.dumps({**others, name: value}), mode=mode)
+
+        # every field set off its default, so a key that misses its field shows
+        assert all(getattr(built, f.name) != f.default for f in fields(built)
+                   if f.default is not MISSING)
+        assert getattr(parse(block), field) == built
+        for key in required:
+            with pytest.raises(ConfigError, match=f"^{name}.{key} is required$"):
+                parse({k: v for k, v in block.items() if k != key})
+        for key in ("bogus", *unread):
+            with pytest.raises(ConfigError, match=f"^unknown key {name}.{key}$"):
+                parse({**block, key: 1.0})
 
     def test_lambda_key_maps_to_ratio(self):
         payload = {"model": {"delta": 0.1}, "nrg": {"lambda": 3.0}}
@@ -299,7 +388,7 @@ class TestParseConfig:
         for n_modes in (1, cli.MAX_LINE_MODES):
             cfg = parse_config(json.dumps({"circuit": {**block, "n_modes": n_modes}}),
                                mode="map-circuit")
-            assert cfg.circuit_block["n_modes"] == n_modes
+            assert cfg.circuit.n_modes == n_modes
         with pytest.raises(ConfigError, match="n_modes must be at most"):
             parse_config(json.dumps({"circuit": {
                 **block, "n_modes": cli.MAX_LINE_MODES + 1}}), mode="map-circuit")
@@ -325,6 +414,20 @@ class TestParseConfig:
         assert "Lambda" not in echo["nrg"]
         assert echo["sweep"]["values"] == [0.1, 0.2, 0.3, 0.4]
         assert echo["critical"]["threshold"] == 0.3
+        # map-circuit lists every option, with its default where none is given
+        block = {"c_j": 1e-12, "c_0": 1e-12, "i_0": 2e-6, "i_b": 1e-6,
+                 "l": 4e-7, "c": 1.6e-10}
+        echo = config_echo(parse_config(json.dumps({"circuit": block}),
+                                        mode="map-circuit"))
+        assert echo["circuit"] == {
+            **block, "omega_c": None, "delta_convention": "omega10",
+            "i_uw": None, "line_length": None, "n_modes": 10,
+            "ej_ec_threshold": 100.0}
+        echo = config_echo(parse_config(
+            json.dumps({"oracle": {"delta": 0.3, "modes": [[0.5, 0.2]]}}),
+            mode="oracle"))
+        assert json.loads(json.dumps(echo["oracle"])) == {
+            "delta": 0.3, "epsilon": 0.0, "modes": [[0.5, 0.2]], "n_max": 20}
 
 
 class TestRunMode:
@@ -435,6 +538,34 @@ class TestMapCircuitMode:
         assert len(doc["line_modes"]) == 3
         assert doc["line_modes"][0]["n"] == 1
 
+    @pytest.mark.parametrize("convention", DELTA_CONVENTIONS)
+    @pytest.mark.parametrize("factor", [1 + 1e-9, 1 - 1e-9], ids=["above", "below"])
+    def test_cutoff_bound_is_the_conventions_splitting(
+            self, tmp_path, monkeypatch, capsys, convention, factor):
+        # omega_c just above or below the splitting the convention names
+        block = dict(self.PAYLOAD["circuit"], delta_convention=convention)
+        spec = qubit_spectrum(CircuitParams(
+            **{k: block[k] for k in ("c_j", "c_0", "i_0", "i_b", "l", "c")}))
+        split = spec.omega_10 if convention == "omega10" else 0.5 * spec.omega_p
+        block["omega_c"] = factor * split
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, {"circuit": block})
+        if factor < 1:
+            def started(cfg):
+                raise AssertionError("execute ran on an invalid config")
+
+            monkeypatch.setattr(cli, "execute", started)
+        code = main(["map-circuit", "--config", cfg, "--out", str(out)])
+        if factor > 1:
+            assert code == EXIT_OK
+            doc = json.loads((out / "circuit.json").read_text())
+            assert doc["spin_boson"]["delta"] == pytest.approx(1 / factor, rel=1e-12)
+        else:
+            assert code == EXIT_CONFIG
+            assert (f"circuit: cutoff omega_c must lie above the qubit splitting, "
+                    f"{split:.6g} rad/s under {convention}") in capsys.readouterr().err
+            assert not out.exists()
+
     def test_unphysical_circuit_is_config_error(self, tmp_path):
         bad = {"circuit": dict(self.PAYLOAD["circuit"], i_b=3e-6)}
         out = tmp_path / "out"
@@ -526,7 +657,8 @@ class TestSweepMode:
                 super().__init__(max_workers)
 
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountedPool)
-        monkeypatch.setattr(cli.nrg, "run", lambda params, config: params.alpha)
+        monkeypatch.setattr(cli.nrg, "run",
+                            lambda params, config, stop=None: params.alpha)
         cfg = parse_config(json.dumps(self.PAYLOAD), mode="sweep",
                            workers=10000)
         with monkeypatch.context() as m:
@@ -558,7 +690,7 @@ class TestSweepMode:
         # with 2 threads at most 2 more start before the error cancels the rest
         calls = []
 
-        def point(params, config):
+        def point(params, config, stop=None):
             calls.append(params.alpha)
             if params.alpha == 0.1:
                 raise error
@@ -577,6 +709,63 @@ class TestSweepMode:
         manifest = json.loads((out / "run_manifest.json").read_text())
         assert manifest["status"] == "failed"
         assert manifest["failure"] == f"{type(error).__name__}: {error}"
+
+    @pytest.mark.parametrize("error,code", [
+        (NrgError("iteration 3: eigh did not converge"), EXIT_NUMERICAL),
+        (DegeneracyError("kept set 90 exceeds 2 n_s = 80"), EXIT_CONFIG),
+    ], ids=["numerical", "degeneracy"])
+    def test_failed_point_stops_the_running_one(self, tmp_path, monkeypatch,
+                                                error, code):
+        # point 0.2 fails while point 0.1, at 0.1 s per iteration, has 99 to
+        # go: the running point must end within two more iterations, and
+        # the sweep reports 0.2's error, not 0.1's stop, though 0.1 comes first
+        real_run, real_iterate = cli.nrg.run, cli.nrg.iterate
+        iterating, calls, failed_at = threading.Event(), [], []
+
+        def slow_iterate(*args, **kwargs):
+            calls.append(1)
+            iterating.set()
+            time.sleep(0.1)
+            return real_iterate(*args, **kwargs)
+
+        def point(params, config, stop=None):
+            if params.alpha == 0.2:
+                iterating.wait(60)
+                failed_at.append(len(calls))
+                raise error
+            return real_run(params, config, stop=stop)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        monkeypatch.setattr(cli.nrg, "run", point)
+        monkeypatch.setattr(cli.nrg, "iterate", slow_iterate)
+        payload = {"model": {"delta": 0.05},
+                   "nrg": {"n_s": 20, "n_b": 4, "n_iter": 100},
+                   "sweep": {"parameter": "alpha",
+                             "grid": {"values": [0.1, 0.2]}}}
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, payload)
+        assert main(["sweep", "--config", cfg, "--out", str(out),
+                     "--workers", "2"]) == code
+        assert failed_at[0] >= 1 and len(calls) - failed_at[0] <= 2
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["failure"] == f"{type(error).__name__}: {error}"
+
+    def test_interrupt_stops_the_running_points(self, tmp_path):
+        # an interrupt cancels the points not started and ends the two
+        # running ones within an iteration each, not their other 95
+        payload = {"model": {"delta": 0.05},
+                   "nrg": {"n_s": 20, "n_b": 4, "n_iter": 100},
+                   "sweep": {"parameter": "alpha",
+                             "grid": {"values": [0.1, 0.2, 0.3, 0.4]}}}
+        cfg = write_config(tmp_path, payload)
+        proc = subprocess.run(
+            [sys.executable, "-c", INTERRUPTED_SWEEP, cfg, str(tmp_path / "out")],
+            env=src_env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        word, count, threads = proc.stdout.split()
+        assert word == "interrupted" and 4 <= int(count) <= 6
+        assert int(threads) == 2
 
     def test_import_loads_no_pool(self):
         # the thread pool is imported only by a run that starts one
@@ -706,6 +895,29 @@ class TestExitCodes:
         with pytest.warns(RuntimeWarning, match=f"^ignoring unknown key {block}$"):
             lenient = parse_config(json.dumps(config), mode=mode, strict=False)
         assert lenient == parse_config(json.dumps(payload), mode=mode)
+
+    @pytest.mark.parametrize("strict", [True, False], ids=["strict", "no-strict"])
+    def test_sweep_reads_no_window(self, tmp_path, monkeypatch, capsys, strict):
+        # once accepted and echoed, though only critical fits the pole it bounds
+        payload = {**TestSweepMode.PAYLOAD,
+                   "critical": {"threshold": 0.25, "window": 4.0}}
+        cfg, out = write_config(tmp_path, payload), tmp_path / "out"
+        if strict:
+            def started(cfg):
+                raise AssertionError("execute ran on an invalid config")
+
+            monkeypatch.setattr(cli, "execute", started)
+            assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+            assert "unknown key critical.window" in capsys.readouterr().err
+            assert not out.exists()
+        else:
+            with pytest.warns(RuntimeWarning,
+                              match="^ignoring unknown key critical.window$"):
+                assert main(["sweep", "--config", cfg, "--out", str(out),
+                             "--no-strict"]) == EXIT_OK
+            manifest = json.loads((out / "run_manifest.json").read_text())
+            assert manifest["config"]["critical"] == {"threshold": 0.25,
+                                                      "window": None}
 
     def test_unknown_key_strict_vs_lenient(self, tmp_path):
         payload = dict(RUN_PAYLOAD, extras={"note": 1})
