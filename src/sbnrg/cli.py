@@ -1,19 +1,22 @@
 """Command line front end.
 
-Subcommands: map-circuit, chain, run, sweep, critical, oracle. Each takes
-a JSON config (--config), writes CSV/JSON outputs plus a manifest with
-sha256 digests into --out, and exits 0 on success, 2 on config errors,
-3 on numerical failures (a MemoryError counts as one), 4 on I/O errors.
-A DegeneracyError (a boundary multiplet wider than 2 n_s at truncation)
-exits 2: its remedy is a config change, raising n_s or shrinking
-degeneracy_tol, and the class subclasses ValueError. A config block's
-keys are the fields of the dataclass it builds, in lower case. Unknown
-config keys are errors, and so is a top-level block the subcommand does
-not read; with --no-strict each one is ignored with a RuntimeWarning
-naming its path. --workers N runs up to N sweep points at once, each on
-its own thread; a failed point or an interrupt ends the running points
-before their next iteration. Outputs are byte-identical across reruns and
-worker counts; only manifest timestamps differ.
+Subcommands, each declared once in SUBCOMMANDS: map-circuit, chain, run,
+sweep, critical, oracle. Each takes a JSON config (--config), writes
+CSV/JSON outputs plus a manifest with sha256 digests into --out, and
+exits 0 on success, 2 on config errors, 3 on numerical failures (a
+MemoryError counts as one), 4 on I/O errors. A DegeneracyError (a
+boundary multiplet wider than 2 n_s at truncation) exits 2: its remedy is
+a config change, raising n_s or shrinking degeneracy_tol, and the class
+subclasses ValueError. A config block's keys are the fields of the
+dataclass it builds, in lower case. Unknown config keys are errors, and
+so is a top-level block the subcommand does not read; with --no-strict
+each one is ignored with a RuntimeWarning naming its path. --workers N
+runs up to N sweep points at once, each on its own thread; a failed point
+or an interrupt ends the running points before their next iteration. Data
+files are byte-identical across reruns and worker counts; in the manifest
+only the timestamps and the echoed out_dir and workers differ. The
+manifest's config echo, without those two, is a config the same
+subcommand accepts; a null reads as an unset optional field.
 """
 
 from __future__ import annotations
@@ -25,10 +28,10 @@ import math
 import sys
 import threading
 import warnings
-from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
+from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import get_args, get_origin, get_type_hints
+from typing import Callable, Iterator, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -52,19 +55,8 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
-MODES = ("map-circuit", "chain", "run", "sweep", "critical", "oracle")
-
-_SWEEP_KEYS = {"parameter": str, "grid": dict}
-# the top-level keys each subcommand reads; any other is an unknown key
-_MODE_KEYS = {
-    "map-circuit": {"mode", "circuit"},
-    "chain": {"mode", "model", "nrg"},
-    "run": {"mode", "model", "nrg"},
-    "sweep": {"mode", "model", "nrg", "sweep", "critical"},
-    "critical": {"mode", "model", "nrg", "sweep", "critical"},
-    "oracle": {"mode", "oracle"},
-}
-
+# the sweep block's keys, each with (type, optional) as _keys gives them
+_SWEEP_KEYS = {"parameter": (str, False), "grid": (dict, False)}
 _SWEEP_PARAMETERS = ("alpha", "delta", "epsilon")
 MAX_GRID_POINTS = 10_000  # each point is a full NRG run
 MAX_LINE_MODES = 10_000  # each mode is one entry of circuit.json
@@ -142,6 +134,29 @@ class RunConfig:
     oracle_problem: oracle.EdProblem | None = None
 
 
+# each config block but sweep: the RunConfig field it sets, and the dataclass
+# whose fields are its keys
+BLOCKS = {
+    "model": ("model", SpinBosonParams),
+    "nrg": ("nrg_config", nrg.NrgConfig),
+    "circuit": ("circuit", CircuitSpec),
+    "critical": ("critical", CriticalSpec),
+    "oracle": ("oracle_problem", oracle.EdProblem),
+}
+
+
+@dataclass(frozen=True)
+class Subcommand:
+    """A subcommand's help, the top-level blocks its config reads (any other
+    is an unknown key) and those it requires, and its handler, which yields
+    each output file as a (name, text) pair."""
+
+    help: str
+    reads: tuple[str, ...]
+    requires: tuple[str, ...]
+    handler: Callable[[RunConfig], Iterator[tuple[str, str]]]
+
+
 def _unknown_key(name: str, strict: bool) -> None:
     if strict:
         raise ConfigError(f"unknown key {name}")
@@ -175,22 +190,33 @@ def _grid_numbers(values: list, what: str) -> tuple[float, ...]:
 
 
 def _fields(cls):
-    """(field, key, type) for each field of a config block's dataclass: the
-    key is the field's name in lower case, the type X of X | None."""
+    """(field, key, type, optional) for each field of a config block's
+    dataclass: the key is the field's name in lower case, the type X of
+    X | None, and optional whether the field is an X | None."""
     hints = get_type_hints(cls)
     for f in fields(cls):
         tp = hints[f.name]
-        if type(None) in get_args(tp):
+        optional = type(None) in get_args(tp)
+        if optional:
             (tp,) = (arg for arg in get_args(tp) if arg is not type(None))
-        yield f, f.name.lower(), tp
+        yield f, f.name.lower(), tp, optional
 
 
 def _keys(cls) -> dict:
-    """The keys of cls's config block, each with its value's type; a field
+    """The keys of cls's config block, each with (type, optional); a field
     that is itself a dataclass adds that class's keys to the block."""
     keys = {}
-    for _, key, tp in _fields(cls):
-        keys.update(_keys(tp) if is_dataclass(tp) else {key: tp})
+    for _, key, tp, optional in _fields(cls):
+        keys.update(_keys(tp) if is_dataclass(tp) else {key: (tp, optional)})
+    return keys
+
+
+def _block_keys(name: str, mode: str) -> dict:
+    """The keys of the config block name that the subcommand mode reads."""
+    keys = _keys(BLOCKS[name][1])
+    # only critical fits the pole that a window bounds
+    if (mode, name) == ("sweep", "critical"):
+        del keys["window"]
     return keys
 
 
@@ -218,7 +244,10 @@ def _typed(block: dict, keys: dict, path: str, strict: bool) -> dict:
         if key not in keys:
             _unknown_key(f"{path}.{key}", strict)
             continue
-        out[key] = _value(value, keys[key], f"{path}.{key}")
+        tp, optional = keys[key]
+        if value is None and optional:  # null reads as the key left out
+            continue
+        out[key] = _value(value, tp, f"{path}.{key}")
     return out
 
 
@@ -228,7 +257,7 @@ def _build(cls, block: dict, path: str):
     default. cls's ValueError becomes a ConfigError that names path; its
     ConfigError, which names the key, passes unchanged."""
     kwargs = {}
-    for f, key, tp in _fields(cls):
+    for f, key, tp, _ in _fields(cls):
         if is_dataclass(tp):
             kwargs[f.name] = _build(tp, block, path)
         elif key in block:
@@ -276,10 +305,35 @@ def _resolve_grid(grid: dict, path: str) -> tuple[float, ...]:
     return out
 
 
+def _sweep_spec(block, mode: str, model: SpinBosonParams,
+                strict: bool) -> SweepSpec:
+    """The sweep block's grid, each point's model the given one with the
+    swept parameter set to the point's value."""
+    sblock = _typed(block, _SWEEP_KEYS, "sweep", strict)
+    if "parameter" not in sblock or "grid" not in sblock:
+        raise ConfigError("sweep needs 'parameter' and 'grid'")
+    parameter = sblock["parameter"]
+    if parameter not in _SWEEP_PARAMETERS:
+        raise ConfigError(f"sweep.parameter must be one of {_SWEEP_PARAMETERS}")
+    if mode == "critical" and parameter != "alpha":
+        raise ConfigError("critical mode sweeps alpha only")
+    values = _resolve_grid(sblock["grid"], "sweep.grid")
+    try:
+        models = tuple(replace(model, **{parameter: value}) for value in values)
+    except ValueError as exc:
+        raise ConfigError(f"sweep.grid: {exc}") from None
+    if mode == "critical" and len(values) < FIT_MIN_POINTS:
+        raise ConfigError(
+            f"sweep.grid: critical needs at least {FIT_MIN_POINTS} "
+            "alpha values to fit the divergence"
+        )
+    return SweepSpec(parameter, values, models)
+
+
 def parse_config(text: str, mode: str, strict: bool = True,
                  out_dir: str = "./out", workers: int = 1) -> RunConfig:
     """Validate the JSON config text against the chosen subcommand."""
-    if mode not in MODES:
+    if mode not in SUBCOMMANDS:
         raise ConfigError(f"unknown mode {mode!r}")
     if workers < 1:
         raise ConfigError("workers must be at least 1")
@@ -289,10 +343,10 @@ def parse_config(text: str, mode: str, strict: bool = True,
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
+    command = SUBCOMMANDS[mode]
     for key in raw:
-        if key not in _MODE_KEYS[mode]:
+        if key != "mode" and key not in command.reads:
             _unknown_key(key, strict)
-    raw = {key: value for key, value in raw.items() if key in _MODE_KEYS[mode]}
     if "mode" in raw:
         if not isinstance(raw["mode"], str):
             raise ConfigError("mode must be a string")
@@ -301,66 +355,20 @@ def parse_config(text: str, mode: str, strict: bool = True,
                 f"config mode {raw['mode']!r} conflicts with subcommand {mode!r}"
             )
 
-    model = nrg_config = circuit = sweep = oracle_problem = None
-    critical = CriticalSpec()
-
-    def read(cls, name: str, keys: dict | None = None):
-        block = _typed(raw.get(name, {}), keys or _keys(cls), name, strict)
-        return _build(cls, block, name)
-
-    if mode == "map-circuit":
-        if "circuit" not in raw:
-            raise ConfigError("map-circuit requires a circuit block")
-        circuit = read(CircuitSpec, "circuit")
-    elif mode == "oracle":
-        if "oracle" not in raw:
-            raise ConfigError("oracle mode requires an oracle block")
-        oracle_problem = read(oracle.EdProblem, "oracle")
-    else:
-        if "model" not in raw:
-            raise ConfigError(f"{mode} requires a model block")
-        model = read(SpinBosonParams, "model")
-        nrg_config = read(nrg.NrgConfig, "nrg")
-        if mode in ("sweep", "critical"):
-            if "sweep" not in raw:
-                raise ConfigError(f"{mode} requires a sweep block")
-            sblock = _typed(raw["sweep"], _SWEEP_KEYS, "sweep", strict)
-            if "parameter" not in sblock or "grid" not in sblock:
-                raise ConfigError("sweep needs 'parameter' and 'grid'")
-            if sblock["parameter"] not in _SWEEP_PARAMETERS:
-                raise ConfigError(
-                    f"sweep.parameter must be one of {_SWEEP_PARAMETERS}"
-                )
-            if mode == "critical" and sblock["parameter"] != "alpha":
-                raise ConfigError("critical mode sweeps alpha only")
-            values = _resolve_grid(sblock["grid"], "sweep.grid")
-            try:
-                models = tuple(replace(model, **{sblock["parameter"]: value})
-                               for value in values)
-            except ValueError as exc:
-                raise ConfigError(f"sweep.grid: {exc}") from None
-            sweep = SweepSpec(sblock["parameter"], values, models)
-            if mode == "critical" and len(values) < FIT_MIN_POINTS:
-                raise ConfigError(
-                    f"sweep.grid: critical needs at least {FIT_MIN_POINTS} "
-                    "alpha values to fit the divergence"
-                )
-            keys = _keys(CriticalSpec)
-            if mode == "sweep":  # only critical fits the pole that a window bounds
-                del keys["window"]
-            critical = read(CriticalSpec, "critical", keys)
-
-    return RunConfig(
-        mode=mode,
-        out_dir=out_dir,
-        workers=workers,
-        model=model,
-        nrg_config=nrg_config,
-        circuit=circuit,
-        sweep=sweep,
-        critical=critical,
-        oracle_problem=oracle_problem,
-    )
+    built = {}
+    for name in command.reads:
+        if name in command.requires and name not in raw:
+            raise ConfigError(f"{mode} requires the {name} block")
+        if name == "sweep":
+            built["sweep"] = _sweep_spec(raw["sweep"], mode, built["model"], strict)
+        else:
+            field, cls = BLOCKS[name]
+            block = _typed(raw.get(name, {}), _block_keys(name, mode), name, strict)
+            built[field] = _build(cls, block, name)
+    if "sweep" in built and built["nrg_config"].n_iter < 2:
+        raise ConfigError(f"nrg.n_iter must be at least 2 for {mode}: N* needs "
+                          "two recorded iterations")
+    return RunConfig(mode=mode, out_dir=out_dir, workers=workers, **built)
 
 
 def _fmt(x: float) -> str:
@@ -368,18 +376,12 @@ def _fmt(x: float) -> str:
     return f"{x:.16e}"
 
 
-def _write_csv(path: Path, header: str, rows) -> None:
-    lines = [header]
-    lines.extend(",".join(row) for row in rows)
-    path.write_text("\n".join(lines) + "\n")
+def _csv(header: str, rows) -> str:
+    return "\n".join([header, *(",".join(row) for row in rows)]) + "\n"
 
 
-def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
-
-
-def _digest(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _json(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def _run_sweep_points(cfg: RunConfig) -> list[nrg.NrgResult]:
@@ -409,20 +411,14 @@ def _run_sweep_points(cfg: RunConfig) -> list[nrg.NrgResult]:
     return [f.result() for f in futures]
 
 
-def _flow_rows(result: nrg.NrgResult):
-    for rec in result.flow.records:
-        for idx, energy in enumerate(rec.energies):
-            yield (str(rec.iteration), str(idx), _fmt(energy))
+def _flow_csv(result: nrg.NrgResult) -> str:
+    rows = ((str(rec.iteration), str(idx), _fmt(energy))
+            for rec in result.flow.records
+            for idx, energy in enumerate(rec.energies))
+    return _csv("iteration,level_index,scaled_energy", rows)
 
 
-def _emit(out: Path, name: str, writer, outputs: list) -> Path:
-    path = out / name
-    writer(path)
-    outputs.append({"path": name, "sha256": _digest(path)})
-    return path
-
-
-def _do_map_circuit(cfg: RunConfig, out: Path, outputs: list) -> None:
+def _do_map_circuit(cfg: RunConfig):
     circuit = cfg.circuit
     params, conv = circuit.params, circuit.delta_convention
     spec = qubit_spectrum(params, ej_ec_threshold=circuit.ej_ec_threshold)
@@ -459,10 +455,10 @@ def _do_map_circuit(cfg: RunConfig, out: Path, outputs: list) -> None:
             for i, (w, lam) in enumerate(lm.modes)
         ]
         payload["mode_spacing"] = lm.spacing
-    _emit(out, "circuit.json", lambda p: _write_json(p, payload), outputs)
+    yield "circuit.json", _json(payload)
 
 
-def _do_chain(cfg: RunConfig, out: Path, outputs: list) -> None:
+def _do_chain(cfg: RunConfig):
     ncfg = cfg.nrg_config
     star = bath.discretize(cfg.model, ncfg.Lambda, ncfg.chain_length)
     chain = bath.chain_map(star)
@@ -477,17 +473,14 @@ def _do_chain(cfg: RunConfig, out: Path, outputs: list) -> None:
                 _fmt(float(chain.t[n])) if n < chain.n_sites - 1 else "",
             )
 
-    _emit(out, "chain.csv",
-          lambda p: _write_csv(p, "n,xi,gamma,eps,t", rows()), outputs)
+    yield "chain.csv", _csv("n,xi,gamma,eps,t", rows())
     meta = {"c0": chain.c0, "n_sites": chain.n_sites, "digest": chain.digest()}
-    _emit(out, "chain.json", lambda p: _write_json(p, meta), outputs)
+    yield "chain.json", _json(meta)
 
 
-def _do_run(cfg: RunConfig, out: Path, outputs: list) -> None:
+def _do_run(cfg: RunConfig):
     result = nrg.run(cfg.model, cfg.nrg_config)
-    _emit(out, "flow.csv",
-          lambda p: _write_csv(p, "iteration,level_index,scaled_energy",
-                               _flow_rows(result)), outputs)
+    yield "flow.csv", _flow_csv(result)
     payload = {
         "sigma_z": result.sigma_z_gs,
         "sigma_x": result.sigma_x_gs,
@@ -495,7 +488,7 @@ def _do_run(cfg: RunConfig, out: Path, outputs: list) -> None:
         "ground_energy": result.ground_energy,
         "chain_digest": result.chain_digest,
     }
-    _emit(out, "observables.json", lambda p: _write_json(p, payload), outputs)
+    yield "observables.json", _json(payload)
 
 
 def _nstar_or_nan(result: nrg.NrgResult, threshold: float) -> float:
@@ -505,7 +498,7 @@ def _nstar_or_nan(result: nrg.NrgResult, threshold: float) -> float:
         return float("nan")
 
 
-def _do_sweep(cfg: RunConfig, out: Path, outputs: list) -> None:
+def _do_sweep(cfg: RunConfig):
     results = _run_sweep_points(cfg)
 
     def rows():
@@ -518,35 +511,28 @@ def _do_sweep(cfg: RunConfig, out: Path, outputs: list) -> None:
                 criticality.classify_phase(res.delta_p).label,
             )
 
-    _emit(out, "sweep.csv",
-          lambda p: _write_csv(
-              p, "alpha,delta,epsilon,n_star,delta_p,phase", rows()), outputs)
+    yield "sweep.csv", _csv("alpha,delta,epsilon,n_star,delta_p,phase", rows())
 
 
-def _do_critical(cfg: RunConfig, out: Path, outputs: list) -> None:
+def _do_critical(cfg: RunConfig):
     results = _run_sweep_points(cfg)
     for i, res in enumerate(results):
-        _emit(out, f"flow_{i:03d}.csv",
-              lambda p, r=res: _write_csv(
-                  p, "iteration,level_index,scaled_energy", _flow_rows(r)),
-              outputs)
+        yield f"flow_{i:03d}.csv", _flow_csv(res)
     points = [
         criticality.extract_nstar(res.flow, cfg.critical.threshold)
         for res in results
     ]
-    _emit(out, "points.csv",
-          lambda p: _write_csv(
-              p, "alpha,n_star",
-              ((_fmt(pt.alpha), _fmt(pt.n_star)) for pt in points)), outputs)
+    yield "points.csv", _csv(
+        "alpha,n_star", ((_fmt(pt.alpha), _fmt(pt.n_star)) for pt in points))
     fit = criticality.fit_alpha_c(points, window=cfg.critical.window)
     payload = {
         "a": fit.a, "b": fit.b, "alpha_c": fit.alpha_c, "rss": fit.rss,
         "threshold": cfg.critical.threshold, "n_points": len(points),
     }
-    _emit(out, "fit.json", lambda p: _write_json(p, payload), outputs)
+    yield "fit.json", _json(payload)
 
 
-def _do_oracle(cfg: RunConfig, out: Path, outputs: list) -> None:
+def _do_oracle(cfg: RunConfig):
     res = oracle.exact_diag(cfg.oracle_problem)
     payload = {
         "ground_energy": res.ground_energy,
@@ -555,41 +541,51 @@ def _do_oracle(cfg: RunConfig, out: Path, outputs: list) -> None:
         "sigma_x": res.sigma_x,
         "converged": res.converged,
     }
-    _emit(out, "oracle.json", lambda p: _write_json(p, payload), outputs)
+    yield "oracle.json", _json(payload)
 
 
-_HANDLERS = {
-    "map-circuit": _do_map_circuit,
-    "chain": _do_chain,
-    "run": _do_run,
-    "sweep": _do_sweep,
-    "critical": _do_critical,
-    "oracle": _do_oracle,
+SUBCOMMANDS = {
+    "map-circuit": Subcommand(
+        "convert SI circuit parameters to spin-boson parameters",
+        ("circuit",), ("circuit",), _do_map_circuit),
+    "chain": Subcommand(
+        "emit the discretized star and Wilson chain as CSV",
+        ("model", "nrg"), ("model",), _do_chain),
+    "run": Subcommand(
+        "single NRG run: flow CSV plus ground-state observables",
+        ("model", "nrg"), ("model",), _do_run),
+    "sweep": Subcommand(
+        "NRG runs over a parameter grid, one CSV row per point",
+        ("model", "nrg", "sweep", "critical"), ("model", "sweep"), _do_sweep),
+    "critical": Subcommand(
+        "alpha sweep, N* extraction and alpha_c extrapolation",
+        ("model", "nrg", "sweep", "critical"), ("model", "sweep"), _do_critical),
+    "oracle": Subcommand(
+        "dense exact diagonalization of a few-mode instance",
+        ("oracle",), ("oracle",), _do_oracle),
 }
 
 
 def _echo(obj) -> dict:
-    """A config block's keys and the values its dataclass holds."""
+    """The keys of obj's config block, each with the value obj holds."""
     echo = {}
-    for name, value in asdict(obj).items():
-        if isinstance(value, dict):  # a nested dataclass: its keys are the block's
-            echo.update(value)
-        else:
-            echo[name.lower()] = value
+    for f, key, tp, _ in _fields(type(obj)):
+        value = getattr(obj, f.name)
+        echo.update(_echo(value) if is_dataclass(tp) else {key: value})
     return echo
 
 
 def config_echo(cfg: RunConfig) -> dict:
+    """Each block the subcommand reads, with every key it reads; without
+    out_dir and workers, a config that parses back to cfg."""
     echo: dict = {"mode": cfg.mode, "out_dir": cfg.out_dir, "workers": cfg.workers}
-    for name, block in (("model", cfg.model), ("nrg", cfg.nrg_config),
-                        ("circuit", cfg.circuit), ("oracle", cfg.oracle_problem)):
-        if block is not None:
-            echo[name] = _echo(block)
-    if cfg.sweep is not None:
-        echo["sweep"] = {"parameter": cfg.sweep.parameter,
-                         "values": list(cfg.sweep.values)}
-    if cfg.mode in ("sweep", "critical"):
-        echo["critical"] = _echo(cfg.critical)
+    for name in SUBCOMMANDS[cfg.mode].reads:
+        if name == "sweep":
+            echo[name] = {"parameter": cfg.sweep.parameter,
+                          "grid": {"values": list(cfg.sweep.values)}}
+        else:
+            block = _echo(getattr(cfg, BLOCKS[name][0]))
+            echo[name] = {key: block[key] for key in _block_keys(name, cfg.mode)}
     return echo
 
 
@@ -598,37 +594,41 @@ def _utc_now() -> str:
 
 
 def execute(cfg: RunConfig) -> dict:
-    """Dispatch to the mode handler and write the manifest.
+    """Run the subcommand's handler, write each file it yields into out_dir,
+    then the manifest, which lists each file with its sha256.
 
-    On failure the partial outputs stay on disk and the manifest records
-    the failure point before the exception propagates.
+    If the handler raises an Exception, the files written so far stay on
+    disk and the manifest, listing them, records the failure before the
+    exception propagates. An interrupt writes no manifest.
     """
     out = Path(cfg.out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except FileExistsError as exc:
         raise OSError(f"output path is not a directory: {exc}") from None
-    started = _utc_now()
     outputs: list = []
     manifest = {
         "tool": "sbnrg",
         "version": __version__,
         "mode": cfg.mode,
         "config": config_echo(cfg),
-        "started_utc": started,
+        "started_utc": _utc_now(),
         "outputs": outputs,
     }
     try:
-        _HANDLERS[cfg.mode](cfg, out, outputs)
+        for name, text in SUBCOMMANDS[cfg.mode].handler(cfg):
+            data = text.encode()
+            (out / name).write_bytes(data)
+            outputs.append({"path": name, "sha256": hashlib.sha256(data).hexdigest()})
+        manifest["status"] = "ok"
     except Exception as exc:
-        manifest["finished_utc"] = _utc_now()
         manifest["status"] = "failed"
         manifest["failure"] = f"{type(exc).__name__}: {exc}"
-        _write_json(out / "run_manifest.json", manifest)
         raise
-    manifest["finished_utc"] = _utc_now()
-    manifest["status"] = "ok"
-    _write_json(out / "run_manifest.json", manifest)
+    finally:
+        if "status" in manifest:  # not set by an interrupt
+            manifest["finished_utc"] = _utc_now()
+            (out / "run_manifest.json").write_text(_json(manifest))
     return manifest
 
 
@@ -639,16 +639,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     "flows, sweeps, criticality, exact-diagonalization checks.",
     )
     sub = parser.add_subparsers(dest="mode", required=True)
-    helps = {
-        "map-circuit": "convert SI circuit parameters to spin-boson parameters",
-        "chain": "emit the discretized star and Wilson chain as CSV",
-        "run": "single NRG run: flow CSV plus ground-state observables",
-        "sweep": "NRG runs over a parameter grid, one CSV row per point",
-        "critical": "alpha sweep, N* extraction and alpha_c extrapolation",
-        "oracle": "dense exact diagonalization of a few-mode instance",
-    }
-    for name in MODES:
-        sp = sub.add_parser(name, help=helps[name])
+    for name, command in SUBCOMMANDS.items():
+        sp = sub.add_parser(name, help=command.help)
         sp.add_argument("--config", required=True, help="JSON config path")
         sp.add_argument("--out", default="./out", help="output directory")
         sp.add_argument("--workers", type=int, default=1,

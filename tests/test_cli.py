@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -5,7 +6,7 @@ import subprocess
 import sys
 import threading
 import time
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import pytest
@@ -412,7 +413,8 @@ class TestParseConfig:
         assert echo["workers"] == 3
         assert echo["nrg"]["lambda"] == 2.5
         assert "Lambda" not in echo["nrg"]
-        assert echo["sweep"]["values"] == [0.1, 0.2, 0.3, 0.4]
+        assert echo["sweep"] == {"parameter": "alpha",
+                                 "grid": {"values": [0.1, 0.2, 0.3, 0.4]}}
         assert echo["critical"]["threshold"] == 0.3
         # map-circuit lists every option, with its default where none is given
         block = {"c_j": 1e-12, "c_0": 1e-12, "i_0": 2e-6, "i_b": 1e-6,
@@ -848,6 +850,43 @@ class TestCriticalMode:
         assert "failure" in manifest
 
 
+class TestConfigEcho:
+    # each subcommand's config with an optional field left unset (echoed as
+    # null), and the sweeps with a from/to/step grid (echoed as its values)
+    @pytest.mark.parametrize("mode,payload,nulls", [
+        ("map-circuit", {"circuit": {
+            **{k: v for k, v in TestMapCircuitMode.PAYLOAD["circuit"].items()
+               if k not in ("i_uw", "line_length")}}},
+         ["circuit.i_uw", "circuit.line_length"]),
+        ("chain", RUN_PAYLOAD, ["nrg.n_star"]),
+        ("run", {"model": {"delta": 0.05}}, ["nrg.n_star"]),
+        ("sweep", {**TestSweepMode.PAYLOAD, "critical": {"threshold": 0.25}},
+         ["nrg.n_star"]),
+        ("critical", {**CRITICAL_PAYLOAD,
+                      "sweep": {"parameter": "alpha",
+                                "grid": {"from": 0.55, "to": 0.85,
+                                         "step": 0.1}}},
+         ["critical.window"]),
+        ("oracle", {"oracle": {"delta": 0.3, "modes": [[0.5, 0.2], [1.5, 0.3]]}},
+         []),
+    ], ids=["map-circuit", "chain", "run", "sweep", "critical", "oracle"])
+    def test_echo_parses_back(self, mode, payload, nulls):
+        # once the echo held nulls the parser rejected, a sweep block that was
+        # no grid, and in sweep configs a critical.window that sweep rejects
+        cfg = parse_config(json.dumps(payload), mode=mode, out_dir="echo",
+                           workers=2)
+        echo = config_echo(cfg)
+        assert (echo.pop("out_dir"), echo.pop("workers")) == ("echo", 2)
+        for path in nulls:
+            block, key = path.split(".")
+            assert echo[block][key] is None
+        if cfg.sweep is not None:
+            assert echo["sweep"]["grid"] == {"values": list(cfg.sweep.values)}
+        again = parse_config(json.dumps(echo), mode=mode, out_dir="echo",
+                             workers=2)
+        assert again == cfg
+
+
 class TestExitCodes:
     def test_missing_config_file(self, tmp_path):
         code = main(["run", "--config", str(tmp_path / "nope.json"),
@@ -916,8 +955,29 @@ class TestExitCodes:
                 assert main(["sweep", "--config", cfg, "--out", str(out),
                              "--no-strict"]) == EXIT_OK
             manifest = json.loads((out / "run_manifest.json").read_text())
-            assert manifest["config"]["critical"] == {"threshold": 0.25,
-                                                      "window": None}
+            assert manifest["config"]["critical"] == {"threshold": 0.25}
+
+    @pytest.mark.parametrize("mode", ["sweep", "critical"])
+    def test_one_iteration_sweep_exits_config(self, tmp_path, monkeypatch,
+                                              capsys, mode):
+        # once ran every point, then failed: N* needs two recorded iterations
+        def started(cfg):
+            raise AssertionError("execute ran on an invalid config")
+
+        monkeypatch.setattr(cli, "execute", started)
+        payload = {"model": {"delta": 0.1},
+                   "nrg": {"n_s": 20, "n_b": 4, "n_iter": 1},
+                   "sweep": {"parameter": "alpha",
+                             "grid": {"values": [0.1, 0.2, 0.3, 0.4]}}}
+        cfg, out = write_config(tmp_path, payload), tmp_path / "out"
+        assert main([mode, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert "nrg.n_iter must be at least 2" in capsys.readouterr().err
+        assert not out.exists()
+        # run and chain extract no N*
+        del payload["sweep"]
+        for other in ("run", "chain"):
+            assert parse_config(json.dumps(payload),
+                                mode=other).nrg_config.n_iter == 1
 
     def test_unknown_key_strict_vs_lenient(self, tmp_path):
         payload = dict(RUN_PAYLOAD, extras={"note": 1})
@@ -1107,3 +1167,23 @@ class TestExecuteFailurePath:
         )
         assert manifest["status"] == "failed"
         assert "NoCrossingError" in manifest["failure"]
+        # the flows written before the failure are listed with their digests
+        assert [e["path"] for e in manifest["outputs"]] == [
+            f"flow_{i:03d}.csv" for i in range(4)]
+        for entry in manifest["outputs"]:
+            data = (tmp_path / "out" / entry["path"]).read_bytes()
+            assert hashlib.sha256(data).hexdigest() == entry["sha256"]
+
+    def test_interrupt_writes_no_manifest(self, tmp_path, monkeypatch):
+        def interrupted(cfg):
+            yield "flow.csv", "iteration\n"
+            raise KeyboardInterrupt
+
+        monkeypatch.setitem(cli.SUBCOMMANDS, "run", replace(
+            cli.SUBCOMMANDS["run"], handler=interrupted))
+        cfg = parse_config(json.dumps(RUN_PAYLOAD), mode="run",
+                           out_dir=str(tmp_path / "out"))
+        with pytest.raises(KeyboardInterrupt):
+            execute(cfg)
+        assert (tmp_path / "out" / "flow.csv").read_text() == "iteration\n"
+        assert not (tmp_path / "out" / "run_manifest.json").exists()
