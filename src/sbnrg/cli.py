@@ -3,8 +3,14 @@
 Subcommands, each declared once in SUBCOMMANDS: map-circuit, chain, run,
 sweep, critical, oracle. Each takes a JSON config (--config), writes
 CSV/JSON outputs plus a manifest with sha256 digests into --out, and
-exits 0 on success, 2 on config errors, 3 on numerical failures (a
-MemoryError counts as one), 4 on I/O errors. A DegeneracyError (a
+exits 0 on success. FAILURES is the one place that maps a failure to its
+exit code: 3 for a numerical failure (an ArithmeticError or a
+MemoryError counts as one), 2 for a config error (any other ValueError),
+4 for an I/O error; a config that cannot be read prints "i/o error:". A
+config that is not UTF-8, is nested too deeply to parse, or derives a
+value out of float range is a config error caught before --out exists.
+A JSON output that would hold inf or nan is not written: it is a config
+error that names the file. A DegeneracyError (a
 boundary multiplet wider than 2 n_s at truncation) exits 2: its remedy is
 a config change, raising n_s or shrinking degeneracy_tol, and the class
 subclasses ValueError. A config block's keys are the fields of the
@@ -54,6 +60,16 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
+
+# (exception types, exit code, message prefix) of each failure main reports;
+# the first row that matches wins, and any other exception raises. The
+# numerical row comes first, since a LinAlgError is a ValueError.
+FAILURES = (
+    ((FitError, criticality.NoCrossingError, nrg.NrgError, np.linalg.LinAlgError,
+      ArithmeticError, MemoryError), EXIT_NUMERICAL, "numerical failure"),
+    ((ValueError,), EXIT_CONFIG, "config error"),
+    ((OSError,), EXIT_IO, "i/o error"),
+)
 
 # the sweep block's keys, each with (type, optional) as _keys gives them
 _SWEEP_KEYS = {"parameter": (str, False), "grid": (dict, False)}
@@ -254,8 +270,8 @@ def _typed(block: dict, keys: dict, path: str, strict: bool) -> dict:
 def _build(cls, block: dict, path: str):
     """cls from the typed config block at path. A dataclass field is built
     from the same block; any other takes its key, required if it has no
-    default. cls's ValueError becomes a ConfigError that names path; its
-    ConfigError, which names the key, passes unchanged."""
+    default. cls's ValueError or ArithmeticError becomes a ConfigError that
+    names path; its ConfigError, which names the key, passes unchanged."""
     kwargs = {}
     for f, key, tp, _ in _fields(cls):
         if is_dataclass(tp):
@@ -268,7 +284,7 @@ def _build(cls, block: dict, path: str):
         return cls(**kwargs)
     except ConfigError:
         raise
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
 
@@ -339,7 +355,7 @@ def parse_config(text: str, mode: str, strict: bool = True,
         raise ConfigError("workers must be at least 1")
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
@@ -380,8 +396,13 @@ def _csv(header: str, rows) -> str:
     return "\n".join([header, *(",".join(row) for row in rows)]) + "\n"
 
 
-def _json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+def _json_file(name: str, obj) -> tuple[str, str]:
+    """The file name with obj as its JSON text. JSON holds no inf or nan,
+    so a non-finite float is a ValueError that names the file."""
+    try:
+        return name, json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise ValueError(f"cannot write {name}: {exc}") from None
 
 
 def _run_sweep_points(cfg: RunConfig) -> list[nrg.NrgResult]:
@@ -455,7 +476,7 @@ def _do_map_circuit(cfg: RunConfig):
             for i, (w, lam) in enumerate(lm.modes)
         ]
         payload["mode_spacing"] = lm.spacing
-    yield "circuit.json", _json(payload)
+    yield _json_file("circuit.json", payload)
 
 
 def _do_chain(cfg: RunConfig):
@@ -475,7 +496,7 @@ def _do_chain(cfg: RunConfig):
 
     yield "chain.csv", _csv("n,xi,gamma,eps,t", rows())
     meta = {"c0": chain.c0, "n_sites": chain.n_sites, "digest": chain.digest()}
-    yield "chain.json", _json(meta)
+    yield _json_file("chain.json", meta)
 
 
 def _do_run(cfg: RunConfig):
@@ -488,7 +509,7 @@ def _do_run(cfg: RunConfig):
         "ground_energy": result.ground_energy,
         "chain_digest": result.chain_digest,
     }
-    yield "observables.json", _json(payload)
+    yield _json_file("observables.json", payload)
 
 
 def _nstar_or_nan(result: nrg.NrgResult, threshold: float) -> float:
@@ -529,7 +550,7 @@ def _do_critical(cfg: RunConfig):
         "a": fit.a, "b": fit.b, "alpha_c": fit.alpha_c, "rss": fit.rss,
         "threshold": cfg.critical.threshold, "n_points": len(points),
     }
-    yield "fit.json", _json(payload)
+    yield _json_file("fit.json", payload)
 
 
 def _do_oracle(cfg: RunConfig):
@@ -541,7 +562,7 @@ def _do_oracle(cfg: RunConfig):
         "sigma_x": res.sigma_x,
         "converged": res.converged,
     }
-    yield "oracle.json", _json(payload)
+    yield _json_file("oracle.json", payload)
 
 
 SUBCOMMANDS = {
@@ -628,7 +649,8 @@ def execute(cfg: RunConfig) -> dict:
     finally:
         if "status" in manifest:  # not set by an interrupt
             manifest["finished_utc"] = _utc_now()
-            (out / "run_manifest.json").write_text(_json(manifest))
+            name, text = _json_file("run_manifest.json", manifest)
+            (out / name).write_text(text)
     return manifest
 
 
@@ -654,30 +676,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        text = Path(args.config).read_text()
-    except OSError as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return EXIT_IO
-    try:
+        text = Path(args.config).read_text(encoding="utf-8")  # JSON is UTF-8
         cfg = parse_config(text, mode=args.mode, strict=args.strict,
                            out_dir=args.out, workers=args.workers)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
         manifest = execute(cfg)
-    except (FitError, criticality.NoCrossingError,
-            nrg.NrgError, np.linalg.LinAlgError, FloatingPointError,
-            MemoryError) as exc:
-        print(f"numerical failure: {str(exc) or type(exc).__name__}",
-              file=sys.stderr)
-        return EXIT_NUMERICAL
-    except (ConfigError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    except Exception as exc:
+        for types, code, prefix in FAILURES:
+            if isinstance(exc, types):
+                print(f"{prefix}: {str(exc) or type(exc).__name__}",
+                      file=sys.stderr)
+                return code
+        raise
     for entry in manifest["outputs"]:
         print(f"wrote {Path(cfg.out_dir) / entry['path']}")
     print(f"wrote {Path(cfg.out_dir) / 'run_manifest.json'}")

@@ -239,13 +239,11 @@ def _sector_h(h_block: np.ndarray, coupling: np.ndarray, parity: np.ndarray,
     h = np.zeros((k, size, k, size))  # einsum "iaja->aij" views the (c, c) blocks
     np.einsum("iaja->aij", h)[...] += h_block
     np.einsum("iaia->ia", h)[...] += on_site * level
-    # b^dag lifts (i, n) to (j, n + 1) with sqrt(n + 1). With one label
-    # n = c lands at c + 1; with two, n = s_i + 2c lands at c + s_i.
-    if stride == 1:
-        lifts = [(1, 0, coupling.T)]  # (lag in c, s_i of the lifted rows, their couplings)
-    else:
-        lifts = [(s, s, np.where(level[:, :1] == s, coupling.T, 0.0)) for s in (0, 1)]
-    for lag, s, lifted in lifts:
+    # b^dag lifts (i, n) to (j, n + 1) with sqrt(n + 1): the level
+    # n = s + stride c of the rows with s_i = s lands at c + lag
+    for s in range(stride):
+        lag = (s + 1) // stride
+        lifted = np.where(level[:, :1] == s, coupling.T, 0.0)
         root = np.sqrt(s + stride * np.arange(size - lag) + 1.0)
         low, high = slice(0, size - lag), slice(lag, size)
         up = hop * (lifted * root[:, None, None])
@@ -305,14 +303,11 @@ def _add_site(h_block: np.ndarray, coupling: np.ndarray, op_sz: np.ndarray,
     order = np.argsort(w, kind="stable")
     e = w[order] - w[order[0]]
     kept = _kept_count(e, cfg)
-    if len(decs) == 1:  # a view: a copied v moves the GEMMs' last bits
-        v = decs[0].vectors[:, :kept]
-    else:  # each sector's kept vectors at their merged ranks
-        v = np.zeros((k * db, kept))
-        ranks = np.split(np.argsort(order), np.cumsum(sizes)[:-1])
-        for r, d, rank in zip(rows, decs, ranks):
-            cut = rank < kept
-            v[r[:, None], rank[cut]] = d.vectors[:, cut]
+    v = np.zeros((k * db, kept))  # each sector's kept vectors at their merged ranks
+    ranks = np.split(np.argsort(order), np.cumsum(sizes)[:-1])
+    for r, d, rank in zip(rows, decs, ranks):
+        n = np.count_nonzero(rank < kept)  # ranks ascend: it keeps its lowest n
+        v[r[:, None], rank[:n]] = d.vectors[:, :n]
     blocks = v.reshape(k, db * kept)
     op_sz, op_sx = ((o.T @ blocks).reshape(-1, kept).T @ v for o in (op_sz, op_sx))
     worst = float(np.abs(op_sz).max())

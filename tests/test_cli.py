@@ -9,6 +9,7 @@ import time
 from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sbnrg import cli
@@ -1148,6 +1149,72 @@ class TestExitCodes:
         cfg = write_config(tmp_path, RUN_PAYLOAD)
         code = main(["run", "--config", cfg, "--out", str(blocker)])
         assert code == EXIT_IO
+
+    @pytest.mark.parametrize("mode,data,message", [
+        ("run", b'{"model": {"delta": 0.1\xff}}', "can't decode byte 0xff"),
+        ("run", b"[" * 100000 + b"]" * 100000, "maximum recursion depth"),
+        ("run", b'{"model": {"delta": 1' + b"0" * 5000 + b"}}",
+         "Exceeds the limit (4300 digits)"),
+        ("map-circuit", json.dumps({"circuit": {
+            **TestMapCircuitMode.PAYLOAD["circuit"], "c_0": 1e200}}).encode(),
+         "circuit: (34, 'Numerical result out of range')"),
+    ], ids=["not-utf-8", "nested-too-deep", "integer-too-long",
+            "overflowing-c_0"])
+    def test_unparseable_config_exits_config(self, tmp_path, monkeypatch,
+                                             capsys, mode, data, message):
+        # each once raised out of main with a traceback and exit 1
+        def started(cfg):
+            raise AssertionError("execute ran on an invalid config")
+
+        monkeypatch.setattr(cli, "execute", started)
+        cfg, out = tmp_path / "config.json", tmp_path / "out"
+        cfg.write_bytes(data)
+        assert main([mode, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("circuit", [
+        {**TestMapCircuitMode.PAYLOAD["circuit"], "line_length": 1e-300},
+        {"c_j": 1e-300, "c_0": 0.0, "i_0": 1e300, "i_b": 0.0,
+         "l": 4e-7, "c": 1.6e-10},
+    ], ids=["short-line", "tiny-junction"])
+    def test_non_finite_output_exits_config(self, tmp_path, capsys, circuit):
+        # each once wrote Infinity, which is not JSON, into circuit.json
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, {"circuit": circuit})
+        assert main(["map-circuit", "--config", cfg,
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert ("config error: cannot write circuit.json: Out of range float"
+                in capsys.readouterr().err)
+        assert [p.name for p in out.iterdir()] == ["run_manifest.json"]
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["status"] == "failed" and manifest["outputs"] == []
+
+    @pytest.mark.parametrize("error", [
+        np.linalg.LinAlgError("eigh did not converge"),  # also a ValueError
+        ZeroDivisionError("float division by zero"),
+    ], ids=["linalg", "zero-division"])
+    def test_numerical_row_matches_first(self, tmp_path, monkeypatch, capsys,
+                                         error):
+        def failing(cfg):
+            raise error
+            yield
+
+        monkeypatch.setitem(cli.SUBCOMMANDS, "run", replace(
+            cli.SUBCOMMANDS["run"], handler=failing))
+        cfg = write_config(tmp_path, RUN_PAYLOAD)
+        code = main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert code == EXIT_NUMERICAL
+        assert capsys.readouterr().err == f"numerical failure: {error}\n"
+
+    def test_unreadable_config_is_io_error(self, tmp_path, capsys):
+        code = main(["run", "--config", str(tmp_path),
+                     "--out", str(tmp_path / "out")])
+        assert code == EXIT_IO
+        assert capsys.readouterr().err.startswith("i/o error: ")
+        assert not (tmp_path / "out").exists()
 
 
 class TestExecuteFailurePath:
