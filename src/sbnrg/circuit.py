@@ -158,14 +158,13 @@ class SpinBosonParams:
 
 @dataclass(frozen=True)
 class LineModes:
-    """Discrete modes of a finite transmission line of the given length.
+    """Discrete modes of a finite transmission line.
 
     modes holds (omega_n in rad/s, lambda_n in J) pairs for n = 1..n_c;
     spacing is the free spectral range pi / (L sqrt(l c)).
     """
 
     modes: tuple[tuple[float, float], ...]
-    length: float
     spacing: float
 
 
@@ -270,4 +269,4 @@ def finite_line_modes(p: CircuitParams, length: float, n_c: int,
             2.0 * delta_energy * CODATA.h_bar * omega_n / (ctot * length * p.c)
         )
         modes.append((omega_n, lam))
-    return LineModes(modes=tuple(modes), length=length, spacing=spacing)
+    return LineModes(modes=tuple(modes), spacing=spacing)

@@ -8,12 +8,12 @@ exit code: 3 for a numerical failure (an ArithmeticError or a
 MemoryError counts as one), 2 for a config error (any other ValueError),
 4 for an I/O error; a config that cannot be read prints "i/o error:". A
 config that is not UTF-8, is nested too deeply to parse, or derives a
-value out of float range is a config error caught before --out exists.
-A JSON output that would hold inf or nan is not written: it is a config
-error that names the file. A DegeneracyError (a
+value out of float range, circuit.json's included, is a config error
+caught before --out exists. A JSON output that would hold inf or nan is
+not written: it is a config error that names the file. A DegeneracyError (a
 boundary multiplet wider than 2 n_s at truncation) exits 2: its remedy is
 a config change, raising n_s or shrinking degeneracy_tol, and the class
-subclasses ValueError. A config block's keys are the fields of the
+subclasses ValueError. A config block's keys are the fields of the flat
 dataclass it builds, in lower case. Unknown config keys are errors, and
 so is a top-level block the subcommand does not read; with --no-strict
 each one is ignored with a RuntimeWarning naming its path. --workers N
@@ -34,7 +34,7 @@ import math
 import sys
 import threading
 import warnings
-from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Iterator, get_args, get_origin, get_type_hints
@@ -71,8 +71,6 @@ FAILURES = (
     ((OSError,), EXIT_IO, "i/o error"),
 )
 
-# the sweep block's keys, each with (type, optional) as _keys gives them
-_SWEEP_KEYS = {"parameter": (str, False), "grid": (dict, False)}
 _SWEEP_PARAMETERS = ("alpha", "delta", "epsilon")
 MAX_GRID_POINTS = 10_000  # each point is a full NRG run
 MAX_LINE_MODES = 10_000  # each mode is one entry of circuit.json
@@ -84,11 +82,20 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """The swept parameter, its grid, and each grid point's model."""
+    """The swept model parameter and its grid, stored as {"values": [...]}."""
 
     parameter: str
-    values: tuple[float, ...]
-    models: tuple[SpinBosonParams, ...]
+    grid: dict
+
+    def __post_init__(self):
+        if self.parameter not in _SWEEP_PARAMETERS:
+            raise ConfigError(f"sweep.parameter must be one of {_SWEEP_PARAMETERS}")
+        values = _resolve_grid(self.grid, "sweep.grid")
+        object.__setattr__(self, "grid", {"values": list(values)})
+
+    @property
+    def values(self) -> tuple[float, ...]:
+        return tuple(self.grid["values"])
 
 
 @dataclass(frozen=True)
@@ -106,13 +113,12 @@ class CriticalSpec:
 
 
 @dataclass(frozen=True)
-class CircuitSpec:
+class CircuitSpec(CircuitParams):
     """The circuit, and what map-circuit derives from it: omega_c (rad/s)
     adds the spin-boson model, i_uw (A) the microwave bias, line_length (m)
     the first n_modes modes of a line that long; ej_ec_threshold is the
     E_J/E_C ratio the qubit spectrum must exceed to count as valid."""
 
-    params: CircuitParams
     omega_c: float | None = None
     delta_convention: str = "omega10"
     i_uw: float | None = None
@@ -121,6 +127,7 @@ class CircuitSpec:
     ej_ec_threshold: float = 100.0
 
     def __post_init__(self):
+        super().__post_init__()
         if self.delta_convention not in DELTA_CONVENTIONS:
             raise ConfigError(
                 f"circuit.delta_convention must be one of {DELTA_CONVENTIONS}")
@@ -130,11 +137,9 @@ class CircuitSpec:
             raise ConfigError("circuit.n_modes must be at least 1")
         if self.n_modes > MAX_LINE_MODES:
             raise ConfigError(f"circuit.n_modes must be at most {MAX_LINE_MODES}")
-        if self.omega_c is not None:  # the mapping execute runs, checked now
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # execute warns once
-                map_to_spin_boson(self.params, self.omega_c,
-                                  delta_convention=self.delta_convention)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # execute warns once
+            _json_file("circuit.json", _circuit_payload(self))  # what execute writes
 
 
 @dataclass(frozen=True)
@@ -148,14 +153,16 @@ class RunConfig:
     sweep: SweepSpec | None = None
     critical: CriticalSpec = CriticalSpec()
     oracle_problem: oracle.EdProblem | None = None
+    points: tuple[SpinBosonParams, ...] = ()  # each sweep point's model
 
 
-# each config block but sweep: the RunConfig field it sets, and the dataclass
-# whose fields are its keys
+# each config block: the RunConfig field it sets, and the dataclass whose
+# fields are its keys
 BLOCKS = {
     "model": ("model", SpinBosonParams),
     "nrg": ("nrg_config", nrg.NrgConfig),
     "circuit": ("circuit", CircuitSpec),
+    "sweep": ("sweep", SweepSpec),
     "critical": ("critical", CriticalSpec),
     "oracle": ("oracle_problem", oracle.EdProblem),
 }
@@ -219,12 +226,8 @@ def _fields(cls):
 
 
 def _keys(cls) -> dict:
-    """The keys of cls's config block, each with (type, optional); a field
-    that is itself a dataclass adds that class's keys to the block."""
-    keys = {}
-    for _, key, tp, optional in _fields(cls):
-        keys.update(_keys(tp) if is_dataclass(tp) else {key: (tp, optional)})
-    return keys
+    """The keys of cls's config block, each with (type, optional)."""
+    return {key: (tp, optional) for _, key, tp, optional in _fields(cls)}
 
 
 def _block_keys(name: str, mode: str) -> dict:
@@ -268,15 +271,13 @@ def _typed(block: dict, keys: dict, path: str, strict: bool) -> dict:
 
 
 def _build(cls, block: dict, path: str):
-    """cls from the typed config block at path. A dataclass field is built
-    from the same block; any other takes its key, required if it has no
-    default. cls's ValueError or ArithmeticError becomes a ConfigError that
-    names path; its ConfigError, which names the key, passes unchanged."""
+    """cls from the typed config block at path: each field takes its key,
+    required if it has no default. cls's ValueError or ArithmeticError
+    becomes a ConfigError that names path; its ConfigError, which names the
+    key, passes unchanged."""
     kwargs = {}
-    for f, key, tp, _ in _fields(cls):
-        if is_dataclass(tp):
-            kwargs[f.name] = _build(tp, block, path)
-        elif key in block:
+    for f, key, _, _ in _fields(cls):
+        if key in block:
             kwargs[f.name] = block[key]
         elif f.default is MISSING:
             raise ConfigError(f"{path}.{key} is required")
@@ -284,8 +285,11 @@ def _build(cls, block: dict, path: str):
         return cls(**kwargs)
     except ConfigError:
         raise
-    except (ValueError, ArithmeticError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
+    except ArithmeticError as exc:
+        raise ConfigError(f"{path}: a value derived from it leaves the float "
+                          f"range: {exc}") from None
 
 
 def _resolve_grid(grid: dict, path: str) -> tuple[float, ...]:
@@ -321,29 +325,28 @@ def _resolve_grid(grid: dict, path: str) -> tuple[float, ...]:
     return out
 
 
-def _sweep_spec(block, mode: str, model: SpinBosonParams,
-                strict: bool) -> SweepSpec:
-    """The sweep block's grid, each point's model the given one with the
-    swept parameter set to the point's value."""
-    sblock = _typed(block, _SWEEP_KEYS, "sweep", strict)
-    if "parameter" not in sblock or "grid" not in sblock:
-        raise ConfigError("sweep needs 'parameter' and 'grid'")
-    parameter = sblock["parameter"]
-    if parameter not in _SWEEP_PARAMETERS:
-        raise ConfigError(f"sweep.parameter must be one of {_SWEEP_PARAMETERS}")
-    if mode == "critical" and parameter != "alpha":
+def _sweep_points(mode: str, built: dict) -> tuple[SpinBosonParams, ...]:
+    """Each sweep point's model, the model block with the swept parameter set
+    to the point's value; the one place that checks rules joining blocks."""
+    sweep = built.get("sweep")
+    if sweep is None:
+        return ()
+    if mode == "critical" and sweep.parameter != "alpha":
         raise ConfigError("critical mode sweeps alpha only")
-    values = _resolve_grid(sblock["grid"], "sweep.grid")
     try:
-        models = tuple(replace(model, **{parameter: value}) for value in values)
+        points = tuple(replace(built["model"], **{sweep.parameter: value})
+                       for value in sweep.values)
     except ValueError as exc:
         raise ConfigError(f"sweep.grid: {exc}") from None
-    if mode == "critical" and len(values) < FIT_MIN_POINTS:
+    if mode == "critical" and len(points) < FIT_MIN_POINTS:
         raise ConfigError(
             f"sweep.grid: critical needs at least {FIT_MIN_POINTS} "
             "alpha values to fit the divergence"
         )
-    return SweepSpec(parameter, values, models)
+    if built["nrg_config"].n_iter < 2:
+        raise ConfigError(f"nrg.n_iter must be at least 2 for {mode}: N* needs "
+                          "two recorded iterations")
+    return points
 
 
 def parse_config(text: str, mode: str, strict: bool = True,
@@ -375,16 +378,11 @@ def parse_config(text: str, mode: str, strict: bool = True,
     for name in command.reads:
         if name in command.requires and name not in raw:
             raise ConfigError(f"{mode} requires the {name} block")
-        if name == "sweep":
-            built["sweep"] = _sweep_spec(raw["sweep"], mode, built["model"], strict)
-        else:
-            field, cls = BLOCKS[name]
-            block = _typed(raw.get(name, {}), _block_keys(name, mode), name, strict)
-            built[field] = _build(cls, block, name)
-    if "sweep" in built and built["nrg_config"].n_iter < 2:
-        raise ConfigError(f"nrg.n_iter must be at least 2 for {mode}: N* needs "
-                          "two recorded iterations")
-    return RunConfig(mode=mode, out_dir=out_dir, workers=workers, **built)
+        field, cls = BLOCKS[name]
+        block = _typed(raw.get(name, {}), _block_keys(name, mode), name, strict)
+        built[field] = _build(cls, block, name)
+    return RunConfig(mode=mode, out_dir=out_dir, workers=workers,
+                     points=_sweep_points(mode, built), **built)
 
 
 def _fmt(x: float) -> str:
@@ -398,15 +396,15 @@ def _csv(header: str, rows) -> str:
 
 def _json_file(name: str, obj) -> tuple[str, str]:
     """The file name with obj as its JSON text. JSON holds no inf or nan,
-    so a non-finite float is a ValueError that names the file."""
+    so a non-finite float is a ConfigError that names the file."""
     try:
         return name, json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
     except ValueError as exc:
-        raise ValueError(f"cannot write {name}: {exc}") from None
+        raise ConfigError(f"cannot write {name}: {exc}") from None
 
 
 def _run_sweep_points(cfg: RunConfig) -> list[nrg.NrgResult]:
-    models = cfg.sweep.models
+    models = cfg.points
     configs = [cfg.nrg_config] * len(models)
     threads = min(cfg.workers, len(models), nrg.usable_cpus())
     if threads == 1:  # on this thread, where each run may start its sector thread
@@ -439,10 +437,11 @@ def _flow_csv(result: nrg.NrgResult) -> str:
     return _csv("iteration,level_index,scaled_energy", rows)
 
 
-def _do_map_circuit(cfg: RunConfig):
-    circuit = cfg.circuit
-    params, conv = circuit.params, circuit.delta_convention
-    spec = qubit_spectrum(params, ej_ec_threshold=circuit.ej_ec_threshold)
+def _circuit_payload(circuit: CircuitSpec) -> dict:
+    """circuit.json's contents: the qubit spectrum, and what omega_c, i_uw
+    and line_length add."""
+    conv = circuit.delta_convention
+    spec = qubit_spectrum(circuit, ej_ec_threshold=circuit.ej_ec_threshold)
     payload = {
         "qubit": {
             "omega_p": spec.omega_p,
@@ -457,26 +456,30 @@ def _do_map_circuit(cfg: RunConfig):
         }
     }
     if circuit.omega_c is not None:
-        sb = map_to_spin_boson(params, circuit.omega_c, delta_convention=conv)
+        sb = map_to_spin_boson(circuit, circuit.omega_c, delta_convention=conv)
         payload["spin_boson"] = {
             "delta": sb.delta, "epsilon": sb.epsilon, "alpha": sb.alpha,
             "s": sb.s, "omega_c": sb.omega_c,
             "delta_convention": conv,
         }
     if circuit.i_uw is not None:
-        bias = microwave_bias(params, circuit.i_uw)
+        bias = microwave_bias(circuit, circuit.i_uw)
         payload["bias_j"] = bias
         if circuit.omega_c is not None:
             payload["bias"] = bias / (CODATA.h_bar * circuit.omega_c)
     if circuit.line_length is not None:
-        lm = finite_line_modes(params, circuit.line_length, circuit.n_modes,
+        lm = finite_line_modes(circuit, circuit.line_length, circuit.n_modes,
                                delta_convention=conv)
         payload["line_modes"] = [
             {"n": i + 1, "omega": w, "lambda_j": lam}
             for i, (w, lam) in enumerate(lm.modes)
         ]
         payload["mode_spacing"] = lm.spacing
-    yield _json_file("circuit.json", payload)
+    return payload
+
+
+def _do_map_circuit(cfg: RunConfig):
+    yield _json_file("circuit.json", _circuit_payload(cfg.circuit))
 
 
 def _do_chain(cfg: RunConfig):
@@ -589,11 +592,7 @@ SUBCOMMANDS = {
 
 def _echo(obj) -> dict:
     """The keys of obj's config block, each with the value obj holds."""
-    echo = {}
-    for f, key, tp, _ in _fields(type(obj)):
-        value = getattr(obj, f.name)
-        echo.update(_echo(value) if is_dataclass(tp) else {key: value})
-    return echo
+    return {key: getattr(obj, f.name) for f, key, _, _ in _fields(type(obj))}
 
 
 def config_echo(cfg: RunConfig) -> dict:
@@ -601,12 +600,8 @@ def config_echo(cfg: RunConfig) -> dict:
     out_dir and workers, a config that parses back to cfg."""
     echo: dict = {"mode": cfg.mode, "out_dir": cfg.out_dir, "workers": cfg.workers}
     for name in SUBCOMMANDS[cfg.mode].reads:
-        if name == "sweep":
-            echo[name] = {"parameter": cfg.sweep.parameter,
-                          "grid": {"values": list(cfg.sweep.values)}}
-        else:
-            block = _echo(getattr(cfg, BLOCKS[name][0]))
-            echo[name] = {key: block[key] for key in _block_keys(name, cfg.mode)}
+        block = _echo(getattr(cfg, BLOCKS[name][0]))
+        echo[name] = {key: block[key] for key in _block_keys(name, cfg.mode)}
     return echo
 
 

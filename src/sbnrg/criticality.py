@@ -36,7 +36,6 @@ class NoCrossingError(RuntimeError):
 class CrossoverPoint:
     alpha: float
     n_star: float
-    threshold: float
 
 
 @dataclass(frozen=True)
@@ -60,12 +59,12 @@ def extract_nstar(flow: NrgFlow, threshold: float = DEFAULT_THRESHOLD) -> Crosso
     if len(vals) < 2:
         raise ValueError("flow records do not track level 1")
     if vals[0] >= threshold:
-        return CrossoverPoint(alpha=flow.alpha, n_star=0.0, threshold=threshold)
+        return CrossoverPoint(alpha=flow.alpha, n_star=0.0)
     for i in range(len(vals) - 1):
         if vals[i] < threshold <= vals[i + 1]:
             frac = (threshold - vals[i]) / (vals[i + 1] - vals[i])
             n_star = float(its[i]) + frac * float(its[i + 1] - its[i])
-            return CrossoverPoint(alpha=flow.alpha, n_star=n_star, threshold=threshold)
+            return CrossoverPoint(alpha=flow.alpha, n_star=n_star)
     raise NoCrossingError(
         f"level 1 stayed below {threshold} over {len(vals)} iterations"
     )

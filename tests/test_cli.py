@@ -28,6 +28,7 @@ from sbnrg.cli import (
     CircuitSpec,
     ConfigError,
     CriticalSpec,
+    SweepSpec,
     config_echo,
     execute,
     main,
@@ -136,12 +137,16 @@ BLOCKS = {
                  "delta_convention": "half_omega_p", "i_uw": 1e-9,
                  "line_length": 1.0, "n_modes": 3, "ej_ec_threshold": 50.0},
                 ["c_j", "c_0", "i_0", "i_b", "l", "c"], ["params"], "circuit",
-                CircuitSpec(params=CircuitParams(c_j=0.85e-12, c_0=4.25e-12,
-                                                 i_0=2e-6, i_b=1.96e-6, l=4e-7,
-                                                 c=1.6e-10),
-                            omega_c=1e14, delta_convention="half_omega_p",
-                            i_uw=1e-9, line_length=1.0, n_modes=3,
-                            ej_ec_threshold=50.0)),
+                CircuitSpec(c_j=0.85e-12, c_0=4.25e-12, i_0=2e-6, i_b=1.96e-6,
+                            l=4e-7, c=1.6e-10, omega_c=1e14,
+                            delta_convention="half_omega_p", i_uw=1e-9,
+                            line_length=1.0, n_modes=3, ej_ec_threshold=50.0)),
+    "sweep": ("sweep", {"model": {"delta": 0.05}},
+              {"parameter": "epsilon",
+               "grid": {"from": 0.0, "to": 0.02, "step": 0.01}},
+              ["parameter", "grid"], ["values", "models"], "sweep",
+              SweepSpec(parameter="epsilon",
+                        grid={"values": [0.0, 0.01, 0.02]})),
     "critical": ("critical",
                  {"model": {"delta": 0.05},
                   "sweep": {"parameter": "alpha",
@@ -184,6 +189,11 @@ class TestParseConfig:
         for key in ("bogus", *unread):
             with pytest.raises(ConfigError, match=f"^unknown key {name}.{key}$"):
                 parse({**block, key: 1.0})
+
+    def test_every_block_read_is_a_block(self):
+        reads = {name for command in cli.SUBCOMMANDS.values()
+                 for name in command.reads}
+        assert reads <= set(cli.BLOCKS)
 
     def test_lambda_key_maps_to_ratio(self):
         payload = {"model": {"delta": 0.1}, "nrg": {"lambda": 3.0}}
@@ -680,8 +690,8 @@ class TestSweepMode:
                             lambda params, config: seen.append(params))
         cfg = parse_config(json.dumps(self.PAYLOAD), mode="sweep")
         cli._run_sweep_points(cfg)
-        assert [p.alpha for p in cfg.sweep.models] == list(cfg.sweep.values)
-        assert all(a is b for a, b in zip(seen, cfg.sweep.models, strict=True))
+        assert [p.alpha for p in cfg.points] == list(cfg.sweep.values)
+        assert all(a is b for a, b in zip(seen, cfg.points, strict=True))
 
     @pytest.mark.parametrize("error,code", [
         (NrgError("iteration 3: eigh did not converge"), EXIT_NUMERICAL),
@@ -1157,7 +1167,8 @@ class TestExitCodes:
          "Exceeds the limit (4300 digits)"),
         ("map-circuit", json.dumps({"circuit": {
             **TestMapCircuitMode.PAYLOAD["circuit"], "c_0": 1e200}}).encode(),
-         "circuit: (34, 'Numerical result out of range')"),
+         "circuit: a value derived from it leaves the float range: "
+         "(34, 'Numerical result out of range')"),
     ], ids=["not-utf-8", "nested-too-deep", "integer-too-long",
             "overflowing-c_0"])
     def test_unparseable_config_exits_config(self, tmp_path, monkeypatch,
@@ -1181,16 +1192,16 @@ class TestExitCodes:
          "l": 4e-7, "c": 1.6e-10},
     ], ids=["short-line", "tiny-junction"])
     def test_non_finite_output_exits_config(self, tmp_path, capsys, circuit):
-        # each once wrote Infinity, which is not JSON, into circuit.json
+        # each once wrote Infinity, which is not JSON, into circuit.json;
+        # circuit.json is built while parsing, so --out is never made
         out = tmp_path / "out"
         cfg = write_config(tmp_path, {"circuit": circuit})
         assert main(["map-circuit", "--config", cfg,
                      "--out", str(out)]) == EXIT_CONFIG
-        assert ("config error: cannot write circuit.json: Out of range float"
-                in capsys.readouterr().err)
-        assert [p.name for p in out.iterdir()] == ["run_manifest.json"]
-        manifest = json.loads((out / "run_manifest.json").read_text())
-        assert manifest["status"] == "failed" and manifest["outputs"] == []
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot write circuit.json: "
+                              "Out of range float") and err.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("error", [
         np.linalg.LinAlgError("eigh did not converge"),  # also a ValueError

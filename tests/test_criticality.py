@@ -4,7 +4,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sbnrg.criticality import (
-    DEFAULT_THRESHOLD,
     CrossoverPoint,
     NoCrossingError,
     classify_phase,
@@ -29,7 +28,6 @@ class TestExtractNstar:
         flow = flow_from_level1([0.1, 0.2, 0.25, 0.35, 0.5])
         pt = extract_nstar(flow)
         assert pt.n_star == pytest.approx(2.5, abs=1e-14)
-        assert pt.threshold == DEFAULT_THRESHOLD
         assert pt.alpha == 0.5
 
     def test_exact_hit_counts_as_crossing(self):
@@ -85,7 +83,7 @@ class TestExtractNstar:
 class TestFitAlphaC:
     def points(self, alpha_c=1.0, a=3.0, b=2.0, alphas=(0.5, 0.6, 0.7, 0.8)):
         return [
-            CrossoverPoint(alpha=x, n_star=a + b / (alpha_c - x), threshold=0.3)
+            CrossoverPoint(alpha=x, n_star=a + b / (alpha_c - x))
             for x in alphas
         ]
 
@@ -107,7 +105,6 @@ class TestFitAlphaC:
             CrossoverPoint(
                 alpha=x,
                 n_star=3.0 + 2.0 / (1.0 - x) + rng.uniform(-0.05, 0.05),
-                threshold=0.3,
             )
             for x in alphas
         ]
