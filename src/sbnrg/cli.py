@@ -139,7 +139,8 @@ class CircuitSpec(CircuitParams):
             raise ConfigError(f"circuit.n_modes must be at most {MAX_LINE_MODES}")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # execute warns once
-            _json_file("circuit.json", _circuit_payload(self))  # what execute writes
+            payload = _circuit_payload(self)  # what execute writes, indented
+        _json_file("circuit.json", payload, indent=None)
 
 
 @dataclass(frozen=True)
@@ -394,11 +395,13 @@ def _csv(header: str, rows) -> str:
     return "\n".join([header, *(",".join(row) for row in rows)]) + "\n"
 
 
-def _json_file(name: str, obj) -> tuple[str, str]:
+def _json_file(name: str, obj, indent: int | None = 2) -> tuple[str, str]:
     """The file name with obj as its JSON text. JSON holds no inf or nan,
-    so a non-finite float is a ConfigError that names the file."""
+    so a non-finite float is a ConfigError that names the file. indent=None
+    gives compact, unsorted text from the C encoder: a cheap check of obj."""
     try:
-        return name, json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        return name, json.dumps(obj, indent=indent, sort_keys=indent is not None,
+                                allow_nan=False) + "\n"
     except ValueError as exc:
         raise ConfigError(f"cannot write {name}: {exc}") from None
 

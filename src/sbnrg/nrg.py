@@ -10,16 +10,15 @@ N*. Ground-state observables <sigma_z>, <sigma_x> come from operator
 matrices carried through every basis change.
 
 At zero bias H commutes with the parity P = sigma_x (-1)^(sum of boson
-numbers). Every kept state then carries its eigenvalue of P, each step
-builds and diagonalizes the two parity sectors apart, never the full H,
-and merges their spectra before the cut, and b and sigma_z stay exactly
-parity-odd, so every kept state has <sigma_z> = 0 exactly rather than up
-to truncation noise. A run on the main thread with two or more CPUs
+numbers). The kept states are then held as the two sectors of P: each
+step builds and diagonalizes the sectors apart, never the full H, and
+carries only the operator blocks that can be nonzero, b and sigma_z
+between the sectors and sigma_x within each, so every kept state has
+<sigma_z> = 0 exactly. A run on the main thread with two or more CPUs
 free solves the second sector on a worker thread while it solves the
-first; each solve is the serial step's call on the serial step's matrix,
-so the bits are the serial step's. In the localized phase the ground doublet
-straddles the two sectors, and ground_spin reads its polarized member. A
-biased run labels every state 0 and is the same step with one sector.
+first, with the serial step's bits. In the localized phase the ground
+doublet straddles the two sectors, and ground_spin reads its polarized
+member. A biased run is the same step with one sector, labelled 0.
 """
 
 from __future__ import annotations
@@ -140,24 +139,25 @@ class NrgConfig:
 
 @dataclass
 class NrgState:
-    """Kept basis after some iteration.
+    """Kept basis after some iteration, held sector by sector.
 
-    energies are rescaled with the ground state at exactly 0. op_b is the
-    current site's boson annihilator in the kept basis; op_sz and op_sx
-    are the spin operators carried along. ground_energy accumulates the
-    absolute (unrescaled) ground-state energy in cutoff units. parity
-    labels each kept state with its eigenvalue +-1 of
-    P = sigma_x (-1)^(sum of boson numbers) when the run conserves P
-    (epsilon = 0), and with 0 otherwise; op_b and op_sz then vanish
-    exactly between states of equal label.
+    labels are the sectors' eigenvalues of P = sigma_x (-1)^(sum of boson
+    numbers), (-1, 1) at epsilon = 0, else (0,); sector i's partner is
+    sector len(labels) - 1 - i. levels[i] holds sector i's kept energies
+    and energies all of them, stable-sorted, with the ground state at
+    exactly 0. op_b (the current site's annihilator) and op_sz flip P:
+    block i maps the partner's states to sector i's (op_sz[1] is
+    op_sz[0].T). op_sx keeps P: block i is sector i's own. ground_energy
+    accumulates the absolute ground-state energy in cutoff units.
     """
 
     iteration: int
     energies: np.ndarray
-    op_b: np.ndarray
-    op_sz: np.ndarray
-    op_sx: np.ndarray
-    parity: np.ndarray
+    labels: tuple[int, ...]
+    levels: tuple
+    op_b: tuple
+    op_sz: tuple
+    op_sx: tuple
     ground_energy: float
 
     @property
@@ -214,117 +214,120 @@ def _kept_count(energies: np.ndarray, cfg: NrgConfig) -> int:
     return kept
 
 
-def _sector_h(h_block: np.ndarray, coupling: np.ndarray, parity: np.ndarray,
-              label: int, n_b: int, on_site: float,
-              hop: float) -> tuple[np.ndarray, np.ndarray]:
-    """H on one label's (block, boson) pairs, and their flat indices.
+def _sector_h(blocks: tuple, coupling: tuple, j: int, n_b: int,
+              on_site: float, hop: float) -> tuple[np.ndarray, list, list]:
+    """H on new sector j, its halves' boson levels and row edges.
 
-    The pair (i, n) carries the label parity[i] (-1)^n, or 0 in a run
-    without parity. Label 0 holds every pair. Otherwise block state i
-    holds the levels n = s_i + 2c, where s_i is 0 if parity[i] is the
-    label and 1 if not. Either way the sector is a (block, c, block, c)
-    grid in the full H's (i, n) order, padded where an odd n_b leaves
-    block state i a level short. The terms h_block x 1 + on_site n_hat
-    + hop (coupling^T x b + coupling x b^dag) are summed into zeros
-    through strided views of the grid, with the products and in the order
-    of a build of the full H, so every entry has that build's bits. This
-    holds because h_block links only states of equal parity and coupling
-    only states of opposite parity, exactly: the terms that land on
-    another term's entries are exact zeros. The padding is cut out last.
+    Half i is old sector i's states at the levels s + len(blocks) c (s = 0
+    if i is j, else 1) as a (state, c) grid; blocks[i] is sector i's H:
+    its energies, or a matrix for the bare spin. blocks x 1 + on_site n_hat
+    + hop (coupling^T x b + coupling x b^dag) is summed into zeros through
+    strided views with a full H build's products: each entry has its bits.
     """
-    k = h_block.shape[0]
-    stride = 2 if label else 1
-    size = -(-n_b // stride)
-    level = (parity != label)[:, None] + stride * np.arange(size)
-    h = np.zeros((k, size, k, size))  # einsum "iaja->aij" views the (c, c) blocks
-    np.einsum("iaja->aij", h)[...] += h_block
-    np.einsum("iaia->ia", h)[...] += on_site * level
-    # b^dag lifts (i, n) to (j, n + 1) with sqrt(n + 1): the level
-    # n = s + stride c of the rows with s_i = s lands at c + lag
-    for s in range(stride):
-        lag = (s + 1) // stride
-        lifted = np.where(level[:, :1] == s, coupling.T, 0.0)
-        root = np.sqrt(s + stride * np.arange(size - lag) + 1.0)
-        low, high = slice(0, size - lag), slice(lag, size)
-        up = hop * (lifted * root[:, None, None])
-        np.einsum("iaja->aij", h[:, low, :, high])[...] += up
-        np.einsum("iaja->aij", h[:, high, :, low])[...] += up.transpose(0, 2, 1)
-    rows = (n_b * np.arange(k)[:, None] + level).ravel()
-    h = h.reshape(k * size, -1)
-    if size * stride > n_b:  # an odd n_b: drop the padded levels
-        real = level.ravel() < n_b
-        h, rows = h[real][:, real], rows[real]
-    return h, rows
+    n = len(blocks)
+    levels = [np.arange(int(i != j), n_b, n) for i in range(n)]
+    ks = [b.shape[0] for b in blocks]
+    edges = np.cumsum([0] + [k * lv.size for k, lv in zip(ks, levels)])
+    h = np.zeros((edges[-1], edges[-1]))
+
+    def grid(x, y):  # half x's rows and half y's columns as a (k, c, k, c) view
+        return h[edges[x]:edges[x + 1], edges[y]:edges[y + 1]].reshape(
+            ks[x], levels[x].size, ks[y], levels[y].size)
+
+    for i in range(n):
+        diag = np.einsum("iaia->ia", grid(i, i))
+        if blocks[i].ndim == 2:  # the bare spin: a biased one is not diagonal
+            np.einsum("iaja->aij", grid(i, i))[...] += blocks[i]
+        else:
+            diag += blocks[i][:, None]
+        diag += on_site * levels[i]
+        p = n - 1 - i
+        lag = int(p == j)  # level n + 1 is at c + lag in half p
+        c = levels[p].size - lag
+        up = hop * (coupling[p].T * np.sqrt(levels[i][:c] + 1.0)[:, None, None])
+        np.einsum("iaja->aij", grid(i, p)[:, :c, :, lag:lag + c])[...] += up
+        np.einsum("iaja->aij", grid(p, i)[:, lag:lag + c, :, :c])[...] += (
+            up.transpose(0, 2, 1))
+    return h, levels, edges
 
 
-def _add_site(h_block: np.ndarray, coupling: np.ndarray, op_sz: np.ndarray,
-              op_sx: np.ndarray, parity: np.ndarray, cfg: NrgConfig, m: int = 0,
+def _add_site(blocks: tuple, coupling: tuple, op_sz: tuple, op_sx: tuple,
+              labels: tuple[int, ...], cfg: NrgConfig, m: int = 0,
               eps: float = 0.0, hop: float = 0.0, ground_energy: float = 0.0,
               pool=None) -> NrgState:
-    """Couple chain site m to a block, rediagonalize and truncate.
+    """Couple chain site m to a block held as NrgState holds it,
+    rediagonalize and truncate.
 
-    With scale = Lambda^m, H = h_block x 1 + scale [eps (1 x n_hat)
-    + hop (coupling^T x b + coupling x b^dag)]. H never links two labels
-    (see _sector_h), so each label's sector is built and diagonalized
-    alone, and the full H is never formed; with one label the sector is
-    all of H. Given pool, an executor, the second of two sectors is built
-    and solved on its thread while this one does the first; each solve
-    gets the same matrix either way, so the bits do not depend on it. The
-    sector spectra are merged by a stable sort, shifted to 0 (the shift
-    over scale joins ground_energy) and cut by _kept_count. The kept
-    vectors, exactly zero outside their sector, rotate b by a boson-index
-    shift and op_sz, op_sx by one GEMM.
+    H = blocks x 1 + Lambda^m [eps (1 x n_hat) + hop (coupling^T x b + h.c.)]
+    never links two sectors: each is built and diagonalized alone, given
+    pool (an executor) the second on its thread, with the same bits. The
+    spectra are stable-merged, shifted to 0 (the shift joins ground_energy)
+    and cut; each operator block is rotated with its sectors' kept vectors.
     """
-    db = cfg.n_b
-    k = h_block.shape[0]
+    n = len(labels)
     scale = cfg.Lambda ** m
-    sectors = (-1, 1) if parity.any() else (0,)
 
-    def solve(label):
+    def solve(j):
         # h is returned to live as long as the step: freed any earlier,
         # glibc hands its pages back and the next step faults them in
         # again (in a biased run, 13 times the page faults, 17% more time)
-        h, rows = _sector_h(h_block, coupling, parity, label, db, scale * eps,
-                            scale * hop)
-        return h, rows, numerics.sym_eig(h)
+        h, levels, edges = _sector_h(blocks, coupling, j, cfg.n_b,
+                                     scale * eps, scale * hop)
+        return h, levels, edges, numerics.sym_eig(h)
 
-    if pool is None or len(sectors) == 1:
-        solved = [solve(q) for q in sectors]
+    if pool is None or n == 1:
+        solved = [solve(j) for j in range(n)]
     else:
-        second = pool.submit(solve, sectors[1])
+        second = pool.submit(solve, 1)
         try:
-            first = solve(sectors[0])
+            first = solve(0)
         finally:  # the step never returns with its worker busy or its error unread
             other = second.result()
         solved = [first, other]
-    _, rows, decs = zip(*solved)
-    sizes = [d.eigenvalues.size for d in decs]
+    _, levels, edges, decs = zip(*solved)
     w = np.concatenate([d.eigenvalues for d in decs])
-    order = np.argsort(w, kind="stable")
-    e = w[order] - w[order[0]]
-    kept = _kept_count(e, cfg)
-    v = np.zeros((k * db, kept))  # each sector's kept vectors at their merged ranks
-    ranks = np.split(np.argsort(order), np.cumsum(sizes)[:-1])
-    for r, d, rank in zip(rows, decs, ranks):
-        n = np.count_nonzero(rank < kept)  # ranks ascend: it keeps its lowest n
-        v[r[:, None], rank[:n]] = d.vectors[:, :n]
-    blocks = v.reshape(k, db * kept)
-    op_sz, op_sx = ((o.T @ blocks).reshape(-1, kept).T @ v for o in (op_sz, op_sx))
-    worst = float(np.abs(op_sz).max())
-    if worst > 1.0 + 1e-9:
-        raise NrgError(
-            f"propagated sigma_z norm {worst:.12g} exceeds 1; basis corrupted"
-        )
-    root = np.sqrt(np.arange(1.0, db))
-    b_v = np.pad(v.T.reshape(kept, k, db)[:, :, :-1] * root, ((0, 0), (0, 0), (1, 0)))
+    e = np.sort(w) - w.min()
+    kept = _kept_count(e, cfg)  # so each sector keeps its levels up to e[kept - 1]
+    counts = [np.count_nonzero(d.eigenvalues - w.min() <= e[kept - 1]) for d in decs]
+    v = [np.ascontiguousarray(d.vectors[:, :c]) for d, c in zip(decs, counts)]
+    ks = [b.shape[0] for b in blocks]
+
+    def half(j, i):  # new sector j's kept vectors on its half from old sector i
+        return v[j][edges[j][i]:edges[j][i + 1]]
+
+    def rotated(o, j, r):  # block (j, r) of o x 1, by one GEMM per half
+        left = np.empty((v[r].shape[0], counts[j]))
+        for i in range(n):  # o's rows in old sector t meet its columns in i
+            t = i if r == j else n - 1 - i
+            size = levels[r][i].size * counts[j]
+            np.matmul(o[t].T, half(j, t).reshape(ks[t], size),
+                      out=left[edges[r][i]:edges[r][i + 1]].reshape(ks[i], size))
+        return left.T @ v[r]
+
+    def lowered(j):  # block (j, partner) of 1 x b, by a shift of the level
+        r = n - 1 - j
+        x = np.zeros((counts[j], v[r].shape[0]))
+        for i in range(n):  # level n of half (r, i) meets n - 1 of (j, i)
+            low, high = levels[j][i], levels[r][i]
+            lag = int(high[0] == 0)
+            x[:, edges[r][i]:edges[r][i + 1]].reshape(counts[j], ks[i], high.size)[
+                :, :, lag:] = half(j, i).T.reshape(counts[j], ks[i], low.size)[
+                :, :, :high.size - lag] * np.sqrt(high[lag:])
+        return x @ v[r]
+
+    sz = rotated(op_sz, 0, n - 1)
+    if (worst := float(np.abs(sz).max(initial=0.0))) > 1.0 + 1e-9:
+        raise NrgError(f"propagated sigma_z norm {worst:.12g} exceeds 1; "
+                       "basis corrupted")
     return NrgState(
         iteration=m,
         energies=e[:kept],
-        op_b=b_v.reshape(kept, -1) @ v,
-        op_sz=op_sz,
-        op_sx=op_sx,
-        parity=np.repeat(sectors, sizes)[order[:kept]],
-        ground_energy=ground_energy + float(w[order[0]]) * cfg.Lambda ** -m,
+        labels=labels,
+        levels=tuple(d.eigenvalues[:c] - w.min() for d, c in zip(decs, counts)),
+        op_b=tuple(lowered(j) for j in range(n)),
+        op_sz=(sz, sz.T)[:n],
+        op_sx=tuple(rotated(op_sx, j, j) for j in range(n)),
+        ground_energy=ground_energy + float(w.min()) * cfg.Lambda ** -m,
     )
 
 
@@ -334,8 +337,8 @@ def build_initial(p: SpinBosonParams, chain: WilsonChain, cfg: NrgConfig) -> Nrg
     The spin block -(delta/2) sigma_x + (epsilon/2) sigma_z couples to
     site 0 through (c0/2) sigma_z (b + b^dag), on the 2 x n_b product
     basis. At epsilon = 0 the spin is written in the sigma_x eigenbasis,
-    where each state carries its parity label (+1, -1); otherwise in the
-    sigma_z basis with labels 0. This is the only place that decides
+    its upper state sector -1 and its lower sector +1; otherwise it is one
+    sector, labelled 0, in the sigma_z basis. This is the only place that decides
     whether a run is parity-blocked. The chain needs a site 0: chain_map
     always gives one, the decoupled chain at alpha = 0, and an empty chain
     raises ValueError. Warns when the coupling-induced displacement
@@ -344,11 +347,12 @@ def build_initial(p: SpinBosonParams, chain: WilsonChain, cfg: NrgConfig) -> Nrg
     if chain.n_sites == 0:
         raise ValueError("chain exhausted: no site 0")
     if p.epsilon == 0:
-        spin = (np.diag([-0.5 * p.delta, 0.5 * p.delta]), _SX, _SX, _SZ,
-                np.array([1, -1]))
+        one = np.ones((1, 1))
+        spin = ((np.array([0.5 * p.delta]), np.array([-0.5 * p.delta])),
+                (one, one), (one, one), (-one, one), (-1, 1))
     else:
-        spin = (-0.5 * p.delta * _SX + 0.5 * p.epsilon * _SZ, _SZ, _SZ, _SX,
-                np.zeros(2, dtype=int))
+        spin = ((-0.5 * p.delta * _SX + 0.5 * p.epsilon * _SZ,), (_SZ,),
+                (_SZ,), (_SX,), (0,))
     eps0 = float(chain.eps[0])
     c0 = float(chain.c0)
     if c0 > 0 and eps0 > 0 and c0 / eps0 > math.sqrt(cfg.n_b):
@@ -378,8 +382,8 @@ def iterate(state: NrgState, chain: WilsonChain, cfg: NrgConfig,
     m = state.iteration + 1
     if m >= chain.n_sites:
         raise ValueError(f"chain exhausted: no site {m}")
-    return _add_site(np.diag(cfg.Lambda * state.energies), state.op_b,
-                     state.op_sz, state.op_sx, state.parity, cfg, m,
+    return _add_site(tuple(cfg.Lambda * x for x in state.levels), state.op_b,
+                     state.op_sz, state.op_sx, state.labels, cfg, m,
                      float(chain.eps[m]), float(chain.t[m - 1]),
                      state.ground_energy, pool)
 
@@ -391,6 +395,16 @@ def _record(state: NrgState, cfg: NrgConfig) -> FlowRecord:
         kept_count=state.kept,
         energies=tuple(float(x) for x in levels),
     )
+
+
+def _full(blocks: tuple, sizes: list[int], odd: bool) -> np.ndarray:
+    """An operator's blocks as one matrix, the sectors' states in turn."""
+    edges = np.cumsum([0, *sizes])
+    full = np.zeros((edges[-1], edges[-1]))
+    for i, block in enumerate(blocks):
+        r = len(sizes) - 1 - i if odd else i
+        full[edges[i]:edges[i + 1], edges[r]:edges[r + 1]] = block
+    return full
 
 
 def ground_spin(state: NrgState, degeneracy_tol: float) -> tuple[float, float]:
@@ -406,14 +420,20 @@ def ground_spin(state: NrgState, degeneracy_tol: float) -> tuple[float, float]:
     above the window joins the multiplet when it lies in the other sector
     and below DOUBLET_RATIO times the level after it.
     """
+    sizes = [x.size for x in state.levels]
+    order = np.argsort(np.concatenate(state.levels), kind="stable")
+    second = order >= sizes[0]  # the state lies in the second sector
     e = state.energies
     g = max(int(np.searchsorted(e, degeneracy_tol, side="right")), 1)
-    if (g + 1 < e.size and state.parity[g] != state.parity[0]
-            and e[g] < DOUBLET_RATIO * e[g + 1]):  # labels differ only if blocked
+    if (g + 1 < e.size and second[g] != second[0]
+            and e[g] < DOUBLET_RATIO * e[g + 1]):
         g += 1
+    top = np.ix_(order[:g], order[:g])
+    sz, sx = (_full(blocks, sizes, odd)[top]
+              for blocks, odd in ((state.op_sz, True), (state.op_sx, False)))
     if g == 1:
-        return float(state.op_sz[0, 0]), float(state.op_sx[0, 0])
-    sz, sx = (0.5 * (o[:g, :g] + o[:g, :g].T) for o in (state.op_sz, state.op_sx))
+        return float(sz[0, 0]), float(sx[0, 0])
+    sz, sx = (0.5 * (o + o.T) for o in (sz, sx))
     dec = numerics.sym_eig(sz)
     vec = dec.vectors[:, int(np.argmax(np.abs(dec.eigenvalues)))]
     return float(vec @ sz @ vec), float(vec @ sx @ vec)
@@ -453,7 +473,7 @@ def run_on_chain(p: SpinBosonParams, chain: WilsonChain, cfg: NrgConfig, *,
     records = [_record(state, cfg)]
     limit = min(cfg.n_iter, chain.n_sites)
     pool = contextlib.nullcontext()
-    if (state.parity.any() and usable_cpus() >= 2
+    if (len(state.labels) == 2 and usable_cpus() >= 2
             and threading.current_thread() is threading.main_thread()):
         from concurrent.futures import ThreadPoolExecutor  # 7-11 ms to import
 

@@ -105,7 +105,7 @@ def test_thread_count_does_not_move_alpha_c(tmp_path):
     reason="the kernels named here need an x86 DYNAMIC_ARCH OpenBLAS",
 )
 def test_blas_kernel_does_not_move_alpha_c(tmp_path):
-    # measured on an AVX-512 host: the four kernels spread alpha_c by 1.7e-9
+    # measured on an AVX-512 host: the four kernels spread alpha_c by 1.3e-9
     default = critical_alpha_c(tmp_path, "default")
     for kernel in ("Haswell", "Sandybridge", "Nehalem"):
         core = fresh_python(["-c", CORE_PROBE], OPENBLAS_CORETYPE=kernel)

@@ -33,11 +33,35 @@ CRITICAL_ALPHAS = CRITICAL_PAYLOAD["sweep"]["grid"]["values"]
 
 def assert_same_state(a, b):
     """Two NrgStates with the same bits in every array and number."""
-    for name in ("energies", "op_b", "op_sz", "op_sx", "parity"):
-        x, y = getattr(a, name), getattr(b, name)
-        assert x.dtype == y.dtype and x.shape == y.shape, name
-        assert x.tobytes() == y.tobytes(), name
-    assert (a.iteration, a.ground_energy) == (b.iteration, b.ground_energy)
+    assert (a.iteration, a.labels, a.ground_energy) == (
+        b.iteration, b.labels, b.ground_energy)
+    for name in ("energies", "levels", "op_b", "op_sz", "op_sx"):
+        xs, ys = getattr(a, name), getattr(b, name)
+        if name == "energies":
+            xs, ys = (xs,), (ys,)
+        assert len(xs) == len(ys), name
+        for x, y in zip(xs, ys):
+            assert x.dtype == y.dtype and x.shape == y.shape, name
+            assert x.tobytes() == y.tobytes(), name
+
+
+def one_sector(state):
+    """The state as one sector labelled 0, assembled from its blocks.
+
+    Its states take the order of state.energies.
+    """
+    sizes = [x.size for x in state.levels]
+    order = np.argsort(np.concatenate(state.levels), kind="stable")
+    pick = np.ix_(order, order)
+
+    def full(blocks, odd):
+        return (nrg._full(blocks, sizes, odd)[pick],)
+
+    return NrgState(iteration=state.iteration, energies=state.energies,
+                    labels=(0,), levels=(state.energies,),
+                    op_b=full(state.op_b, True), op_sz=full(state.op_sz, True),
+                    op_sx=full(state.op_sx, False),
+                    ground_energy=state.ground_energy)
 
 
 class TestNrgConfig:
@@ -206,11 +230,12 @@ class TestPhases:
         assert r.sigma_z_gs < -0.9
 
     def test_unbiased_run_keeps_parity(self):
-        # without any bias <sigma_z> must vanish identically
+        # without any bias <sigma_z> vanishes exactly: sigma_z has no block
+        # inside a sector
         r = run(SpinBosonParams(delta=0.1, alpha=0.5),
                 NrgConfig(n_s=100, n_b=6, n_iter=20))
-        assert abs(r.sigma_z_gs) <= 1e-12
-        assert r.delta_p <= 1e-12
+        assert r.sigma_z_gs == 0.0
+        assert r.delta_p == 0.0
         assert r.sigma_x_gs > 0.1
 
     @pytest.mark.parametrize("alpha,cfg", [
@@ -220,8 +245,8 @@ class TestPhases:
     def test_unbiased_critical_run_keeps_parity(self, alpha, cfg):
         # the same at the tiny tunnelling of the critical scans
         r = run(SpinBosonParams(delta=CRITICAL_DELTA, alpha=alpha), cfg)
-        assert abs(r.sigma_z_gs) <= 1e-12
-        assert r.delta_p <= 1e-12
+        assert r.sigma_z_gs == 0.0
+        assert r.delta_p == 0.0
         assert r.sigma_x_gs > 0.0
 
     def test_unbiased_localized_cut_keeps_doublets(self):
@@ -233,7 +258,8 @@ class TestPhases:
         state = build_initial(p, chain, cfg)
         for _ in range(1, cfg.n_iter):
             state = iterate(state, chain, cfg)
-            up, down = (state.energies[state.parity == q] for q in (1, -1))
+            assert state.labels == (-1, 1)
+            down, up = state.levels
             assert up.size == down.size
         assert np.abs(up - down).max() < np.diff(up).min()  # paired
         # the doublet is split by 5.6e-4 at N = 19, far beyond the default
@@ -245,18 +271,37 @@ class TestPhases:
 
     @pytest.mark.parametrize("alpha", [0.5, 1.5])
     def test_blocked_flow_matches_one_sector_flow(self, alpha):
-        # the reference runs the same unbiased chain in one sector (every
-        # label 0), so each step diagonalizes the full space
+        # the reference runs the same unbiased chain in one sector labelled
+        # 0, assembled from the blocked state's blocks, so each step
+        # diagonalizes the full space
         p = SpinBosonParams(delta=0.1, alpha=alpha)
         cfg = NrgConfig(n_s=100, n_b=6, n_iter=20)
         chain = chain_map(discretize(p, cfg.Lambda, cfg.chain_length))
         blocked = build_initial(p, chain, cfg)
-        full = replace(blocked, parity=np.zeros_like(blocked.parity))
+        full = one_sector(blocked)
         for _ in range(1, cfg.n_iter):
             blocked, full = iterate(blocked, chain, cfg), iterate(full, chain, cfg)
-            assert not full.parity.any()
+            assert full.labels == (0,) and blocked.labels == (-1, 1)
             npt.assert_allclose(blocked.energies, full.energies, rtol=0,
                                 atol=1e-10)
+
+    @pytest.mark.parametrize("alpha,rel", [(0.0, 1e-12), (0.2, 1e-4),
+                                           (0.5, 1e-4)])
+    def test_sigma_x_is_the_ground_energy_slope(self, alpha, rel):
+        # Hellmann-Feynman: H holds -(delta/2) sigma_x, so <sigma_x> =
+        # -2 dE0/d(delta). The carried sigma_x blocks against a central
+        # difference of the ground energy, two independent routes; the
+        # truncation leaves them 4.6e-5 apart at most, and the free spin
+        # at alpha = 0 8.4e-14
+        delta = 1e-3
+        step = 1e-3 * delta
+        cfg = NrgConfig(n_s=120, n_b=6, n_iter=40)
+        res = {d: run(SpinBosonParams(delta=d, alpha=alpha), cfg)
+               for d in (delta - step, delta, delta + step)}
+        slope = (res[delta + step].ground_energy
+                 - res[delta - step].ground_energy) / (2.0 * step)
+        assert res[delta].sigma_x_gs == pytest.approx(-2.0 * slope, rel=rel,
+                                                      abs=0.0)
 
     def test_chain_noise_does_not_move_nstar(self):
         # the alpha = 0.85 point of the sbnrg critical config, on chains
@@ -381,6 +426,36 @@ class TestMechanics:
         for a, b in zip(got, serial):
             assert_same_state(a, b)
 
+    @pytest.mark.parametrize("epsilon,solves,n3", [
+        (0.0, 2, 2600320), (1e-3, 1, 10401280)], ids=["two-sectors", "biased"])
+    def test_benchmark_seams_see_every_call(self, monkeypatch, epsilon, solves,
+                                            n3):
+        # the benchmark times a run by replacing numerics.sym_eig,
+        # nrg.build_initial and nrg.iterate, so every call goes through
+        # them: one solve per sector and site, of the dimensions whose
+        # dim^3 sum its numerics.sym_eig_n3 records
+        dims, calls = [], {"build_initial": 0, "iterate": 0}
+        sym_eig = numerics.sym_eig
+
+        def counted(name):
+            step = getattr(nrg, name)
+
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return step(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(numerics, "sym_eig",
+                            lambda a: dims.append(len(a)) or sym_eig(a))
+        for name in calls:
+            monkeypatch.setattr(nrg, name, counted(name))
+        cfg = NrgConfig(n_s=30, n_b=4, n_iter=8)
+        run(SpinBosonParams(delta=0.05, alpha=0.6, epsilon=epsilon), cfg)
+        assert calls == {"build_initial": 1, "iterate": cfg.n_iter - 1}
+        # ground_spin solves once more when the ground state is a multiplet
+        assert solves * cfg.n_iter <= len(dims) <= solves * cfg.n_iter + 1
+        assert sum(d ** 3 for d in dims[:solves * cfg.n_iter]) == n3
+
     def test_usable_cpus_without_affinity(self, monkeypatch):
         # a platform without sched_getaffinity (macOS) counts every CPU
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
@@ -452,9 +527,27 @@ class TestMechanics:
                           NrgConfig(n_s=2, n_b=4, n_iter=2))
 
     @staticmethod
-    def dense_add_site(h_block, coupling, op_sz, op_sx, parity, cfg, m, eps,
-                       hop):
-        """The site step on kron-built matrices, in one sector, as the reference."""
+    def assembled(blocks, coupling, op_sz, op_sx, labels):
+        """An _add_site block as full matrices over its states, sector by
+        sector: H, the coupling, sigma_z, sigma_x and each state's label."""
+        sizes = [b.shape[0] for b in blocks]
+        h = tuple(np.diag(b) if b.ndim == 1 else b for b in blocks)
+        return (nrg._full(h, sizes, False), nrg._full(coupling, sizes, True),
+                nrg._full(op_sz, sizes, True), nrg._full(op_sx, sizes, False),
+                np.repeat(labels, sizes))
+
+    @classmethod
+    def dense_add_site(cls, blocks, coupling, op_sz, op_sx, labels, cfg, m,
+                       eps, hop):
+        """The site step on kron-built matrices, as the reference.
+
+        Each label's sector is the full H restricted to the (state, n)
+        pairs of that label. Gives the merged kept energies, each sector's
+        kept energies and kept vectors on the full basis, and b, sigma_z,
+        sigma_x on the full basis.
+        """
+        h_block, coupling, op_sz, op_sx, label = cls.assembled(
+            blocks, coupling, op_sz, op_sx, labels)
         n_b = cfg.n_b
         b = np.diag(np.sqrt(np.arange(1.0, n_b)), 1)
         eye_b, eye_k = np.eye(n_b), np.eye(h_block.shape[0])
@@ -462,11 +555,23 @@ class TestMechanics:
         h = (np.kron(h_block, eye_b)
              + (scale * eps) * np.kron(eye_k, np.diag(np.arange(n_b, dtype=float)))
              + (scale * hop) * (np.kron(coupling.T, b) + np.kron(coupling, b.T)))
-        dec = numerics.sym_eig(h)
-        e = dec.eigenvalues - dec.eigenvalues[0]
-        v = dec.vectors[:, :nrg._kept_count(e, cfg)]
-        return (e[:v.shape[1]], v.T @ np.kron(eye_k, b) @ v,
-                v.T @ np.kron(op_sz, eye_b) @ v, v.T @ np.kron(op_sx, eye_b) @ v)
+        pair = np.multiply.outer(label, (-1) ** np.arange(n_b)).ravel()
+        rows = [np.flatnonzero(pair == q) for q in labels]
+        decs = [numerics.sym_eig(h[np.ix_(r, r)]) for r in rows]
+        w = np.concatenate([d.eigenvalues for d in decs])
+        order = np.argsort(w, kind="stable")
+        e = w[order] - w[order[0]]
+        kept = nrg._kept_count(e, cfg)
+        sector = np.repeat(np.arange(len(labels)), [r.size for r in rows])
+        counts = np.bincount(sector[order[:kept]], minlength=len(labels))
+        vectors = []
+        for r, d, c in zip(rows, decs, counts):
+            v = np.zeros((h.shape[0], c))
+            v[r] = d.vectors[:, :c]
+            vectors.append(v)
+        levels = [d.eigenvalues[:c] - w[order[0]] for d, c in zip(decs, counts)]
+        return (e[:kept], levels, vectors,
+                (np.kron(eye_k, b), np.kron(op_sz, eye_b), np.kron(op_sx, eye_b)))
 
     @staticmethod
     def site_step_args(block, bias, eps, cfg, n_b):
@@ -475,14 +580,15 @@ class TestMechanics:
         The block comes from cfg and the site holds n_b boson states.
         """
         site_cfg = replace(cfg, n_b=n_b)
-        if block == "spin":  # site 0: the 2 x 2 spin block, as build_initial
+        if block == "spin":  # site 0: the spin block, as build_initial
             sx = np.array([[0.0, 1.0], [1.0, 0.0]])
             sz = np.array([[1.0, 0.0], [0.0, -1.0]])
             if bias:
-                return (-0.05 * sx + bias * sz, sz, sz, sx, np.zeros(2, int),
+                return ((-0.05 * sx + bias * sz,), (sz,), (sz,), (sx,), (0,),
                         site_cfg, 0, eps, 0.3)
-            return (np.diag([-0.05, 0.05]), sx, sx, sz, np.array([1, -1]),
-                    site_cfg, 0, eps, 0.3)
+            one = np.ones((1, 1))
+            return ((np.array([0.05]), np.array([-0.05])), (one, one),
+                    (one, one), (-one, one), (-1, 1), site_cfg, 0, eps, 0.3)
         # a later site: diagonal block of ~20 kept states
         chain = WilsonChain(c0=0.4, eps=np.array([0.6, 0.3, 0.15]),
                             t=np.array([0.2, 0.1]))
@@ -490,8 +596,8 @@ class TestMechanics:
             SpinBosonParams(delta=0.05, epsilon=bias, alpha=0.3), chain,
             cfg), chain, cfg)
         assert 20 <= st1.kept <= 24
-        return (np.diag(cfg.Lambda * st1.energies), st1.op_b, st1.op_sz,
-                st1.op_sx, st1.parity, site_cfg, 2, eps, 0.1)
+        return (tuple(cfg.Lambda * x for x in st1.levels), st1.op_b,
+                st1.op_sz, st1.op_sx, st1.labels, site_cfg, 2, eps, 0.1)
 
     @pytest.mark.parametrize("n_b", [2, 6])
     @pytest.mark.parametrize("eps", [0.0, 0.37])
@@ -501,72 +607,74 @@ class TestMechanics:
         cfg = NrgConfig(Lambda=2.0, n_s=20, n_b=4, n_iter=4)
         args = self.site_step_args(block, 0.01, eps, cfg, n_b)
         got = nrg._add_site(*args)
-        e, op_b, op_sz, op_sx = self.dense_add_site(*args)
-        assert not got.parity.any()
+        e, _, (v,), (op_b, op_sz, op_sx) = self.dense_add_site(*args)
+        assert got.labels == (0,)
         npt.assert_array_equal(got.energies, e)
-        npt.assert_array_equal(got.op_b, op_b)
-        npt.assert_allclose(got.op_sz, op_sz, rtol=0, atol=1e-13)
-        npt.assert_allclose(got.op_sx, op_sx, rtol=0, atol=1e-13)
+        npt.assert_array_equal(got.levels[0], e)
+        npt.assert_array_equal(got.op_b[0], v.T @ op_b @ v)
+        npt.assert_allclose(got.op_sz[0], v.T @ op_sz @ v, rtol=0, atol=1e-13)
+        npt.assert_allclose(got.op_sx[0], v.T @ op_sx @ v, rtol=0, atol=1e-13)
 
-    @pytest.mark.parametrize("n_b", [2, 6])
+    @pytest.mark.parametrize("n_b", [2, 5, 6])
     @pytest.mark.parametrize("block,eps", [
         ("spin", 0.37), ("kept", 0.0), ("kept", 0.37)])
     def test_blocked_site_step_matches_kron_reference(self, block, eps, n_b):
-        # without a bias the two sectors, solved apart, give the one-sector
-        # spectrum and operators, and the odd operators stay exactly odd.
-        # (Site 0 at eps = 0 has degenerate levels in opposite sectors, whose
-        # vectors are the solver's choice, so it is left out.)
+        # without a bias each sector's kept energies and operator blocks are
+        # the dense reference's restricted to that sector, odd n_b (halves
+        # of unequal size) included. (Site 0 at eps = 0 has degenerate
+        # levels in opposite sectors, whose vectors are the solver's
+        # choice, so it is left out.)
         cfg = NrgConfig(Lambda=2.0, n_s=20, n_b=4, n_iter=4)
         args = self.site_step_args(block, 0.0, eps, cfg, n_b)
         got = nrg._add_site(*args)
-        e, op_b, op_sz, op_sx = self.dense_add_site(*args)
-        assert set(got.parity.tolist()) == {-1, 1}
+        e, levels, v, (op_b, op_sz, op_sx) = self.dense_add_site(*args)
+        assert got.labels == (-1, 1)
         npt.assert_allclose(got.energies, e, rtol=0, atol=1e-13)
-        for ours, ref in ((got.op_b, op_b), (got.op_sz, op_sz),
-                          (got.op_sx, op_sx)):
-            npt.assert_allclose(ours, ref, rtol=0, atol=1e-12)
-        same = np.equal.outer(got.parity, got.parity)
-        assert not got.op_b[same].any() and not got.op_sz[same].any()
-        assert not got.op_sx[~same].any()
-
-    @staticmethod
-    def gathered_sectors(h_block, coupling, parity, n_b, on_site, hop):
-        """Each label's sector gathered from the full H, as the step once built it.
-
-        Maps each label to its matrix and its rows in the full H.
-        """
-        k = h_block.shape[0]
-        root = np.sqrt(np.arange(1.0, n_b))
-        h = np.zeros((k, n_b, k, n_b))
-        np.einsum("iaja->aij", h)[...] += h_block
-        np.einsum("iaia->ia", h)[...] += on_site * np.arange(n_b)
-        up = hop * (coupling.T * root[:, None, None])
-        np.einsum("iaja->aij", h[:, :-1, :, 1:])[...] += up
-        np.einsum("iaja->aij", h[:, 1:, :, :-1])[...] += up.transpose(0, 2, 1)
-        h = h.reshape(k * n_b, -1)
-        labels = np.multiply.outer(parity, (-1) ** np.arange(n_b)).ravel()
-        rows = {q: np.flatnonzero(labels == q) for q in set(labels.tolist())}
-        return {q: (h[r][:, r], r) for q, r in rows.items()}
+        for j, r in ((0, 1), (1, 0)):
+            npt.assert_allclose(got.levels[j], levels[j], rtol=0, atol=1e-13)
+            for ours, ref in ((got.op_b[j], v[j].T @ op_b @ v[r]),
+                              (got.op_sz[j], v[j].T @ op_sz @ v[r]),
+                              (got.op_sx[j], v[j].T @ op_sx @ v[j])):
+                assert ours.shape == ref.shape
+                npt.assert_allclose(ours, ref, rtol=0, atol=1e-13)
+        npt.assert_array_equal(got.op_sz[1], got.op_sz[0].T)
 
     @pytest.mark.parametrize("n_b", [2, 3, 6, 7])
     @pytest.mark.parametrize("bias", [0.01, 0.0], ids=["one-label", "two-labels"])
     @pytest.mark.parametrize("block", ["spin", "kept"])
     def test_sector_h_has_the_full_h_bits(self, block, bias, n_b):
         # each sector, built on its own, is the gathered block of the full H
-        # bit for bit, odd n_b (a ragged sector) included
+        # bit for bit, in its halves' (state, n) order, odd n_b (halves of
+        # unequal size) included
         cfg = NrgConfig(Lambda=2.0, n_s=20, n_b=4, n_iter=4)
-        h_block, coupling, _, _, parity, site_cfg, m, eps, hop = (
+        blocks, coupling, op_sz, op_sx, labels, site_cfg, m, eps, hop = (
             self.site_step_args(block, bias, 0.37, cfg, n_b))
         scale = site_cfg.Lambda ** m
-        ref = self.gathered_sectors(h_block, coupling, parity, n_b,
-                                    scale * eps, scale * hop)
-        assert sorted(ref) == ([0] if bias else [-1, 1])
-        for label, (h, rows) in ref.items():
-            got, got_rows = nrg._sector_h(h_block, coupling, parity, label,
-                                          n_b, scale * eps, scale * hop)
-            assert got.shape == h.shape
-            assert got.tobytes() == h.tobytes()
-            npt.assert_array_equal(got_rows, rows)
+        on_site, hop = scale * eps, scale * hop
+        h_block, full_coupling, _, _, label = self.assembled(
+            blocks, coupling, op_sz, op_sx, labels)
+        # the full H as the step once built it, in the (state, n) order
+        k = h_block.shape[0]
+        root = np.sqrt(np.arange(1.0, n_b))
+        ref = np.zeros((k, n_b, k, n_b))
+        np.einsum("iaja->aij", ref)[...] += h_block
+        np.einsum("iaia->ia", ref)[...] += on_site * np.arange(n_b)
+        up = hop * (full_coupling.T * root[:, None, None])
+        np.einsum("iaja->aij", ref[:, :-1, :, 1:])[...] += up
+        np.einsum("iaja->aij", ref[:, 1:, :, :-1])[...] += up.transpose(0, 2, 1)
+        ref = ref.reshape(k * n_b, -1)
+        pair = np.multiply.outer(label, (-1) ** np.arange(n_b)).ravel()
+        first = np.cumsum([0] + [b.shape[0] for b in blocks])
+        assert labels == ((0,) if bias else (-1, 1))
+        for j, q in enumerate(labels):
+            got, levels, _ = nrg._sector_h(blocks, coupling, j, n_b, on_site,
+                                           hop)
+            rows = np.concatenate([
+                (n_b * np.arange(first[i], first[i + 1])[:, None] + lv).ravel()
+                for i, lv in enumerate(levels)])
+            npt.assert_array_equal(np.sort(rows), np.flatnonzero(pair == q))
+            assert got.shape == (rows.size, rows.size)
+            assert got.tobytes() == ref[np.ix_(rows, rows)].tobytes()
 
     def test_pooled_step_matches_serial_step(self):
         # the second sector solved on a worker thread gives the same bits
@@ -580,7 +688,7 @@ class TestMechanics:
             for _ in range(1, cfg.n_iter):
                 pooled = iterate(state, chain, cfg, pool)
                 serial = iterate(state, chain, cfg)
-                assert set(serial.parity.tolist()) == {-1, 1}
+                assert serial.labels == (-1, 1)
                 assert_same_state(pooled, serial)
                 state = serial
 
@@ -598,15 +706,34 @@ class TestMechanics:
 
 class TestGroundObservable:
     @staticmethod
-    def state(energies, sz, sx, parity=None):
-        k = len(energies)
+    def state(energies, sz, sx):
+        """A state of one sector labelled 0."""
+        e = np.asarray(energies, dtype=float)
         return NrgState(
             iteration=3,
-            energies=np.asarray(energies, dtype=float),
-            op_b=np.zeros((k, k)),
-            op_sz=np.asarray(sz, dtype=float),
-            op_sx=np.asarray(sx, dtype=float),
-            parity=np.zeros(k, dtype=int) if parity is None else np.asarray(parity),
+            energies=e,
+            labels=(0,),
+            levels=(e,),
+            op_b=(np.zeros((e.size, e.size)),),
+            op_sz=(np.asarray(sz, dtype=float),),
+            op_sx=(np.asarray(sx, dtype=float),),
+            ground_energy=0.0,
+        )
+
+    @staticmethod
+    def blocked(levels, sz, sx):
+        """A state of the sectors (-1, 1): levels and sigma_x per sector,
+        sigma_z from sector -1 to sector 1."""
+        levels = tuple(np.asarray(x, dtype=float) for x in levels)
+        sz = np.asarray(sz, dtype=float)
+        return NrgState(
+            iteration=3,
+            energies=np.sort(np.concatenate(levels)),
+            labels=(-1, 1),
+            levels=levels,
+            op_b=(np.zeros(sz.shape), np.zeros(sz.T.shape)),
+            op_sz=(sz, sz.T),
+            op_sx=tuple(np.asarray(x, dtype=float) for x in sx),
             ground_energy=0.0,
         )
 
@@ -646,11 +773,10 @@ class TestGroundObservable:
     def test_cross_sector_doublet(self, partner, expected):
         # sigma_z only links the two parity sectors; the level above the
         # ground state pairs with it when it is split off from the rest of
-        # the spectrum, however far beyond degeneracy_tol it lies
-        st_ = self.state([0.0, partner, 0.5],
-                         [[0.0, 0.8, 0.0], [0.8, 0.0, 0.5], [0.0, 0.5, 0.0]],
-                         [[0.4, 0.0, 0.1], [0.0, 0.6, 0.0], [0.1, 0.0, 0.2]],
-                         parity=[1, -1, 1])
+        # the spectrum, however far beyond degeneracy_tol it lies. Sector 1
+        # holds the ground state and the level at 0.5, sector -1 the partner.
+        st_ = self.blocked([[partner], [0.0, 0.5]], [[0.8, 0.5]],
+                           [[[0.6]], [[0.4, 0.1], [0.1, 0.2]]])
         sz, sx = ground_spin(st_, 1e-8)
         assert abs(sz) == pytest.approx(expected, abs=1e-12)
         assert sx == pytest.approx(0.5 if expected else 0.4, abs=1e-12)
