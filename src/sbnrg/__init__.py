@@ -58,10 +58,8 @@ _pin_loaded_openblas()
 
 from .bath import StarBath, WilsonChain, chain_map, discretize, spectral_density  # noqa: E402
 from .circuit import (  # noqa: E402
-    CODATA,
     CircuitParams,
     LineModes,
-    PhysicalConstants,
     QubitSpectrum,
     SpinBosonParams,
     finite_line_modes,
@@ -87,7 +85,6 @@ __all__ = [
     "numerics",
     "nrg",
     "oracle",
-    "CODATA",
     "CircuitParams",
     "CrossoverPoint",
     "EdProblem",
@@ -98,7 +95,6 @@ __all__ = [
     "NrgResult",
     "NrgState",
     "PhaseDiagnosis",
-    "PhysicalConstants",
     "QubitSpectrum",
     "SpinBosonParams",
     "StarBath",

@@ -27,8 +27,11 @@ import warnings
 from dataclasses import dataclass
 
 __all__ = [
-    "PhysicalConstants",
-    "CODATA",
+    "H_BAR",
+    "E_CHARGE",
+    "FLUX_QUANTUM",
+    "ALPHA_WINDOW",
+    "EJ_EC_MIN",
     "CircuitParams",
     "QubitSpectrum",
     "SpinBosonParams",
@@ -40,32 +43,21 @@ __all__ = [
     "DELTA_CONVENTIONS",
 ]
 
+# CODATA exact values; Phi_0 = pi hbar / e
 _H_PLANCK = 6.62607015e-34  # J s, exact by definition
-_E_CHARGE = 1.602176634e-19  # C, exact by definition
+H_BAR = _H_PLANCK / (2.0 * math.pi)
+E_CHARGE = 1.602176634e-19  # C, exact by definition
+FLUX_QUANTUM = _H_PLANCK / (2.0 * E_CHARGE)
+
+# the experimentally motivated range of alpha; map_to_spin_boson warns outside it
+ALPHA_WINDOW = (0.2, 3.0)
+# the E_J/E_C ratio a junction must exceed to stay clear of charge noise
+EJ_EC_MIN = 100.0
 
 # The qubit splitting entering alpha and delta can be taken as hbar*omega_10
 # or as hbar*omega_p/2; both appear in the literature for this circuit and
 # they differ by a factor 1.9. Neither is asserted correct here.
 DELTA_CONVENTIONS = ("omega10", "half_omega_p")
-
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """CODATA exact values; flux_quantum must satisfy Phi_0 = pi hbar / e."""
-
-    h_bar: float = _H_PLANCK / (2.0 * math.pi)
-    e_charge: float = _E_CHARGE
-    flux_quantum: float = _H_PLANCK / (2.0 * _E_CHARGE)
-
-    def __post_init__(self):
-        if self.h_bar <= 0 or self.e_charge <= 0 or self.flux_quantum <= 0:
-            raise ValueError("physical constants must be positive")
-        ref = math.pi * self.h_bar / self.e_charge
-        if abs(self.flux_quantum - ref) > 1e-12 * ref:
-            raise ValueError("flux_quantum inconsistent with h_bar and e_charge")
-
-
-CODATA = PhysicalConstants()
 
 
 @dataclass(frozen=True)
@@ -168,31 +160,31 @@ class LineModes:
     spacing: float
 
 
-def qubit_spectrum(p: CircuitParams, ej_ec_threshold: float = 100.0) -> QubitSpectrum:
+def qubit_spectrum(p: CircuitParams) -> QubitSpectrum:
     """Evaluate the cubic-well spectrum of the biased junction.
 
     Uses omega_10 = 0.95 omega_p for the anharmonically softened level
-    splitting and Delta = hbar omega_10.
+    splitting and Delta = hbar omega_10. is_valid is E_J/E_C > EJ_EC_MIN.
     """
-    phi0 = CODATA.flux_quantum
+    phi0 = FLUX_QUANTUM
     ctot = p.c_total
     tilt = 1.0 - p.i_b / p.i_0
     barrier = (2.0 * math.sqrt(2.0) / (3.0 * math.pi)) * p.i_0 * phi0 * tilt ** 1.5
     omega_p = 2.0 ** 0.25 * math.sqrt(2.0 * math.pi * p.i_0 / (phi0 * ctot)) * tilt ** 0.25
     omega_10 = 0.95 * omega_p
     e_j = phi0 * p.i_0 / (2.0 * math.pi)
-    e_c = CODATA.e_charge ** 2 / (2.0 * ctot)
+    e_c = E_CHARGE ** 2 / (2.0 * ctot)
     ratio = e_j / e_c
     return QubitSpectrum(
         omega_p=omega_p,
         omega_10=omega_10,
         barrier_height=barrier,
-        delta=CODATA.h_bar * omega_10,
+        delta=H_BAR * omega_10,
         e_j=e_j,
         e_c=e_c,
-        barrier_ratio=barrier / (CODATA.h_bar * omega_p) if omega_p > 0 else 0.0,
+        barrier_ratio=barrier / (H_BAR * omega_p) if omega_p > 0 else 0.0,
         ej_ec_ratio=ratio,
-        is_valid=ratio > ej_ec_threshold,
+        is_valid=ratio > EJ_EC_MIN,
     )
 
 
@@ -205,25 +197,23 @@ def _splitting(p: CircuitParams, delta_convention: str) -> float:
 
 
 def map_to_spin_boson(p: CircuitParams, omega_c: float,
-                      delta_convention: str = "omega10",
-                      alpha_window: tuple[float, float] = (0.2, 3.0)) -> SpinBosonParams:
+                      delta_convention: str = "omega10") -> SpinBosonParams:
     """Reduce the circuit to dimensionless spin-boson parameters.
 
     alpha = (Delta / hbar pi)(C_0^2 / C) sqrt(l/c) and delta is the
     splitting frequency over omega_c. The splitting follows
     delta_convention; see DELTA_CONVENTIONS. omega_c must lie above that
     splitting, so delta < 1, or ValueError. Bias epsilon starts at zero
-    (see microwave_bias for driving). Warns when alpha leaves the
-    experimentally motivated window.
+    (see microwave_bias for driving). Warns when alpha leaves ALPHA_WINDOW.
     """
     split = _splitting(p, delta_convention)
     if omega_c <= split:
         raise ValueError("cutoff omega_c must lie above the qubit splitting, "
                          f"{split:.6g} rad/s under {delta_convention}")
     alpha = (split / math.pi) * (p.c_0 ** 2 / p.c_total) * p.impedance
-    if alpha > 0 and not alpha_window[0] <= alpha <= alpha_window[1]:
+    if alpha > 0 and not ALPHA_WINDOW[0] <= alpha <= ALPHA_WINDOW[1]:
         warnings.warn(
-            f"alpha = {alpha:.3g} outside the window {alpha_window}",
+            f"alpha = {alpha:.3g} outside the window {ALPHA_WINDOW}",
             RuntimeWarning,
             stacklevel=2,
         )
@@ -242,7 +232,7 @@ def microwave_bias(p: CircuitParams, i_uw: float) -> float:
     epsilon = sqrt(hbar / (2 omega_10 C)) I_uw.
     """
     omega_10 = qubit_spectrum(p).omega_10
-    return math.sqrt(CODATA.h_bar / (2.0 * omega_10 * p.c_total)) * i_uw
+    return math.sqrt(H_BAR / (2.0 * omega_10 * p.c_total)) * i_uw
 
 
 def finite_line_modes(p: CircuitParams, length: float, n_c: int,
@@ -259,14 +249,14 @@ def finite_line_modes(p: CircuitParams, length: float, n_c: int,
         raise ValueError("line length must be positive")
     if n_c < 1:
         raise ValueError("need at least one mode")
-    delta_energy = CODATA.h_bar * _splitting(p, delta_convention)
+    delta_energy = H_BAR * _splitting(p, delta_convention)
     spacing = math.pi / (length * math.sqrt(p.l * p.c))
     ctot = p.c_total
     modes = []
     for n in range(1, n_c + 1):
         omega_n = n * spacing
         lam = p.c_0 * math.sqrt(
-            2.0 * delta_energy * CODATA.h_bar * omega_n / (ctot * length * p.c)
+            2.0 * delta_energy * H_BAR * omega_n / (ctot * length * p.c)
         )
         modes.append((omega_n, lam))
     return LineModes(modes=tuple(modes), spacing=spacing)

@@ -22,12 +22,15 @@ or an interrupt ends the running points before their next iteration. Data
 files are byte-identical across reruns and worker counts; in the manifest
 only the timestamps and the echoed out_dir and workers differ. The
 manifest's config echo, without those two, is a config the same
-subcommand accepts; a null reads as an unset optional field.
+subcommand accepts; a null reads as an unset optional field. map-circuit
+builds circuit.json once, while the config is parsed, and warns then
+of an alpha outside its window.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -43,8 +46,8 @@ import numpy as np
 
 from . import __version__, bath, criticality, nrg, oracle
 from .circuit import (
-    CODATA,
     DELTA_CONVENTIONS,
+    H_BAR,
     CircuitParams,
     SpinBosonParams,
     finite_line_modes,
@@ -116,15 +119,14 @@ class CriticalSpec:
 class CircuitSpec(CircuitParams):
     """The circuit, and what map-circuit derives from it: omega_c (rad/s)
     adds the spin-boson model, i_uw (A) the microwave bias, line_length (m)
-    the first n_modes modes of a line that long; ej_ec_threshold is the
-    E_J/E_C ratio the qubit spectrum must exceed to count as valid."""
+    the first n_modes modes of a line that long. circuit_json, the file
+    map-circuit writes, is built once, while the config is parsed."""
 
     omega_c: float | None = None
     delta_convention: str = "omega10"
     i_uw: float | None = None
     line_length: float | None = None
     n_modes: int = 10
-    ej_ec_threshold: float = 100.0
 
     def __post_init__(self):
         super().__post_init__()
@@ -137,10 +139,11 @@ class CircuitSpec(CircuitParams):
             raise ConfigError("circuit.n_modes must be at least 1")
         if self.n_modes > MAX_LINE_MODES:
             raise ConfigError(f"circuit.n_modes must be at most {MAX_LINE_MODES}")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # execute warns once
-            payload = _circuit_payload(self)  # what execute writes, indented
-        _json_file("circuit.json", payload, indent=None)
+        self.circuit_json  # a value out of float range fails here
+
+    @functools.cached_property
+    def circuit_json(self) -> tuple[str, str]:
+        return _json_file("circuit.json", _circuit_payload(self))
 
 
 @dataclass(frozen=True)
@@ -395,13 +398,11 @@ def _csv(header: str, rows) -> str:
     return "\n".join([header, *(",".join(row) for row in rows)]) + "\n"
 
 
-def _json_file(name: str, obj, indent: int | None = 2) -> tuple[str, str]:
+def _json_file(name: str, obj) -> tuple[str, str]:
     """The file name with obj as its JSON text. JSON holds no inf or nan,
-    so a non-finite float is a ConfigError that names the file. indent=None
-    gives compact, unsorted text from the C encoder: a cheap check of obj."""
+    so a non-finite float is a ConfigError that names the file."""
     try:
-        return name, json.dumps(obj, indent=indent, sort_keys=indent is not None,
-                                allow_nan=False) + "\n"
+        return name, json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
     except ValueError as exc:
         raise ConfigError(f"cannot write {name}: {exc}") from None
 
@@ -444,7 +445,7 @@ def _circuit_payload(circuit: CircuitSpec) -> dict:
     """circuit.json's contents: the qubit spectrum, and what omega_c, i_uw
     and line_length add."""
     conv = circuit.delta_convention
-    spec = qubit_spectrum(circuit, ej_ec_threshold=circuit.ej_ec_threshold)
+    spec = qubit_spectrum(circuit)
     payload = {
         "qubit": {
             "omega_p": spec.omega_p,
@@ -469,7 +470,7 @@ def _circuit_payload(circuit: CircuitSpec) -> dict:
         bias = microwave_bias(circuit, circuit.i_uw)
         payload["bias_j"] = bias
         if circuit.omega_c is not None:
-            payload["bias"] = bias / (CODATA.h_bar * circuit.omega_c)
+            payload["bias"] = bias / (H_BAR * circuit.omega_c)
     if circuit.line_length is not None:
         lm = finite_line_modes(circuit, circuit.line_length, circuit.n_modes,
                                delta_convention=conv)
@@ -482,7 +483,7 @@ def _circuit_payload(circuit: CircuitSpec) -> dict:
 
 
 def _do_map_circuit(cfg: RunConfig):
-    yield _json_file("circuit.json", _circuit_payload(cfg.circuit))
+    yield cfg.circuit.circuit_json
 
 
 def _do_chain(cfg: RunConfig):

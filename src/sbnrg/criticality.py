@@ -26,6 +26,8 @@ __all__ = [
 ]
 
 DEFAULT_THRESHOLD = 0.3
+DELOCALIZED_BELOW = 0.05
+LOCALIZED_ABOVE = 0.45
 
 
 class NoCrossingError(RuntimeError):
@@ -77,16 +79,15 @@ def fit_alpha_c(points, window: float | None = None) -> numerics.DivergenceFit:
     )
 
 
-def classify_phase(delta_p: float, lo: float = 0.05, hi: float = 0.45) -> PhaseDiagnosis:
-    """Label a delta_p value: below lo delocalized, above hi localized."""
+def classify_phase(delta_p: float) -> PhaseDiagnosis:
+    """Label a delta_p value: below DELOCALIZED_BELOW delocalized, above
+    LOCALIZED_ABOVE localized, undetermined between them."""
     dp = float(delta_p)
     if not 0.0 <= dp <= 0.5 + 1e-9:
         raise ValueError(f"delta_p = {dp} outside [0, 0.5]")
-    if not 0.0 < lo < hi < 0.5:
-        raise ValueError("thresholds must satisfy 0 < lo < hi < 0.5")
-    if dp < lo:
+    if dp < DELOCALIZED_BELOW:
         label = "delocalized"
-    elif dp > hi:
+    elif dp > LOCALIZED_ABOVE:
         label = "localized"
     else:
         label = "undetermined"

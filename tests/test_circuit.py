@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -7,10 +8,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sbnrg.circuit import (
-    CODATA,
     DELTA_CONVENTIONS,
+    E_CHARGE,
+    FLUX_QUANTUM,
+    H_BAR,
     CircuitParams,
-    PhysicalConstants,
     SpinBosonParams,
     finite_line_modes,
     map_to_spin_boson,
@@ -32,15 +34,10 @@ def make(**overrides):
 
 class TestConstants:
     def test_flux_quantum_value(self):
-        assert CODATA.flux_quantum == pytest.approx(2.0678338484619295e-15, rel=1e-12)
+        assert FLUX_QUANTUM == pytest.approx(2.0678338484619295e-15, rel=1e-12)
 
-    def test_flux_quantum_consistency_enforced(self):
-        with pytest.raises(ValueError):
-            PhysicalConstants(flux_quantum=2.1e-15)
-
-    def test_positive_required(self):
-        with pytest.raises(ValueError):
-            PhysicalConstants(h_bar=-1.0)
+    def test_flux_quantum_is_pi_hbar_over_e(self):
+        assert FLUX_QUANTUM == pytest.approx(math.pi * H_BAR / E_CHARGE, rel=1e-12)
 
 
 class TestCircuitParams:
@@ -77,13 +74,16 @@ class TestQubitSpectrum:
     def test_level_splitting_is_softened_plasma(self):
         spec = qubit_spectrum(REFERENCE)
         assert spec.omega_10 == pytest.approx(0.95 * spec.omega_p, rel=1e-15)
-        assert spec.delta == pytest.approx(CODATA.h_bar * spec.omega_10, rel=1e-15)
+        assert spec.delta == pytest.approx(H_BAR * spec.omega_10, rel=1e-15)
 
     def test_charge_regime_flag(self):
         spec = qubit_spectrum(REFERENCE)
         assert spec.ej_ec_ratio > 1e5
         assert spec.is_valid
-        assert not qubit_spectrum(REFERENCE, ej_ec_threshold=1e7).is_valid
+        # a small junction in the charge regime, E_J/E_C = 25.6
+        charge = qubit_spectrum(make(c_j=1e-12, c_0=0.0, i_0=1e-9, i_b=0.0))
+        assert charge.ej_ec_ratio == pytest.approx(25.64159166377945, rel=1e-12)
+        assert not charge.is_valid
 
     def test_barrier_holds_a_few_levels(self):
         spec = qubit_spectrum(REFERENCE)
@@ -108,8 +108,7 @@ class TestQubitSpectrum:
 
 class TestMapToSpinBoson:
     def test_frozen_alpha_both_conventions(self):
-        with pytest.warns(RuntimeWarning):
-            sb = map_to_spin_boson(REFERENCE, 1e14, alpha_window=(0.2, 0.5))
+        sb = map_to_spin_boson(REFERENCE, 1e14)
         assert sb.alpha == pytest.approx(0.8266628913401026, rel=1e-12)
         sb_half = map_to_spin_boson(REFERENCE, 1e14,
                                     delta_convention="half_omega_p")
@@ -151,8 +150,7 @@ class TestMapToSpinBoson:
         split = 0.95 * omega_p if convention == "omega10" else 0.5 * omega_p
         omega_c = cutoff * omega_p
         if valid:
-            sb = map_to_spin_boson(p, omega_c, delta_convention=convention,
-                                   alpha_window=(0.0, math.inf))
+            sb = map_to_spin_boson(p, omega_c, delta_convention=convention)
             assert sb.delta == pytest.approx(split / omega_c, rel=1e-12)
         else:
             with pytest.raises(ValueError, match=re.escape(
@@ -165,12 +163,13 @@ class TestMapToSpinBoson:
             map_to_spin_boson(REFERENCE, 1e14, delta_convention="omega_p")
 
     def test_window_warning_and_silence(self):
-        with pytest.warns(RuntimeWarning):
-            map_to_spin_boson(REFERENCE, 1e14, alpha_window=(0.2, 0.5))
-        import warnings
+        # c_0 = 0.5 pF gives alpha = 0.084, below the window
+        with pytest.warns(RuntimeWarning, match=re.escape(
+                "alpha = 0.084 outside the window (0.2, 3.0)")):
+            map_to_spin_boson(make(c_0=0.5e-12), 1e14)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            map_to_spin_boson(REFERENCE, 1e14, alpha_window=(0.2, 3.0))
+            map_to_spin_boson(REFERENCE, 1e14)
             # decoupled circuit never warns
             map_to_spin_boson(make(c_0=0.0), 1e14)
 
@@ -178,20 +177,20 @@ class TestMapToSpinBoson:
         fractions = np.linspace(0.0, 0.99, 20)
         alphas = [
             map_to_spin_boson(make(i_b=f * 2e-6), 1e14,
-                              delta_convention="half_omega_p",
-                              alpha_window=(0.0, 10.0)).alpha
+                              delta_convention="half_omega_p").alpha
             for f in fractions
         ]
         assert all(a > b for a, b in zip(alphas, alphas[1:]))
 
     def test_alpha_grows_with_coupling_capacitance(self):
         caps = np.linspace(0.5e-12, 8e-12, 20)
-        alphas = [
-            map_to_spin_boson(make(c_0=c0), 1e14,
-                              delta_convention="half_omega_p",
-                              alpha_window=(0.0, 100.0)).alpha
-            for c0 in caps
-        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the smallest c_0 lie below the window
+            alphas = [
+                map_to_spin_boson(make(c_0=c0), 1e14,
+                                  delta_convention="half_omega_p").alpha
+                for c0 in caps
+            ]
         assert all(a < b for a, b in zip(alphas, alphas[1:]))
 
 
@@ -245,7 +244,7 @@ class TestFiniteLineModes:
         # pi lambda_n^2 / (hbar^2 dOmega) = 2 pi alpha omega_n per mode
         sb = map_to_spin_boson(REFERENCE, 1e14)
         lm = finite_line_modes(REFERENCE, length=2.5, n_c=8)
-        hb = CODATA.h_bar
+        hb = H_BAR
         for omega_n, lam in lm.modes:
             lhs = math.pi * lam * lam / (hb * hb * lm.spacing)
             assert lhs == pytest.approx(2.0 * math.pi * sb.alpha * omega_n,
@@ -259,13 +258,12 @@ class TestFiniteLineModes:
     )
     def test_ohmic_identity_generic(self, length, bias_frac, c0_pf, convention):
         p = make(i_b=bias_frac * 2e-6, c_0=c0_pf * 1e-12)
-        import warnings
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             sb = map_to_spin_boson(p, 1e14, delta_convention=convention)
         lm = finite_line_modes(p, length=length, n_c=3,
                                delta_convention=convention)
-        hb = CODATA.h_bar
+        hb = H_BAR
         for omega_n, lam in lm.modes:
             lhs = math.pi * lam * lam / (hb * hb * lm.spacing)
             rhs = 2.0 * math.pi * sb.alpha * omega_n

@@ -135,12 +135,13 @@ BLOCKS = {
                 {"c_j": 0.85e-12, "c_0": 4.25e-12, "i_0": 2e-6, "i_b": 1.96e-6,
                  "l": 4e-7, "c": 1.6e-10, "omega_c": 1e14,
                  "delta_convention": "half_omega_p", "i_uw": 1e-9,
-                 "line_length": 1.0, "n_modes": 3, "ej_ec_threshold": 50.0},
-                ["c_j", "c_0", "i_0", "i_b", "l", "c"], ["params"], "circuit",
+                 "line_length": 1.0, "n_modes": 3},
+                ["c_j", "c_0", "i_0", "i_b", "l", "c"], ["params", "ej_ec_threshold"],
+                "circuit",
                 CircuitSpec(c_j=0.85e-12, c_0=4.25e-12, i_0=2e-6, i_b=1.96e-6,
                             l=4e-7, c=1.6e-10, omega_c=1e14,
                             delta_convention="half_omega_p", i_uw=1e-9,
-                            line_length=1.0, n_modes=3, ej_ec_threshold=50.0)),
+                            line_length=1.0, n_modes=3)),
     "sweep": ("sweep", {"model": {"delta": 0.05}},
               {"parameter": "epsilon",
                "grid": {"from": 0.0, "to": 0.02, "step": 0.01}},
@@ -434,8 +435,7 @@ class TestParseConfig:
                                         mode="map-circuit"))
         assert echo["circuit"] == {
             **block, "omega_c": None, "delta_convention": "omega10",
-            "i_uw": None, "line_length": None, "n_modes": 10,
-            "ej_ec_threshold": 100.0}
+            "i_uw": None, "line_length": None, "n_modes": 10}
         echo = config_echo(parse_config(
             json.dumps({"oracle": {"delta": 0.3, "modes": [[0.5, 0.2]]}}),
             mode="oracle"))
@@ -578,6 +578,33 @@ class TestMapCircuitMode:
             assert (f"circuit: cutoff omega_c must lie above the qubit splitting, "
                     f"{split:.6g} rad/s under {convention}") in capsys.readouterr().err
             assert not out.exists()
+
+    def test_circuit_json_is_derived_once(self, tmp_path, monkeypatch):
+        # parsing derives and serialises circuit.json; execute writes that text
+        derive = cli._circuit_payload
+        calls = []
+
+        def counted(circuit):
+            calls.append(circuit)
+            return derive(circuit)
+
+        monkeypatch.setattr(cli, "_circuit_payload", counted)
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, self.PAYLOAD)
+        assert main(["map-circuit", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        assert len(calls) == 1
+        assert hashlib.sha256((out / "circuit.json").read_bytes()).hexdigest() == (
+            "33e44d7c8130fb5000ba327733fa157ee12da584d1e0e5131a0034ffebac929b")
+        # c_0 = 0.5 pF puts alpha at 0.084, below its window; with every
+        # warning shown, a second derivation would print a second line
+        block = dict(self.PAYLOAD["circuit"], c_0=0.5e-12, delta_convention="omega10")
+        cfg = write_config(tmp_path, {"circuit": block})
+        proc = subprocess.run(
+            [sys.executable, "-W", "always::RuntimeWarning", "-m", "sbnrg",
+             "map-circuit", "--config", cfg, "--out", str(tmp_path / "low")],
+            env=src_env(), capture_output=True, text=True)
+        assert proc.returncode == EXIT_OK
+        assert proc.stderr.count("outside the window") == 1
 
     def test_unphysical_circuit_is_config_error(self, tmp_path):
         bad = {"circuit": dict(self.PAYLOAD["circuit"], i_b=3e-6)}

@@ -139,17 +139,8 @@ class TestClassifyPhase:
     def test_roundoff_above_half_tolerated(self):
         assert classify_phase(0.5 + 5e-10).label == "localized"
 
-    def test_custom_thresholds(self):
-        assert classify_phase(0.1, lo=0.2, hi=0.4).label == "delocalized"
-        assert classify_phase(0.1, lo=0.02, hi=0.08).label == "localized"
-
     @pytest.mark.parametrize("dp", [-0.01, 0.51])
     def test_range_validation(self, dp):
         with pytest.raises(ValueError):
             classify_phase(dp)
-
-    @pytest.mark.parametrize("lo,hi", [(0.0, 0.45), (0.05, 0.5), (0.3, 0.1)])
-    def test_threshold_validation(self, lo, hi):
-        with pytest.raises(ValueError):
-            classify_phase(0.2, lo=lo, hi=hi)
 
