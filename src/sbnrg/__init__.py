@@ -69,7 +69,6 @@ from .circuit import (  # noqa: E402
 )
 from .criticality import (  # noqa: E402
     CrossoverPoint,
-    PhaseDiagnosis,
     classify_phase,
     extract_nstar,
     fit_alpha_c,
@@ -94,7 +93,6 @@ __all__ = [
     "NrgFlow",
     "NrgResult",
     "NrgState",
-    "PhaseDiagnosis",
     "QubitSpectrum",
     "SpinBosonParams",
     "StarBath",

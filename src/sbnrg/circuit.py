@@ -124,15 +124,14 @@ class SpinBosonParams:
     """Dimensionless model parameters in units of the cutoff omega_c.
 
     delta tunneling amplitude, epsilon bias, alpha dissipation strength,
-    s bath exponent (1 = Ohmic), omega_c the cutoff in rad/s kept only for
-    record keeping; internally the cutoff is 1.
+    s bath exponent (1 = Ohmic). The cutoff is the unit of energy; its
+    value in rad/s is map_to_spin_boson's omega_c.
     """
 
     delta: float
     epsilon: float = 0.0
     alpha: float = 0.0
     s: float = 1.0
-    omega_c: float = 1.0e14
 
     def __post_init__(self):
         if self.delta < 0:
@@ -141,10 +140,8 @@ class SpinBosonParams:
             raise ValueError("alpha must be non-negative")
         if not 0.0 < self.s <= 1.0:
             raise ValueError("bath exponent s must lie in (0, 1]")
-        if self.omega_c <= 0:
-            raise ValueError("omega_c must be positive")
         if not all(math.isfinite(x) for x in
-                   (self.delta, self.epsilon, self.alpha, self.s, self.omega_c)):
+                   (self.delta, self.epsilon, self.alpha, self.s)):
             raise ValueError("parameters must be finite")
 
 
@@ -202,12 +199,13 @@ def map_to_spin_boson(p: CircuitParams, omega_c: float,
 
     alpha = (Delta / hbar pi)(C_0^2 / C) sqrt(l/c) and delta is the
     splitting frequency over omega_c. The splitting follows
-    delta_convention; see DELTA_CONVENTIONS. omega_c must lie above that
-    splitting, so delta < 1, or ValueError. Bias epsilon starts at zero
-    (see microwave_bias for driving). Warns when alpha leaves ALPHA_WINDOW.
+    delta_convention; see DELTA_CONVENTIONS. omega_c must be finite and
+    lie above that splitting, so 0 < delta < 1, or ValueError. Bias
+    epsilon starts at zero (see microwave_bias for driving). Warns when
+    alpha leaves ALPHA_WINDOW.
     """
     split = _splitting(p, delta_convention)
-    if omega_c <= split:
+    if not split < omega_c < math.inf:
         raise ValueError("cutoff omega_c must lie above the qubit splitting, "
                          f"{split:.6g} rad/s under {delta_convention}")
     alpha = (split / math.pi) * (p.c_0 ** 2 / p.c_total) * p.impedance
@@ -217,13 +215,7 @@ def map_to_spin_boson(p: CircuitParams, omega_c: float,
             RuntimeWarning,
             stacklevel=2,
         )
-    return SpinBosonParams(
-        delta=split / omega_c,
-        epsilon=0.0,
-        alpha=alpha,
-        s=1.0,
-        omega_c=omega_c,
-    )
+    return SpinBosonParams(delta=split / omega_c, epsilon=0.0, alpha=alpha, s=1.0)
 
 
 def microwave_bias(p: CircuitParams, i_uw: float) -> float:

@@ -12,11 +12,10 @@ value out of float range, circuit.json's included, is a config error
 caught before --out exists. A JSON output that would hold inf or nan is
 not written: it is a config error that names the file. A DegeneracyError (a
 boundary multiplet wider than 2 n_s at truncation) exits 2: its remedy is
-a config change, raising n_s or shrinking degeneracy_tol, and the class
-subclasses ValueError. A config block's keys are the fields of the flat
-dataclass it builds, in lower case. Unknown config keys are errors, and
-so is a top-level block the subcommand does not read; with --no-strict
-each one is ignored with a RuntimeWarning naming its path. --workers N
+a config change, raising n_s, and the class subclasses ValueError. A
+config block's keys are the fields of the flat dataclass it builds, in
+lower case. An unknown config key is an error that names its path, and
+so is a top-level block the subcommand does not read. --workers N
 runs up to N sweep points at once, each on its own thread; a failed point
 or an interrupt ends the running points before their next iteration. Data
 files are byte-identical across reruns and worker counts; in the manifest
@@ -36,7 +35,6 @@ import json
 import math
 import sys
 import threading
-import warnings
 from dataclasses import MISSING, dataclass, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -103,16 +101,13 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class CriticalSpec:
-    """The N* threshold, and the window of the pole fit."""
+    """The window of the pole fit."""
 
-    threshold: float = criticality.DEFAULT_THRESHOLD
     window: float | None = None
 
     def __post_init__(self):
-        for name in ("threshold", "window"):
-            value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise ConfigError(f"critical.{name} must be positive")
+        if self.window is not None and self.window <= 0:
+            raise ConfigError("critical.window must be positive")
 
 
 @dataclass(frozen=True)
@@ -184,12 +179,6 @@ class Subcommand:
     handler: Callable[[RunConfig], Iterator[tuple[str, str]]]
 
 
-def _unknown_key(name: str, strict: bool) -> None:
-    if strict:
-        raise ConfigError(f"unknown key {name}")
-    warnings.warn(f"ignoring unknown key {name}", RuntimeWarning, stacklevel=3)
-
-
 def _is_number(value) -> bool:
     """A JSON number that fits a finite float: int or float, never bool."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -229,20 +218,6 @@ def _fields(cls):
         yield f, f.name.lower(), tp, optional
 
 
-def _keys(cls) -> dict:
-    """The keys of cls's config block, each with (type, optional)."""
-    return {key: (tp, optional) for _, key, tp, optional in _fields(cls)}
-
-
-def _block_keys(name: str, mode: str) -> dict:
-    """The keys of the config block name that the subcommand mode reads."""
-    keys = _keys(BLOCKS[name][1])
-    # only critical fits the pole that a window bounds
-    if (mode, name) == ("sweep", "critical"):
-        del keys["window"]
-    return keys
-
-
 def _value(value, tp, path: str):
     """The JSON value at path as the type tp. A tuple[X, ...] takes a list
     of X, and a tuple of n X a list of n X."""
@@ -259,14 +234,16 @@ def _value(value, tp, path: str):
     return float(value) if tp is float else value
 
 
-def _typed(block: dict, keys: dict, path: str, strict: bool) -> dict:
+def _typed(block: dict, cls, path: str) -> dict:
+    """The config block at path, each value checked against and converted to
+    the type of cls's field its key names."""
     if not isinstance(block, dict):
         raise ConfigError(f"{path} must be an object")
+    keys = {key: (tp, optional) for _, key, tp, optional in _fields(cls)}
     out = {}
     for key, value in block.items():
         if key not in keys:
-            _unknown_key(f"{path}.{key}", strict)
-            continue
+            raise ConfigError(f"unknown key {path}.{key}")
         tp, optional = keys[key]
         if value is None and optional:  # null reads as the key left out
             continue
@@ -353,8 +330,8 @@ def _sweep_points(mode: str, built: dict) -> tuple[SpinBosonParams, ...]:
     return points
 
 
-def parse_config(text: str, mode: str, strict: bool = True,
-                 out_dir: str = "./out", workers: int = 1) -> RunConfig:
+def parse_config(text: str, mode: str, out_dir: str = "./out",
+                 workers: int = 1) -> RunConfig:
     """Validate the JSON config text against the chosen subcommand."""
     if mode not in SUBCOMMANDS:
         raise ConfigError(f"unknown mode {mode!r}")
@@ -369,7 +346,7 @@ def parse_config(text: str, mode: str, strict: bool = True,
     command = SUBCOMMANDS[mode]
     for key in raw:
         if key != "mode" and key not in command.reads:
-            _unknown_key(key, strict)
+            raise ConfigError(f"unknown key {key}")
     if "mode" in raw:
         if not isinstance(raw["mode"], str):
             raise ConfigError("mode must be a string")
@@ -383,7 +360,7 @@ def parse_config(text: str, mode: str, strict: bool = True,
         if name in command.requires and name not in raw:
             raise ConfigError(f"{mode} requires the {name} block")
         field, cls = BLOCKS[name]
-        block = _typed(raw.get(name, {}), _block_keys(name, mode), name, strict)
+        block = _typed(raw.get(name, {}), cls, name)
         built[field] = _build(cls, block, name)
     return RunConfig(mode=mode, out_dir=out_dir, workers=workers,
                      points=_sweep_points(mode, built), **built)
@@ -463,7 +440,7 @@ def _circuit_payload(circuit: CircuitSpec) -> dict:
         sb = map_to_spin_boson(circuit, circuit.omega_c, delta_convention=conv)
         payload["spin_boson"] = {
             "delta": sb.delta, "epsilon": sb.epsilon, "alpha": sb.alpha,
-            "s": sb.s, "omega_c": sb.omega_c,
+            "s": sb.s, "omega_c": circuit.omega_c,
             "delta_convention": conv,
         }
     if circuit.i_uw is not None:
@@ -519,9 +496,9 @@ def _do_run(cfg: RunConfig):
     yield _json_file("observables.json", payload)
 
 
-def _nstar_or_nan(result: nrg.NrgResult, threshold: float) -> float:
+def _nstar_or_nan(result: nrg.NrgResult) -> float:
     try:
-        return criticality.extract_nstar(result.flow, threshold).n_star
+        return criticality.extract_nstar(result.flow).n_star
     except criticality.NoCrossingError:
         return float("nan")
 
@@ -534,9 +511,9 @@ def _do_sweep(cfg: RunConfig):
             p = res.params
             yield (
                 _fmt(p.alpha), _fmt(p.delta), _fmt(p.epsilon),
-                _fmt(_nstar_or_nan(res, cfg.critical.threshold)),
+                _fmt(_nstar_or_nan(res)),
                 _fmt(res.delta_p),
-                criticality.classify_phase(res.delta_p).label,
+                criticality.classify_phase(res.delta_p),
             )
 
     yield "sweep.csv", _csv("alpha,delta,epsilon,n_star,delta_p,phase", rows())
@@ -546,16 +523,13 @@ def _do_critical(cfg: RunConfig):
     results = _run_sweep_points(cfg)
     for i, res in enumerate(results):
         yield f"flow_{i:03d}.csv", _flow_csv(res)
-    points = [
-        criticality.extract_nstar(res.flow, cfg.critical.threshold)
-        for res in results
-    ]
+    points = [criticality.extract_nstar(res.flow) for res in results]
     yield "points.csv", _csv(
         "alpha,n_star", ((_fmt(pt.alpha), _fmt(pt.n_star)) for pt in points))
     fit = criticality.fit_alpha_c(points, window=cfg.critical.window)
     payload = {
         "a": fit.a, "b": fit.b, "alpha_c": fit.alpha_c, "rss": fit.rss,
-        "threshold": cfg.critical.threshold, "n_points": len(points),
+        "threshold": criticality.THRESHOLD, "n_points": len(points),
     }
     yield _json_file("fit.json", payload)
 
@@ -584,7 +558,7 @@ SUBCOMMANDS = {
         ("model", "nrg"), ("model",), _do_run),
     "sweep": Subcommand(
         "NRG runs over a parameter grid, one CSV row per point",
-        ("model", "nrg", "sweep", "critical"), ("model", "sweep"), _do_sweep),
+        ("model", "nrg", "sweep"), ("model", "sweep"), _do_sweep),
     "critical": Subcommand(
         "alpha sweep, N* extraction and alpha_c extrapolation",
         ("model", "nrg", "sweep", "critical"), ("model", "sweep"), _do_critical),
@@ -604,8 +578,7 @@ def config_echo(cfg: RunConfig) -> dict:
     out_dir and workers, a config that parses back to cfg."""
     echo: dict = {"mode": cfg.mode, "out_dir": cfg.out_dir, "workers": cfg.workers}
     for name in SUBCOMMANDS[cfg.mode].reads:
-        block = _echo(getattr(cfg, BLOCKS[name][0]))
-        echo[name] = {key: block[key] for key in _block_keys(name, cfg.mode)}
+        echo[name] = _echo(getattr(cfg, BLOCKS[name][0]))
     return echo
 
 
@@ -667,8 +640,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--workers", type=int, default=1,
                         help="sweep points run at once, each on its own thread, "
                              "at most one per CPU")
-        sp.add_argument("--strict", action=argparse.BooleanOptionalAction,
-                        default=True, help="reject unknown config keys")
     return parser
 
 
@@ -676,8 +647,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         text = Path(args.config).read_text(encoding="utf-8")  # JSON is UTF-8
-        cfg = parse_config(text, mode=args.mode, strict=args.strict,
-                           out_dir=args.out, workers=args.workers)
+        cfg = parse_config(text, mode=args.mode, out_dir=args.out,
+                           workers=args.workers)
         manifest = execute(cfg)
     except Exception as exc:
         for types, code, prefix in FAILURES:

@@ -1,7 +1,7 @@
 """Kosterlitz-Thouless diagnostics extracted from NRG flows.
 
 The crossover iteration N* is where the rescaled first excited level
-first reaches a threshold (0.3) from below; T* = const * Lambda^-N* is
+first reaches THRESHOLD (0.3) from below; T* = const * Lambda^-N* is
 the crossover scale. Approaching the transition from the delocalized
 side, T* ~ Delta^(1/(alpha_c - alpha)), so N*(alpha) diverges like
 a + b / (alpha_c - alpha) and the pole of that fit extrapolates the
@@ -18,20 +18,19 @@ from .nrg import NrgFlow
 
 __all__ = [
     "CrossoverPoint",
-    "PhaseDiagnosis",
     "NoCrossingError",
     "extract_nstar",
     "fit_alpha_c",
     "classify_phase",
 ]
 
-DEFAULT_THRESHOLD = 0.3
+THRESHOLD = 0.3
 DELOCALIZED_BELOW = 0.05
 LOCALIZED_ABOVE = 0.45
 
 
 class NoCrossingError(RuntimeError):
-    """The level-1 flow never reached the threshold; extend n_iter."""
+    """The level-1 flow never reached THRESHOLD; extend n_iter."""
 
 
 @dataclass(frozen=True)
@@ -40,35 +39,27 @@ class CrossoverPoint:
     n_star: float
 
 
-@dataclass(frozen=True)
-class PhaseDiagnosis:
-    delta_p: float
-    label: str  # delocalized | localized | undetermined
-
-
-def extract_nstar(flow: NrgFlow, threshold: float = DEFAULT_THRESHOLD) -> CrossoverPoint:
-    """First iteration where level 1 crosses the threshold from below.
+def extract_nstar(flow: NrgFlow) -> CrossoverPoint:
+    """First iteration where level 1 crosses THRESHOLD from below.
 
     The crossing is linearly interpolated between the bracketing
-    iterations. A flow already above threshold at its first record gives
+    iterations. A flow already above THRESHOLD at its first record gives
     n_star = 0. No crossing at all raises NoCrossingError.
     """
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
     if len(flow.records) < 2:
         raise ValueError("need at least two recorded iterations")
     its, vals = flow.level_series(1)
     if len(vals) < 2:
         raise ValueError("flow records do not track level 1")
-    if vals[0] >= threshold:
+    if vals[0] >= THRESHOLD:
         return CrossoverPoint(alpha=flow.alpha, n_star=0.0)
     for i in range(len(vals) - 1):
-        if vals[i] < threshold <= vals[i + 1]:
-            frac = (threshold - vals[i]) / (vals[i + 1] - vals[i])
+        if vals[i] < THRESHOLD <= vals[i + 1]:
+            frac = (THRESHOLD - vals[i]) / (vals[i + 1] - vals[i])
             n_star = float(its[i]) + frac * float(its[i + 1] - its[i])
             return CrossoverPoint(alpha=flow.alpha, n_star=n_star)
     raise NoCrossingError(
-        f"level 1 stayed below {threshold} over {len(vals)} iterations"
+        f"level 1 stayed below {THRESHOLD} over {len(vals)} iterations"
     )
 
 
@@ -79,17 +70,15 @@ def fit_alpha_c(points, window: float | None = None) -> numerics.DivergenceFit:
     )
 
 
-def classify_phase(delta_p: float) -> PhaseDiagnosis:
-    """Label a delta_p value: below DELOCALIZED_BELOW delocalized, above
-    LOCALIZED_ABOVE localized, undetermined between them."""
+def classify_phase(delta_p: float) -> str:
+    """The phase a delta_p value reads: delocalized below DELOCALIZED_BELOW,
+    localized above LOCALIZED_ABOVE, undetermined between them."""
     dp = float(delta_p)
     if not 0.0 <= dp <= 0.5 + 1e-9:
         raise ValueError(f"delta_p = {dp} outside [0, 0.5]")
     if dp < DELOCALIZED_BELOW:
-        label = "delocalized"
-    elif dp > LOCALIZED_ABOVE:
-        label = "localized"
-    else:
-        label = "undetermined"
-    return PhaseDiagnosis(delta_p=dp, label=label)
+        return "delocalized"
+    if dp > LOCALIZED_ABOVE:
+        return "localized"
+    return "undetermined"
 

@@ -54,11 +54,16 @@ __all__ = [
     "usable_cpus",
 ]
 
+# Rescaled levels within this relative window of the truncation boundary
+# are kept with it, and levels within it of 0 form the ground multiplet.
+DEGENERACY_TOL = 1e-8
 # A parity-blocked ground state and the level above it, from the other
 # sector, form a doublet when their splitting is below this fraction of
 # the next level: 0 at the localized fixed point, 0.5 at the delocalized
 # one (one boson against two).
 DOUBLET_RATIO = 0.1
+# levels each flow record stores
+FLOW_LEVELS = 12
 
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 _SZ = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -80,25 +85,23 @@ class RunStopped(RuntimeError):
 class NrgConfig:
     """Knobs of the iterative diagonalization.
 
-    Lambda discretization ratio, n_s kept-states target, n_b boson basis
-    states per chain site, n_iter iteration count, degeneracy_tol the
-    relative window that extends the truncation cut across a degenerate
-    boundary multiplet, flow_levels how many levels each flow record
-    stores. n_b counts basis states (occupations 0..n_b-1), so a quoted
-    highest occupation n_max means n_b = n_max + 1. The bias is
-    SpinBosonParams.epsilon: at epsilon = 0 the run is parity-blocked and
-    ground_spin reads the polarized member of a localized ground
-    doublet. n_star overrides the chain length (default 2 n_iter, floor
-    n_iter + 5); it may not exceed 1 + floor(log(1/tiny) / (4 log Lambda)),
-    256 at Lambda = 2, where the float64 chain map still holds.
+    Lambda discretization ratio, n_s kept-states target (the cut extends
+    across a boundary multiplet DEGENERACY_TOL wide), n_b boson basis
+    states per chain site, n_iter iteration count. n_b counts basis
+    states (occupations 0..n_b-1), so a quoted highest occupation n_max
+    means n_b = n_max + 1. Each flow record stores FLOW_LEVELS levels.
+    The bias is SpinBosonParams.epsilon: at epsilon = 0 the run is
+    parity-blocked and ground_spin reads the polarized member of a
+    localized ground doublet. n_star overrides the chain length (default
+    2 n_iter, floor n_iter + 5); it may not exceed
+    1 + floor(log(1/tiny) / (4 log Lambda)), 256 at Lambda = 2, where the
+    float64 chain map still holds.
     """
 
     Lambda: float = 2.0
     n_s: int = 100
     n_b: int = 6
     n_iter: int = 60
-    degeneracy_tol: float = 1e-8
-    flow_levels: int = 12
     n_star: int | None = None
 
     def __post_init__(self):
@@ -110,10 +113,6 @@ class NrgConfig:
             raise ValueError("n_b must be at least 2")
         if self.n_iter < 1:
             raise ValueError("n_iter must be at least 1")
-        if not 0.0 < self.degeneracy_tol < 1e-3:
-            raise ValueError("degeneracy_tol must lie in (0, 1e-3)")
-        if self.flow_levels < 2:
-            raise ValueError("flow_levels must be at least 2")
         if self.n_star is not None and self.n_star < self.n_iter + 5:
             raise ValueError("n_star must be at least n_iter + 5")
         if self.n_s * self.n_b > numerics.MAX_DENSE_DIM:
@@ -204,13 +203,11 @@ def _kept_count(energies: np.ndarray, cfg: NrgConfig) -> int:
     if dim <= cfg.n_s:
         return dim
     boundary = energies[cfg.n_s - 1]
-    cut = boundary * (1.0 + cfg.degeneracy_tol)
+    cut = boundary * (1.0 + DEGENERACY_TOL)
     kept = int(np.searchsorted(energies, cut, side="right"))
     if kept > 2 * cfg.n_s:
         raise DegeneracyError(
-            f"kept set {kept} exceeds 2 n_s = {2 * cfg.n_s}; "
-            "raise n_s or shrink degeneracy_tol"
-        )
+            f"kept set {kept} exceeds 2 n_s = {2 * cfg.n_s}; raise n_s")
     return kept
 
 
@@ -388,12 +385,11 @@ def iterate(state: NrgState, chain: WilsonChain, cfg: NrgConfig,
                      state.ground_energy, pool)
 
 
-def _record(state: NrgState, cfg: NrgConfig) -> FlowRecord:
-    levels = state.energies[: cfg.flow_levels]
+def _record(state: NrgState) -> FlowRecord:
     return FlowRecord(
         iteration=state.iteration,
         kept_count=state.kept,
-        energies=tuple(float(x) for x in levels),
+        energies=tuple(float(x) for x in state.energies[:FLOW_LEVELS]),
     )
 
 
@@ -407,14 +403,14 @@ def _full(blocks: tuple, sizes: list[int], odd: bool) -> np.ndarray:
     return full
 
 
-def ground_spin(state: NrgState, degeneracy_tol: float) -> tuple[float, float]:
+def ground_spin(state: NrgState) -> tuple[float, float]:
     """Ground-state expectations (<sigma_z>, <sigma_x>).
 
     A degenerate ground multiplet is resolved by diagonalizing sigma_z
     inside it and reporting the member with extremal |<sigma_z>|; both
     operators are evaluated in that member. This is the state an
     infinitesimal bias selects in the localized phase. The multiplet holds
-    the states within degeneracy_tol (rescaled) of the ground state. In a
+    the states within DEGENERACY_TOL (rescaled) of the ground state. In a
     parity-blocked run the localized doublet straddles the two sectors and
     stays split far beyond that window at any finite N, so the level just
     above the window joins the multiplet when it lies in the other sector
@@ -424,7 +420,7 @@ def ground_spin(state: NrgState, degeneracy_tol: float) -> tuple[float, float]:
     order = np.argsort(np.concatenate(state.levels), kind="stable")
     second = order >= sizes[0]  # the state lies in the second sector
     e = state.energies
-    g = max(int(np.searchsorted(e, degeneracy_tol, side="right")), 1)
+    g = max(int(np.searchsorted(e, DEGENERACY_TOL, side="right")), 1)
     if (g + 1 < e.size and second[g] != second[0]
             and e[g] < DOUBLET_RATIO * e[g + 1]):
         g += 1
@@ -470,7 +466,7 @@ def run_on_chain(p: SpinBosonParams, chain: WilsonChain, cfg: NrgConfig, *,
     that share the CPUs.
     """
     state = build_initial(p, chain, cfg)
-    records = [_record(state, cfg)]
+    records = [_record(state)]
     limit = min(cfg.n_iter, chain.n_sites)
     pool = contextlib.nullcontext()
     if (len(state.labels) == 2 and usable_cpus() >= 2
@@ -488,8 +484,8 @@ def run_on_chain(p: SpinBosonParams, chain: WilsonChain, cfg: NrgConfig, *,
                 raise DegeneracyError(f"iteration {m}: {exc}") from None
             except (np.linalg.LinAlgError, FloatingPointError, ValueError) as exc:
                 raise NrgError(f"iteration {m}: {exc}") from exc
-            records.append(_record(state, cfg))
-    sz, sx = ground_spin(state, cfg.degeneracy_tol)
+            records.append(_record(state))
+    sz, sx = ground_spin(state)
     return NrgResult(
         flow=NrgFlow(records=tuple(records), alpha=p.alpha),
         sigma_z_gs=sz,

@@ -120,17 +120,13 @@ RUN_PAYLOAD = {
 # block, its required keys, names that are no key of it, the RunConfig
 # field it builds, the value built).
 BLOCKS = {
-    "model": ("run", {}, {"delta": 0.05, "epsilon": 0.01, "alpha": 0.3,
-                          "s": 0.9, "omega_c": 2e14},
-              ["delta"], [], "model",
-              SpinBosonParams(delta=0.05, epsilon=0.01, alpha=0.3, s=0.9,
-                              omega_c=2e14)),
+    "model": ("run", {}, {"delta": 0.05, "epsilon": 0.01, "alpha": 0.3, "s": 0.9},
+              ["delta"], ["omega_c"], "model",
+              SpinBosonParams(delta=0.05, epsilon=0.01, alpha=0.3, s=0.9)),
     "nrg": ("run", {"model": {"delta": 0.05}},
-            {"lambda": 2.5, "n_s": 40, "n_b": 4, "n_iter": 8,
-             "degeneracy_tol": 1e-7, "flow_levels": 6, "n_star": 20},
-            [], ["Lambda"], "nrg_config",
-            NrgConfig(Lambda=2.5, n_s=40, n_b=4, n_iter=8, degeneracy_tol=1e-7,
-                      flow_levels=6, n_star=20)),
+            {"lambda": 2.5, "n_s": 40, "n_b": 4, "n_iter": 8, "n_star": 20},
+            [], ["Lambda", "degeneracy_tol", "flow_levels"], "nrg_config",
+            NrgConfig(Lambda=2.5, n_s=40, n_b=4, n_iter=8, n_star=20)),
     "circuit": ("map-circuit", {},
                 {"c_j": 0.85e-12, "c_0": 4.25e-12, "i_0": 2e-6, "i_b": 1.96e-6,
                  "l": 4e-7, "c": 1.6e-10, "omega_c": 1e14,
@@ -152,8 +148,8 @@ BLOCKS = {
                  {"model": {"delta": 0.05},
                   "sweep": {"parameter": "alpha",
                             "grid": {"values": [0.1, 0.2, 0.3, 0.4]}}},
-                 {"threshold": 0.25, "window": 4.0}, [], [], "critical",
-                 CriticalSpec(threshold=0.25, window=4.0)),
+                 {"window": 4.0}, [], ["threshold"], "critical",
+                 CriticalSpec(window=4.0)),
     "oracle": ("oracle", {},
                {"delta": 0.3, "epsilon": 0.1, "modes": [[0.5, 0.2]], "n_max": 8},
                ["delta", "modes"], [], "oracle_problem",
@@ -174,7 +170,7 @@ class TestParseConfig:
         assert cfg.nrg_config == NrgConfig()
 
     @pytest.mark.parametrize("name", BLOCKS)
-    def test_block_keys_are_the_fields(self, name):
+    def test_block_keys_are_the_fields(self, tmp_path, capsys, name):
         mode, others, block, required, unread, field, built = BLOCKS[name]
 
         def parse(value):
@@ -187,9 +183,14 @@ class TestParseConfig:
         for key in required:
             with pytest.raises(ConfigError, match=f"^{name}.{key} is required$"):
                 parse({k: v for k, v in block.items() if k != key})
+        # an unknown key exits 2 before --out exists, whatever its value
+        out = tmp_path / "out"
         for key in ("bogus", *unread):
-            with pytest.raises(ConfigError, match=f"^unknown key {name}.{key}$"):
-                parse({**block, key: 1.0})
+            config = write_config(tmp_path, {**others, name: {**block, key: 1.0}})
+            assert main([mode, "--config", config, "--out", str(out)]) == EXIT_CONFIG
+            assert capsys.readouterr().err == (
+                f"config error: unknown key {name}.{key}\n")
+            assert not out.exists()
 
     def test_every_block_read_is_a_block(self):
         reads = {name for command in cli.SUBCOMMANDS.values()
@@ -216,16 +217,6 @@ class TestParseConfig:
         payload = {"model": {"delta": 0.1, "beta": 1.0}}
         with pytest.raises(ConfigError, match="model.beta"):
             parse_config(json.dumps(payload), mode="run")
-
-    def test_non_strict_ignores_unknown(self):
-        payload = {"model": {"delta": 0.1, "beta": 1.0}, "extras": {}}
-        with pytest.warns(RuntimeWarning) as record:
-            cfg = parse_config(json.dumps(payload), mode="run", strict=False)
-        assert cfg.model.delta == 0.1
-        assert sorted(str(w.message) for w in record) == [
-            "ignoring unknown key extras",
-            "ignoring unknown key model.beta",
-        ]
 
     def test_type_errors(self):
         bad_float = {"model": {"delta": "0.1"}}
@@ -377,11 +368,10 @@ class TestParseConfig:
             "model": {"delta": 0.05},
             "sweep": {"parameter": "alpha",
                       "grid": {"values": [0.1, 0.2, 0.3, 0.4]}},
-            "critical": {"threshold": 0.25, "window": 4.0},
+            "critical": {"window": 4.0},
         }
         cfg = parse_config(json.dumps(payload), mode="critical")
-        assert cfg.critical.threshold == 0.25
-        assert cfg.critical.window == 4.0
+        assert cfg.critical == CriticalSpec(window=4.0)
 
     def test_map_circuit_required_fields(self):
         payload = {"circuit": {"c_j": 1e-12, "c_0": 1e-12, "i_0": 2e-6,
@@ -427,7 +417,7 @@ class TestParseConfig:
         assert "Lambda" not in echo["nrg"]
         assert echo["sweep"] == {"parameter": "alpha",
                                  "grid": {"values": [0.1, 0.2, 0.3, 0.4]}}
-        assert echo["critical"]["threshold"] == 0.3
+        assert echo["critical"] == {"window": None}
         # map-circuit lists every option, with its default where none is given
         block = {"c_j": 1e-12, "c_0": 1e-12, "i_0": 2e-6, "i_b": 1e-6,
                  "l": 4e-7, "c": 1.6e-10}
@@ -898,8 +888,7 @@ class TestConfigEcho:
          ["circuit.i_uw", "circuit.line_length"]),
         ("chain", RUN_PAYLOAD, ["nrg.n_star"]),
         ("run", {"model": {"delta": 0.05}}, ["nrg.n_star"]),
-        ("sweep", {**TestSweepMode.PAYLOAD, "critical": {"threshold": 0.25}},
-         ["nrg.n_star"]),
+        ("sweep", TestSweepMode.PAYLOAD, ["nrg.n_star"]),
         ("critical", {**CRITICAL_PAYLOAD,
                       "sweep": {"parameter": "alpha",
                                 "grid": {"from": 0.55, "to": 0.85,
@@ -910,7 +899,7 @@ class TestConfigEcho:
     ], ids=["map-circuit", "chain", "run", "sweep", "critical", "oracle"])
     def test_echo_parses_back(self, mode, payload, nulls):
         # once the echo held nulls the parser rejected, a sweep block that was
-        # no grid, and in sweep configs a critical.window that sweep rejects
+        # no grid, and in sweep configs a critical.window that sweep rejected
         cfg = parse_config(json.dumps(payload), mode=mode, out_dir="echo",
                            workers=2)
         echo = config_echo(cfg)
@@ -948,12 +937,14 @@ class TestExitCodes:
         ("critical", CRITICAL_PAYLOAD, "circuit"),
         ("map-circuit", TestMapCircuitMode.PAYLOAD, "model"),
         ("oracle", ORACLE_PAYLOAD, "nrg"),
+        # sweep fits no pole, so no critical value bears on it
+        ("sweep", TestSweepMode.PAYLOAD, "critical"),
     ])
     def test_block_the_mode_does_not_read(self, tmp_path, monkeypatch, capsys,
                                           mode, payload, block):
         # once dropped in silence: `run` with a sweep block ran one point
         blocks = {"sweep": {"parameter": "alpha", "grid": {"values": [0.1]}},
-                  "critical": {"threshold": 0.3},
+                  "critical": {"window": 4.0},
                   "oracle": {"delta": 0.2, "modes": [[0.5, 0.1]]},
                   "circuit": {"c_j": 1e-12},
                   "model": {"delta": 0.1},
@@ -969,31 +960,6 @@ class TestExitCodes:
                      "--out", str(out)]) == EXIT_CONFIG
         assert f"unknown key {block}" in capsys.readouterr().err
         assert not out.exists()
-        with pytest.warns(RuntimeWarning, match=f"^ignoring unknown key {block}$"):
-            lenient = parse_config(json.dumps(config), mode=mode, strict=False)
-        assert lenient == parse_config(json.dumps(payload), mode=mode)
-
-    @pytest.mark.parametrize("strict", [True, False], ids=["strict", "no-strict"])
-    def test_sweep_reads_no_window(self, tmp_path, monkeypatch, capsys, strict):
-        # once accepted and echoed, though only critical fits the pole it bounds
-        payload = {**TestSweepMode.PAYLOAD,
-                   "critical": {"threshold": 0.25, "window": 4.0}}
-        cfg, out = write_config(tmp_path, payload), tmp_path / "out"
-        if strict:
-            def started(cfg):
-                raise AssertionError("execute ran on an invalid config")
-
-            monkeypatch.setattr(cli, "execute", started)
-            assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
-            assert "unknown key critical.window" in capsys.readouterr().err
-            assert not out.exists()
-        else:
-            with pytest.warns(RuntimeWarning,
-                              match="^ignoring unknown key critical.window$"):
-                assert main(["sweep", "--config", cfg, "--out", str(out),
-                             "--no-strict"]) == EXIT_OK
-            manifest = json.loads((out / "run_manifest.json").read_text())
-            assert manifest["config"]["critical"] == {"threshold": 0.25}
 
     @pytest.mark.parametrize("mode", ["sweep", "critical"])
     def test_one_iteration_sweep_exits_config(self, tmp_path, monkeypatch,
@@ -1017,32 +983,36 @@ class TestExitCodes:
             assert parse_config(json.dumps(payload),
                                 mode=other).nrg_config.n_iter == 1
 
-    def test_unknown_key_strict_vs_lenient(self, tmp_path):
+    def test_unknown_key_strict_vs_lenient(self, tmp_path, capsys):
+        # an unknown key is always an error, so there is no strictness
+        # flag: argparse refuses --no-strict and --strict before --out exists
         payload = dict(RUN_PAYLOAD, extras={"note": 1})
-        cfg = write_config(tmp_path, payload)
-        assert main(["run", "--config", cfg,
-                     "--out", str(tmp_path / "o1")]) == EXIT_CONFIG
-        with pytest.warns(RuntimeWarning, match="unknown key extras"):
-            assert main(["run", "--config", cfg, "--out", str(tmp_path / "o2"),
-                         "--no-strict"]) == EXIT_OK
+        cfg, out = write_config(tmp_path, payload), tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        for flag in ("--no-strict", "--strict"):
+            with pytest.raises(SystemExit) as exit_:
+                main(["run", "--config", cfg, "--out", str(out), flag])
+            assert exit_.value.code == EXIT_CONFIG
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("mode,payload,where", [
         ("run", {"model": {"delta": 10 ** 400}}, "model.delta"),
         ("oracle", {"oracle": {"delta": 0.2, "modes": [[0.5, 10 ** 400]]}},
          "oracle.modes[0]"),
         ("run", {"model": {"delta": 0.05},
-                 "nrg": {"degeneracy_tol": float("inf")}}, "nrg.degeneracy_tol"),
+                 "nrg": {"lambda": float("inf")}}, "nrg.lambda must be a number"),
         ("critical", {"model": {"delta": 0.05},
                       "sweep": {"parameter": "alpha",
                                 "grid": {"values": [0.1, 0.2, 0.3, 0.4]}},
-                      "critical": {"threshold": float("nan")}},
-         "critical.threshold"),
+                      "critical": {"window": float("nan")}},
+         "critical.window must be a number"),
         ("sweep", {"model": {"delta": 0.05},
                    "sweep": {"parameter": "alpha",
                              "grid": {"from": -1e308, "to": 1e308,
                                       "step": 1e-300}}}, "sweep.grid"),
-    ], ids=["huge-int-delta", "huge-int-mode", "inf-degeneracy-tol",
-            "nan-threshold", "overflowing-grid"])
+    ], ids=["huge-int-delta", "huge-int-mode", "inf-lambda", "nan-window",
+            "overflowing-grid"])
     def test_nonfinite_number_exits_config(self, tmp_path, monkeypatch, capsys,
                                            mode, payload, where):
         # rejected while parsing: the run must never start
@@ -1115,9 +1085,7 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("mode,key", [("sweep", "threshold"),
-                                          ("critical", "threshold"),
-                                          ("critical", "window")])
+    @pytest.mark.parametrize("mode,key", [("critical", "window")])
     @pytest.mark.parametrize("value", [0, -1])
     def test_nonpositive_critical_value_exits_config(self, tmp_path,
                                                      monkeypatch, capsys,
@@ -1170,7 +1138,7 @@ class TestExitCodes:
 
     def test_degeneracy_error_exits_config(self, tmp_path, monkeypatch,
                                            capsys):
-        # the remedy is a config change (raise n_s or shrink degeneracy_tol)
+        # the remedy is a config change (raise n_s)
         def too_degenerate(cfg):
             raise DegeneracyError("kept set 90 exceeds 2 n_s = 80")
 

@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from sbnrg.criticality import (
     CrossoverPoint,
@@ -43,11 +41,6 @@ class TestExtractNstar:
         with pytest.raises(NoCrossingError):
             extract_nstar(flow)
 
-    def test_custom_threshold(self):
-        flow = flow_from_level1([0.1, 0.2, 0.25, 0.35, 0.5])
-        pt = extract_nstar(flow, threshold=0.45)
-        assert pt.n_star == pytest.approx(3.0 + 0.1 / 0.15, abs=1e-12)
-
     def test_skips_records_missing_the_level(self):
         # a record holding only the ground level does not feed the series,
         # so the interpolation spans the surviving iteration gap
@@ -60,9 +53,6 @@ class TestExtractNstar:
         assert pt.n_star == pytest.approx(1.0, abs=1e-14)
 
     def test_validation(self):
-        flow = flow_from_level1([0.1, 0.2, 0.4])
-        with pytest.raises(ValueError):
-            extract_nstar(flow, threshold=0.0)
         with pytest.raises(ValueError):
             extract_nstar(flow_from_level1([0.1]))
         bare = NrgFlow(records=(
@@ -71,13 +61,6 @@ class TestExtractNstar:
         ), alpha=0.1)
         with pytest.raises(ValueError):
             extract_nstar(bare)
-
-    @given(st.floats(0.05, 0.45))
-    def test_monotone_in_threshold(self, threshold):
-        flow = flow_from_level1([0.01, 0.1, 0.22, 0.34, 0.46, 0.58])
-        pt = extract_nstar(flow, threshold=threshold)
-        later = extract_nstar(flow, threshold=min(threshold + 0.03, 0.49))
-        assert later.n_star >= pt.n_star
 
 
 class TestFitAlphaC:
@@ -125,19 +108,16 @@ class TestFitAlphaC:
 
 class TestClassifyPhase:
     def test_labels(self):
-        assert classify_phase(0.01).label == "delocalized"
-        assert classify_phase(0.49).label == "localized"
-        assert classify_phase(0.2).label == "undetermined"
+        assert classify_phase(0.01) == "delocalized"
+        assert classify_phase(0.49) == "localized"
+        assert classify_phase(0.2) == "undetermined"
 
     def test_boundaries_are_inclusive_middle(self):
-        assert classify_phase(0.05).label == "undetermined"
-        assert classify_phase(0.45).label == "undetermined"
-
-    def test_value_carried(self):
-        assert classify_phase(0.12).delta_p == 0.12
+        assert classify_phase(0.05) == "undetermined"
+        assert classify_phase(0.45) == "undetermined"
 
     def test_roundoff_above_half_tolerated(self):
-        assert classify_phase(0.5 + 5e-10).label == "localized"
+        assert classify_phase(0.5 + 5e-10) == "localized"
 
     @pytest.mark.parametrize("dp", [-0.01, 0.51])
     def test_range_validation(self, dp):

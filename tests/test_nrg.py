@@ -80,9 +80,6 @@ class TestNrgConfig:
         {"n_s": 1},
         {"n_b": 1},
         {"n_iter": 0},
-        {"degeneracy_tol": 0.0},
-        {"degeneracy_tol": 1e-2},
-        {"flow_levels": 1},
         {"n_iter": 30, "n_star": 34},
     ])
     def test_validation(self, kwargs):
@@ -265,9 +262,9 @@ class TestPhases:
         # the doublet is split by 5.6e-4 at N = 19, far beyond the default
         # window; its cross-sector pair still reads as the polarized member
         assert state.energies[1] > 1e-4
-        sz, _ = ground_spin(state, cfg.degeneracy_tol)
+        sz, _ = ground_spin(state)
         assert abs(sz) > 0.9
-        assert classify_phase(delta_p(sz)).label == "localized"
+        assert classify_phase(delta_p(sz)) == "localized"
 
     @pytest.mark.parametrize("alpha", [0.5, 1.5])
     def test_blocked_flow_matches_one_sector_flow(self, alpha):
@@ -351,11 +348,13 @@ class TestMechanics:
         assert r.flow.alpha == 0.2
 
     def test_flow_record_shape(self):
+        # site 0 keeps 2 n_b = 8 states, fewer than FLOW_LEVELS; later
+        # iterations keep n_s = 30, more
         r = run(SpinBosonParams(delta=0.05, alpha=0.3),
-                NrgConfig(n_s=30, n_b=4, n_iter=8, flow_levels=5))
+                NrgConfig(n_s=30, n_b=4, n_iter=8))
         assert [rec.iteration for rec in r.flow.records] == list(range(8))
         for rec in r.flow.records:
-            assert len(rec.energies) <= 5
+            assert len(rec.energies) == min(rec.kept_count, nrg.FLOW_LEVELS)
             assert rec.energies[0] == 0.0
             assert all(a <= b for a, b in zip(rec.energies, rec.energies[1:]))
             assert rec.kept_count >= len(rec.energies)
@@ -507,7 +506,7 @@ class TestMechanics:
         r = np.hypot(delta, epsilon)
         assert state.kept == 2 * cfg.n_b
         assert state.energies[2] == pytest.approx(chain.eps[0], abs=1e-14)
-        sz, sx = ground_spin(state, cfg.degeneracy_tol)
+        sz, sx = ground_spin(state)
         assert sz == pytest.approx(-epsilon / r, abs=1e-14)
         assert sx == pytest.approx(delta / r, abs=1e-14)
         assert state.ground_energy == pytest.approx(-r / 2, abs=1e-14)
@@ -740,7 +739,7 @@ class TestGroundObservable:
     def test_unique_ground(self):
         st_ = self.state([0.0, 0.5], [[0.3, 0.1], [0.1, -0.3]],
                          [[0.9, 0.0], [0.0, 0.1]])
-        assert ground_spin(st_, 1e-8) == (0.3, 0.9)
+        assert ground_spin(st_) == (0.3, 0.9)
 
     def test_degenerate_doublet_polarizes(self, monkeypatch):
         # sigma_z couples the doublet off-diagonally; the extremal member
@@ -753,18 +752,18 @@ class TestGroundObservable:
         sym_eig = numerics.sym_eig
         monkeypatch.setattr(numerics, "sym_eig",
                             lambda a: solves.append(a.shape) or sym_eig(a))
-        sz, sx = ground_spin(st_, 1e-8)
+        sz, sx = ground_spin(st_)
         assert abs(sz) == pytest.approx(1.0, abs=1e-12)
         assert sx == pytest.approx(0.0, abs=1e-12)
         assert solves == [(2, 2)]
 
     def test_window_is_configurable(self):
-        st_ = self.state([0.0, 1e-6], [[0.2, 0.5], [0.5, -0.2]],
-                         [[0.0, 0.0], [0.0, 0.0]])
-        tight, _ = ground_spin(st_, degeneracy_tol=1e-8)
+        # a level 100 DEGENERACY_TOL above the ground state is no multiplet
+        # member, however strongly sigma_z mixes it in
+        st_ = self.state([0.0, 100 * nrg.DEGENERACY_TOL],
+                         [[0.2, 0.5], [0.5, -0.2]], [[0.0, 0.0], [0.0, 0.0]])
+        tight, _ = ground_spin(st_)
         assert tight == 0.2
-        wide, _ = ground_spin(st_, degeneracy_tol=1e-4)
-        assert abs(wide) == pytest.approx(np.hypot(0.2, 0.5), abs=1e-12)
 
     @pytest.mark.parametrize("partner,expected", [
         (1e-3, 0.8),  # far below the next level: the localized doublet
@@ -773,11 +772,11 @@ class TestGroundObservable:
     def test_cross_sector_doublet(self, partner, expected):
         # sigma_z only links the two parity sectors; the level above the
         # ground state pairs with it when it is split off from the rest of
-        # the spectrum, however far beyond degeneracy_tol it lies. Sector 1
+        # the spectrum, however far beyond DEGENERACY_TOL it lies. Sector 1
         # holds the ground state and the level at 0.5, sector -1 the partner.
         st_ = self.blocked([[partner], [0.0, 0.5]], [[0.8, 0.5]],
                            [[[0.6]], [[0.4, 0.1], [0.1, 0.2]]])
-        sz, sx = ground_spin(st_, 1e-8)
+        sz, sx = ground_spin(st_)
         assert abs(sz) == pytest.approx(expected, abs=1e-12)
         assert sx == pytest.approx(0.5 if expected else 0.4, abs=1e-12)
 
