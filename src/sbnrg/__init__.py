@@ -56,6 +56,32 @@ def _pin_loaded_openblas():
 
 _pin_loaded_openblas()
 
+
+def _pin_heap_thresholds():
+    """Keep each NRG step's eigh workspace and arrays on glibc's heap, not
+    mapped, unmapped and faulted in again: the mmap threshold goes to 32 MiB,
+    the most glibc takes on 64-bit, and the trim threshold to twice that,
+    glibc's own rule. No bit moves. A threshold the caller sets wins.
+    """
+    import ctypes
+    import platform
+
+    if platform.libc_ver()[0] != "glibc":
+        return
+    tunables = _os.environ.get("GLIBC_TUNABLES", "")
+    for name in ("mmap_threshold", "trim_threshold"):
+        if (f"MALLOC_{name.upper()}_" in _os.environ
+                or f"glibc.malloc.{name}" in tunables):
+            return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
+_pin_heap_thresholds()
+
 from .bath import StarBath, WilsonChain, chain_map, discretize, spectral_density  # noqa: E402
 from .circuit import (  # noqa: E402
     CircuitParams,

@@ -8,18 +8,12 @@ of a flow, but not the critical coupling that the flows give.
 """
 
 import json
-import os
 import platform
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy
 import pytest
 
-import sbnrg
-
-from conftest import CRITICAL_PAYLOAD
+from conftest import CRITICAL_PAYLOAD, fresh_python
 
 BLAS = numpy.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
 BLAS_NAME = BLAS.get("name", "")
@@ -45,27 +39,6 @@ lib.scipy_openblas_get_corename64_.argtypes = []
 lib.scipy_openblas_get_corename64_.restype = ctypes.c_char_p
 print(lib.scipy_openblas_get_corename64_().decode())
 """
-
-BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-             "NUMEXPR_NUM_THREADS", "GOTO_NUM_THREADS", "OPENBLAS_CORETYPE")
-
-
-def fresh_python(args, **blas_vars):
-    """Run python with args in a fresh process that sees these BLAS vars.
-
-    Thread counts and the OpenBLAS kernel the caller's environment sets
-    are dropped, so what is not passed here takes its default.
-    """
-    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
-    env.update(blas_vars)
-    src = str(Path(sbnrg.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, *args], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
-
 
 def openblas_threads_after_numpy_first(**thread_vars):
     """Thread count OpenBLAS reports in a fresh numpy-then-sbnrg process."""

@@ -1,3 +1,4 @@
+import math
 import os
 from dataclasses import replace
 
@@ -85,6 +86,12 @@ class TestNrgConfig:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             NrgConfig(**kwargs)
+
+    @pytest.mark.parametrize("Lambda", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_lambda(self, Lambda):
+        # checked first: NaN would reach int() and inf the chain-length bound
+        with pytest.raises(ValueError, match="Lambda must be finite"):
+            NrgConfig(Lambda=Lambda)
 
     @pytest.mark.parametrize("n_star", [200000, 10**23])
     def test_rejects_underflowing_chain(self, n_star):
