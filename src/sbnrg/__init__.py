@@ -82,13 +82,11 @@ def _pin_heap_thresholds():
 
 _pin_heap_thresholds()
 
-from .bath import StarBath, WilsonChain, chain_map, discretize, spectral_density  # noqa: E402
+from .bath import StarBath, WilsonChain, chain_map, discretize  # noqa: E402
 from .circuit import (  # noqa: E402
     CircuitParams,
-    LineModes,
     QubitSpectrum,
     SpinBosonParams,
-    finite_line_modes,
     map_to_spin_boson,
     microwave_bias,
     qubit_spectrum,
@@ -100,7 +98,7 @@ from .criticality import (  # noqa: E402
     fit_alpha_c,
 )
 from .nrg import NrgConfig, NrgFlow, NrgResult, NrgState, run  # noqa: E402
-from .oracle import EdProblem, EdResult, exact_diag, polaron_energy  # noqa: E402
+from .oracle import EdProblem, EdResult, exact_diag  # noqa: E402
 
 __all__ = [
     "__version__",
@@ -114,7 +112,6 @@ __all__ = [
     "CrossoverPoint",
     "EdProblem",
     "EdResult",
-    "LineModes",
     "NrgConfig",
     "NrgFlow",
     "NrgResult",
@@ -128,12 +125,9 @@ __all__ = [
     "discretize",
     "exact_diag",
     "extract_nstar",
-    "finite_line_modes",
     "fit_alpha_c",
     "map_to_spin_boson",
     "microwave_bias",
-    "polaron_energy",
     "qubit_spectrum",
     "run",
-    "spectral_density",
 ]

@@ -1,4 +1,4 @@
-"""Power-law bath: spectral function, logarithmic star discretization, Wilson chain.
+"""Power-law bath: logarithmic star discretization and Wilson chain.
 
 The continuous bath J(omega) = 2 pi alpha omega^s (cutoff at omega_c = 1;
 s = 1 is the Ohmic transmission line) is chopped into intervals
@@ -24,7 +24,6 @@ from .circuit import SpinBosonParams
 __all__ = [
     "StarBath",
     "WilsonChain",
-    "spectral_density",
     "discretize",
     "chain_map",
 ]
@@ -65,20 +64,6 @@ class WilsonChain:
         h.update(np.asarray(self.eps, dtype=float).tobytes())
         h.update(np.asarray(self.t, dtype=float).tobytes())
         return h.hexdigest()
-
-
-def spectral_density(p: SpinBosonParams, omega: float) -> float:
-    """J(omega) = 2 pi alpha omega^s with a hard cutoff.
-
-    Energies are in units of omega_c, so J vanishes for omega > 1 and at
-    omega = 0. Negative frequencies are rejected.
-    """
-    w = float(omega)
-    if w < 0:
-        raise ValueError("omega must be non-negative")
-    if w == 0.0 or w > 1.0:
-        return 0.0
-    return 2.0 * math.pi * p.alpha * w ** p.s
 
 
 def discretize(p: SpinBosonParams, Lambda: float, n_star: int) -> StarBath:

@@ -10,9 +10,9 @@ and small-oscillation (plasma) frequency
     omega_p(I_b) = 2^(1/4) sqrt(2 pi I_0 / (Phi_0 C)) (1 - I_b/I_0)^(1/4),
 
 where C = C_J + C_0. The two lowest well levels form the qubit with
-splitting omega_10 = 0.95 omega_p. A transmission line of impedance
-sqrt(l/c) shunts the junction through C_0 and acts as an Ohmic bath with
-dimensionless coupling
+splitting omega_10 = 0.95 omega_p. A semi-infinite transmission line of
+impedance sqrt(l/c) shunts the junction through C_0; its continuum of
+modes is an Ohmic bath with dimensionless coupling
 
     alpha = (Delta / hbar pi) (C_0^2 / C) sqrt(l/c).
 
@@ -35,11 +35,9 @@ __all__ = [
     "CircuitParams",
     "QubitSpectrum",
     "SpinBosonParams",
-    "LineModes",
     "qubit_spectrum",
     "map_to_spin_boson",
     "microwave_bias",
-    "finite_line_modes",
     "DELTA_CONVENTIONS",
 ]
 
@@ -145,18 +143,6 @@ class SpinBosonParams:
             raise ValueError("parameters must be finite")
 
 
-@dataclass(frozen=True)
-class LineModes:
-    """Discrete modes of a finite transmission line.
-
-    modes holds (omega_n in rad/s, lambda_n in J) pairs for n = 1..n_c;
-    spacing is the free spectral range pi / (L sqrt(l c)).
-    """
-
-    modes: tuple[tuple[float, float], ...]
-    spacing: float
-
-
 def qubit_spectrum(p: CircuitParams) -> QubitSpectrum:
     """Evaluate the cubic-well spectrum of the biased junction.
 
@@ -226,29 +212,3 @@ def microwave_bias(p: CircuitParams, i_uw: float) -> float:
     omega_10 = qubit_spectrum(p).omega_10
     return math.sqrt(H_BAR / (2.0 * omega_10 * p.c_total)) * i_uw
 
-
-def finite_line_modes(p: CircuitParams, length: float, n_c: int,
-                      delta_convention: str = "omega10") -> LineModes:
-    """Mode frequencies and couplings of a length-L open transmission line.
-
-    omega_n = n pi / (L sqrt(l c)) and
-    lambda_n = C_0 sqrt(2 Delta hbar omega_n / (C L c)). Per mode the
-    Ohmic identity pi lambda_n^2 / (hbar^2 dOmega) = 2 pi alpha omega_n
-    holds exactly with dOmega the mode spacing, which is what makes the
-    discrete line equivalent to the continuous bath of map_to_spin_boson.
-    """
-    if length <= 0:
-        raise ValueError("line length must be positive")
-    if n_c < 1:
-        raise ValueError("need at least one mode")
-    delta_energy = H_BAR * _splitting(p, delta_convention)
-    spacing = math.pi / (length * math.sqrt(p.l * p.c))
-    ctot = p.c_total
-    modes = []
-    for n in range(1, n_c + 1):
-        omega_n = n * spacing
-        lam = p.c_0 * math.sqrt(
-            2.0 * delta_energy * H_BAR * omega_n / (ctot * length * p.c)
-        )
-        modes.append((omega_n, lam))
-    return LineModes(modes=tuple(modes), spacing=spacing)

@@ -48,7 +48,6 @@ from .circuit import (
     H_BAR,
     CircuitParams,
     SpinBosonParams,
-    finite_line_modes,
     map_to_spin_boson,
     microwave_bias,
     qubit_spectrum,
@@ -74,7 +73,6 @@ FAILURES = (
 
 _SWEEP_PARAMETERS = ("alpha", "delta", "epsilon")
 MAX_GRID_POINTS = 10_000  # each point is a full NRG run
-MAX_LINE_MODES = 10_000  # each mode is one entry of circuit.json
 
 
 class ConfigError(ValueError):
@@ -113,27 +111,19 @@ class CriticalSpec:
 @dataclass(frozen=True)
 class CircuitSpec(CircuitParams):
     """The circuit, and what map-circuit derives from it: omega_c (rad/s)
-    adds the spin-boson model, i_uw (A) the microwave bias, line_length (m)
-    the first n_modes modes of a line that long. circuit_json, the file
-    map-circuit writes, is built once, while the config is parsed."""
+    adds the spin-boson model of the semi-infinite line, i_uw (A) the
+    microwave bias. circuit_json, the file map-circuit writes, is built
+    once, while the config is parsed."""
 
     omega_c: float | None = None
     delta_convention: str = "omega10"
     i_uw: float | None = None
-    line_length: float | None = None
-    n_modes: int = 10
 
     def __post_init__(self):
         super().__post_init__()
         if self.delta_convention not in DELTA_CONVENTIONS:
             raise ConfigError(
                 f"circuit.delta_convention must be one of {DELTA_CONVENTIONS}")
-        if self.line_length is not None and self.line_length <= 0:
-            raise ConfigError("circuit.line_length must be positive")
-        if self.n_modes < 1:
-            raise ConfigError("circuit.n_modes must be at least 1")
-        if self.n_modes > MAX_LINE_MODES:
-            raise ConfigError(f"circuit.n_modes must be at most {MAX_LINE_MODES}")
         self.circuit_json  # a value out of float range fails here
 
     @functools.cached_property
@@ -419,8 +409,8 @@ def _flow_csv(result: nrg.NrgResult) -> str:
 
 
 def _circuit_payload(circuit: CircuitSpec) -> dict:
-    """circuit.json's contents: the qubit spectrum, and what omega_c, i_uw
-    and line_length add."""
+    """circuit.json's contents: the qubit spectrum, and what omega_c and
+    i_uw add."""
     conv = circuit.delta_convention
     spec = qubit_spectrum(circuit)
     payload = {
@@ -448,14 +438,6 @@ def _circuit_payload(circuit: CircuitSpec) -> dict:
         payload["bias_j"] = bias
         if circuit.omega_c is not None:
             payload["bias"] = bias / (H_BAR * circuit.omega_c)
-    if circuit.line_length is not None:
-        lm = finite_line_modes(circuit, circuit.line_length, circuit.n_modes,
-                               delta_convention=conv)
-        payload["line_modes"] = [
-            {"n": i + 1, "omega": w, "lambda_j": lam}
-            for i, (w, lam) in enumerate(lm.modes)
-        ]
-        payload["mode_spacing"] = lm.spacing
     return payload
 
 

@@ -416,7 +416,8 @@ def ground_spin(state: NrgState) -> tuple[float, float]:
     parity-blocked run the localized doublet straddles the two sectors and
     stays split far beyond that window at any finite N, so the level just
     above the window joins the multiplet when it lies in the other sector
-    and below DOUBLET_RATIO times the level after it.
+    and below DOUBLET_RATIO times the level after it. Both values are
+    clipped to [-1, 1]; one beyond 1 + 1e-9 raises NrgError.
     """
     sizes = [x.size for x in state.levels]
     order = np.argsort(np.concatenate(state.levels), kind="stable")
@@ -430,11 +431,15 @@ def ground_spin(state: NrgState) -> tuple[float, float]:
     sz, sx = (_full(blocks, sizes, odd)[top]
               for blocks, odd in ((state.op_sz, True), (state.op_sx, False)))
     if g == 1:
-        return float(sz[0, 0]), float(sx[0, 0])
-    sz, sx = (0.5 * (o + o.T) for o in (sz, sx))
-    dec = numerics.sym_eig(sz)
-    vec = dec.vectors[:, int(np.argmax(np.abs(dec.eigenvalues)))]
-    return float(vec @ sz @ vec), float(vec @ sx @ vec)
+        spin = sz[0, 0], sx[0, 0]
+    else:
+        sz, sx = (0.5 * (o + o.T) for o in (sz, sx))
+        dec = numerics.sym_eig(sz)
+        vec = dec.vectors[:, int(np.argmax(np.abs(dec.eigenvalues)))]
+        spin = vec @ sz @ vec, vec @ sx @ vec
+    if (worst := max(abs(x) for x in spin)) > 1.0 + 1e-9:
+        raise NrgError(f"ground-state spin {worst:.12g} exceeds 1; basis corrupted")
+    return tuple(min(max(float(x), -1.0), 1.0) for x in spin)
 
 
 def delta_p(sigma_z_gs: float) -> float:

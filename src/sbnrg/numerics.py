@@ -90,19 +90,22 @@ class DivergenceFit:
 
 
 def _fit_line(x: np.ndarray, y: np.ndarray):
-    """Least-squares line y = a + b x: (a, b, rss), or None if x is flat."""
-    npts = len(x)
-    sx = float(x.sum())
-    sxx = float((x * x).sum())
+    """Least-squares lines y = a + b x along x's last axis: arrays (a, b, rss),
+    with rss = inf where x is flat. Each line's sums and its rss dot product
+    are those of a one-line fit, so a row scores the same alone or in a grid."""
+    npts = x.shape[-1]
+    sx = x.sum(axis=-1)
+    sxx = (x * x).sum(axis=-1)
     det = npts * sxx - sx * sx
-    if det <= 1e-14 * max(npts * sxx, sx * sx, 1.0):
-        return None
-    sy = float(y.sum())
-    sxy = float((x * y).sum())
-    b = (npts * sxy - sx * sy) / det
-    a = (sy - b * sx) / npts
-    r = y - a - b * x
-    return a, b, float(r @ r)
+    flat = det <= 1e-14 * np.maximum(np.maximum(npts * sxx, sx * sx), 1.0)
+    sy = y.sum()
+    sxy = (x * y).sum(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        b = (npts * sxy - sx * sy) / det
+        a = (sy - b * sx) / npts
+        r = y - a[..., None] - b[..., None] * x
+    rss = (r[..., None, :] @ r[..., :, None])[..., 0, 0]
+    return a, b, np.where(flat, np.inf, rss)
 
 
 def fit_divergence(points, window: float | None = None) -> DivergenceFit:
@@ -121,7 +124,7 @@ def fit_divergence(points, window: float | None = None) -> DivergenceFit:
     ns = np.array([p[1] for p in pts])
     if not (np.all(np.isfinite(alphas)) and np.all(np.isfinite(ns))):
         raise FitError("non-finite fit input")
-    if len(np.unique(alphas)) != len(alphas):
+    if len(set(alphas.tolist())) != len(alphas):  # np.unique's first call imports numpy.ma
         raise FitError("alpha values must be distinct")
     if float(ns.max() - ns.min()) == 0.0:
         raise FitError("n_star values are constant; no divergence to fit")
@@ -133,11 +136,10 @@ def fit_divergence(points, window: float | None = None) -> DivergenceFit:
     m = FIT_GRID_POINTS
 
     def rss_at(ac: float) -> float:
-        sol = _fit_line(1.0 / (ac - alphas), ns)
-        return math.inf if sol is None else sol[2]
+        return float(_fit_line(1.0 / (ac - alphas), ns)[2])
 
     grid = amax + window * np.arange(1, m + 1) / m
-    costs = np.array([rss_at(ac) for ac in grid])
+    costs = _fit_line(1.0 / (grid[:, None] - alphas), ns)[2]
     best = int(np.argmin(costs))
     if not math.isfinite(costs[best]):
         raise FitError("degenerate data: pole scan found no valid candidate")
@@ -160,10 +162,9 @@ def fit_divergence(points, window: float | None = None) -> DivergenceFit:
             f2 = rss_at(x2)
     ac = x1 if f1 <= f2 else x2
 
-    sol = _fit_line(1.0 / (ac - alphas), ns)
-    if sol is None:
+    a, b, rss = (float(v) for v in _fit_line(1.0 / (ac - alphas), ns))
+    if not math.isfinite(rss):
         raise FitError("pole refinement collapsed onto degenerate data")
-    a, b, rss = sol
     if b <= 0:
         raise FitError(f"fitted amplitude b = {b:.3e} is not positive; no divergence")
     if ac >= amax + 0.999 * window:

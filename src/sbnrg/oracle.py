@@ -21,7 +21,6 @@ __all__ = [
     "EdProblem",
     "EdResult",
     "exact_diag",
-    "polaron_energy",
 ]
 
 _DEGENERACY_TOL = 1e-10
@@ -142,12 +141,3 @@ def exact_diag(p: EdProblem, check_convergence: bool = True) -> EdResult:
         converged=converged,
     )
 
-
-def polaron_energy(modes) -> float:
-    """Exact Delta = 0 ground energy, -sum gamma^2 / (4 xi)."""
-    total = 0.0
-    for w, g in modes:
-        if w <= 0:
-            raise ValueError("mode frequencies must be positive")
-        total -= g * g / (4.0 * w)
-    return total

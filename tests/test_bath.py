@@ -13,7 +13,6 @@ from sbnrg.bath import (
     WilsonChain,
     chain_map,
     discretize,
-    spectral_density,
 )
 from sbnrg.circuit import SpinBosonParams
 
@@ -45,39 +44,6 @@ def _assert_frozen_chain(ch, ref):
                         rtol=1e-13, atol=0)
     npt.assert_allclose(ch.t, [float.fromhex(x) for x in ref["t"]],
                         rtol=1e-13, atol=0)
-
-
-class TestSpectralDensity:
-    def test_ohmic_value(self):
-        p = ohmic(0.3)
-        assert spectral_density(p, 0.5) == pytest.approx(
-            2.0 * math.pi * 0.3 * 0.5, rel=1e-15
-        )
-
-    def test_hard_cutoff(self):
-        p = ohmic(0.3)
-        assert spectral_density(p, 1.0) > 0
-        assert spectral_density(p, 1.0 + 1e-12) == 0.0
-        assert spectral_density(p, 5.0) == 0.0
-
-    def test_vanishes_at_zero(self):
-        assert spectral_density(ohmic(0.3), 0.0) == 0.0
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            spectral_density(ohmic(0.3), -0.1)
-
-    def test_subohmic_power(self):
-        p = ohmic(0.2, s=0.5)
-        assert spectral_density(p, 0.25) == pytest.approx(
-            2.0 * math.pi * 0.2 * 0.5, rel=1e-15
-        )
-
-    @given(st.floats(1e-6, 1.0), st.floats(0.0, 2.0))
-    def test_linear_in_alpha(self, w, a):
-        assert spectral_density(ohmic(a), w) == pytest.approx(
-            a * spectral_density(ohmic(1.0), w), rel=1e-13, abs=1e-300
-        )
 
 
 class TestDiscretize:

@@ -14,7 +14,6 @@ from sbnrg.circuit import (
     H_BAR,
     CircuitParams,
     SpinBosonParams,
-    finite_line_modes,
     map_to_spin_boson,
     microwave_bias,
     qubit_spectrum,
@@ -228,27 +227,28 @@ class TestSpinBosonParams:
             SpinBosonParams(**kwargs)
 
 
+def line_modes(p, length, n_c, delta_convention="omega10"):
+    """Reference: the first n_c modes (omega_n, lambda_n) of an open line of
+    length L, omega_n = n dOmega with dOmega = pi / (L sqrt(l c)) and
+    lambda_n = C_0 sqrt(2 Delta hbar omega_n / (C L c)), and dOmega."""
+    spec = qubit_spectrum(p)
+    split = spec.omega_10 if delta_convention == "omega10" else 0.5 * spec.omega_p
+    spacing = math.pi / (length * math.sqrt(p.l * p.c))
+    omegas = [n * spacing for n in range(1, n_c + 1)]
+    modes = [(w, p.c_0 * math.sqrt(2.0 * H_BAR * split * H_BAR * w
+                                   / (p.c_total * length * p.c)))
+             for w in omegas]
+    return modes, spacing
+
+
 class TestFiniteLineModes:
-    def test_geometry(self):
-        lm = finite_line_modes(REFERENCE, length=1.0, n_c=5)
-        expected = math.pi / math.sqrt(4e-7 * 1.6e-10)
-        assert lm.spacing == pytest.approx(expected, rel=1e-14)
-        for n, (omega_n, _) in enumerate(lm.modes, start=1):
-            assert omega_n == pytest.approx(n * lm.spacing, rel=1e-14)
-
-    def test_coupling_scales_as_sqrt_mode(self):
-        lm = finite_line_modes(REFERENCE, length=1.0, n_c=6)
-        lam1 = lm.modes[0][1]
-        for n, (_, lam) in enumerate(lm.modes, start=1):
-            assert lam == pytest.approx(lam1 * math.sqrt(n), rel=1e-13)
-
+    # the semi-infinite line's alpha is the limit of a finite line's modes:
+    # per mode, pi lambda_n^2 / (hbar^2 dOmega) = 2 pi alpha omega_n
     def test_ohmic_identity(self):
-        # pi lambda_n^2 / (hbar^2 dOmega) = 2 pi alpha omega_n per mode
         sb = map_to_spin_boson(REFERENCE, 1e14)
-        lm = finite_line_modes(REFERENCE, length=2.5, n_c=8)
-        hb = H_BAR
-        for omega_n, lam in lm.modes:
-            lhs = math.pi * lam * lam / (hb * hb * lm.spacing)
+        modes, spacing = line_modes(REFERENCE, length=2.5, n_c=8)
+        for omega_n, lam in modes:
+            lhs = math.pi * lam * lam / (H_BAR * H_BAR * spacing)
             assert lhs == pytest.approx(2.0 * math.pi * sb.alpha * omega_n,
                                         rel=1e-12)
 
@@ -263,24 +263,9 @@ class TestFiniteLineModes:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             sb = map_to_spin_boson(p, 1e14, delta_convention=convention)
-        lm = finite_line_modes(p, length=length, n_c=3,
-                               delta_convention=convention)
-        hb = H_BAR
-        for omega_n, lam in lm.modes:
-            lhs = math.pi * lam * lam / (hb * hb * lm.spacing)
+        modes, spacing = line_modes(p, length=length, n_c=3,
+                                    delta_convention=convention)
+        for omega_n, lam in modes:
+            lhs = math.pi * lam * lam / (H_BAR * H_BAR * spacing)
             rhs = 2.0 * math.pi * sb.alpha * omega_n
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-30)
-
-    def test_longer_line_denser_modes(self):
-        short = finite_line_modes(REFERENCE, length=1.0, n_c=1)
-        long = finite_line_modes(REFERENCE, length=4.0, n_c=1)
-        assert long.spacing == pytest.approx(short.spacing / 4.0, rel=1e-14)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            finite_line_modes(REFERENCE, length=0.0, n_c=3)
-        with pytest.raises(ValueError):
-            finite_line_modes(REFERENCE, length=1.0, n_c=0)
-        with pytest.raises(ValueError):
-            finite_line_modes(REFERENCE, length=1.0, n_c=3,
-                              delta_convention="bad")

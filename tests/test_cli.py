@@ -130,14 +130,13 @@ BLOCKS = {
     "circuit": ("map-circuit", {},
                 {"c_j": 0.85e-12, "c_0": 4.25e-12, "i_0": 2e-6, "i_b": 1.96e-6,
                  "l": 4e-7, "c": 1.6e-10, "omega_c": 1e14,
-                 "delta_convention": "half_omega_p", "i_uw": 1e-9,
-                 "line_length": 1.0, "n_modes": 3},
-                ["c_j", "c_0", "i_0", "i_b", "l", "c"], ["params", "ej_ec_threshold"],
+                 "delta_convention": "half_omega_p", "i_uw": 1e-9},
+                ["c_j", "c_0", "i_0", "i_b", "l", "c"],
+                ["params", "ej_ec_threshold", "line_length", "n_modes"],
                 "circuit",
                 CircuitSpec(c_j=0.85e-12, c_0=4.25e-12, i_0=2e-6, i_b=1.96e-6,
                             l=4e-7, c=1.6e-10, omega_c=1e14,
-                            delta_convention="half_omega_p", i_uw=1e-9,
-                            line_length=1.0, n_modes=3)),
+                            delta_convention="half_omega_p", i_uw=1e-9)),
     "sweep": ("sweep", {"model": {"delta": 0.05}},
               {"parameter": "epsilon",
                "grid": {"from": 0.0, "to": 0.02, "step": 0.01}},
@@ -386,16 +385,6 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="delta_convention"):
             parse_config(json.dumps(payload), mode="map-circuit")
 
-    def test_line_mode_bound(self):
-        block = dict(TestMapCircuitMode.PAYLOAD["circuit"])
-        for n_modes in (1, cli.MAX_LINE_MODES):
-            cfg = parse_config(json.dumps({"circuit": {**block, "n_modes": n_modes}}),
-                               mode="map-circuit")
-            assert cfg.circuit.n_modes == n_modes
-        with pytest.raises(ConfigError, match="n_modes must be at most"):
-            parse_config(json.dumps({"circuit": {
-                **block, "n_modes": cli.MAX_LINE_MODES + 1}}), mode="map-circuit")
-
     def test_oracle_modes_validation(self):
         payload = {"oracle": {"delta": 0.2, "modes": [[0.5, 0.1], [0.25]]}}
         with pytest.raises(ConfigError, match=r"oracle.modes\[1\]"):
@@ -425,7 +414,7 @@ class TestParseConfig:
                                         mode="map-circuit"))
         assert echo["circuit"] == {
             **block, "omega_c": None, "delta_convention": "omega10",
-            "i_uw": None, "line_length": None, "n_modes": 10}
+            "i_uw": None}
         echo = config_echo(parse_config(
             json.dumps({"oracle": {"delta": 0.3, "modes": [[0.5, 0.2]]}}),
             mode="oracle"))
@@ -519,7 +508,6 @@ class TestMapCircuitMode:
         "c_j": 0.85e-12, "c_0": 4.25e-12, "i_0": 2e-6, "i_b": 1.96e-6,
         "l": 4e-7, "c": 1.6e-10, "omega_c": 1e14,
         "delta_convention": "half_omega_p", "i_uw": 1e-9,
-        "line_length": 1.0, "n_modes": 3,
     }}
 
     def test_payload(self, tmp_path):
@@ -538,8 +526,7 @@ class TestMapCircuitMode:
         assert doc["bias"] == pytest.approx(
             doc["bias_j"] / (1.0545718176461565e-34 * 1e14), rel=1e-10
         )
-        assert len(doc["line_modes"]) == 3
-        assert doc["line_modes"][0]["n"] == 1
+        assert sorted(doc) == ["bias", "bias_j", "qubit", "spin_boson"]
 
     @pytest.mark.parametrize("convention", DELTA_CONVENTIONS)
     @pytest.mark.parametrize("factor", [1 + 1e-9, 1 - 1e-9], ids=["above", "below"])
@@ -584,7 +571,7 @@ class TestMapCircuitMode:
         assert main(["map-circuit", "--config", cfg, "--out", str(out)]) == EXIT_OK
         assert len(calls) == 1
         assert hashlib.sha256((out / "circuit.json").read_bytes()).hexdigest() == (
-            "33e44d7c8130fb5000ba327733fa157ee12da584d1e0e5131a0034ffebac929b")
+            "7857d31370228dd1a6c7913a4b2b1b2e91def4e59929c1e40e682cf525d1bef8")
         # c_0 = 0.5 pF puts alpha at 0.084, below its window; with every
         # warning shown, a second derivation would print a second line
         block = dict(self.PAYLOAD["circuit"], c_0=0.5e-12, delta_convention="omega10")
@@ -837,7 +824,7 @@ class TestCriticalMode:
         # A determinism and robustness check at (n_s, n_b) = (60, 6), not a
         # converged alpha_c: chain noise of 1e-15 and a second BLAS thread
         # each move this value by about 1e-9.
-        assert fit["alpha_c"] == pytest.approx(1.2485799418132013, abs=1e-6)
+        assert fit["alpha_c"] == pytest.approx(1.2485799432068874, abs=1e-6)
         assert fit["n_points"] == 4
         assert fit["threshold"] == 0.3
 
@@ -884,8 +871,8 @@ class TestConfigEcho:
     @pytest.mark.parametrize("mode,payload,nulls", [
         ("map-circuit", {"circuit": {
             **{k: v for k, v in TestMapCircuitMode.PAYLOAD["circuit"].items()
-               if k not in ("i_uw", "line_length")}}},
-         ["circuit.i_uw", "circuit.line_length"]),
+               if k != "i_uw"}}},
+         ["circuit.i_uw"]),
         ("chain", RUN_PAYLOAD, ["nrg.n_star"]),
         ("run", {"model": {"delta": 0.05}}, ["nrg.n_star"]),
         ("sweep", TestSweepMode.PAYLOAD, ["nrg.n_star"]),
@@ -1051,16 +1038,18 @@ class TestExitCodes:
                    "sweep": {"parameter": "delta",
                              "grid": {"values": [0.1, -0.1]}}},
          "sweep.grid: delta must be non-negative"),
+        # the line is the semi-infinite continuum: its finite-line modes
+        # are no option, so a length or mode count is an unknown key
         ("map-circuit", {"circuit": {**TestMapCircuitMode.PAYLOAD["circuit"],
                                      "line_length": -1}},
-         "circuit.line_length must be positive"),
+         "config error: unknown key circuit.line_length\n"),
         ("map-circuit", {"circuit": {**TestMapCircuitMode.PAYLOAD["circuit"],
                                      "n_modes": 0}},
-         "circuit.n_modes must be at least 1"),
-        # once ran 14 s and wrote a 107 MB circuit.json
+         "config error: unknown key circuit.n_modes\n"),
+        # once ran 14 s and wrote a 107 MB circuit.json of line modes
         ("map-circuit", {"circuit": {**TestMapCircuitMode.PAYLOAD["circuit"],
                                      "n_modes": 10**6}},
-         "circuit.n_modes must be at most 10000"),
+         "config error: unknown key circuit.n_modes\n"),
         ("map-circuit", {"circuit": {**TestMapCircuitMode.PAYLOAD["circuit"],
                                      "omega_c": 1e3}},
          "circuit: cutoff omega_c must lie above the qubit splitting"),
@@ -1182,12 +1171,11 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("circuit", [
-        {**TestMapCircuitMode.PAYLOAD["circuit"], "line_length": 1e-300},
         {"c_j": 1e-300, "c_0": 0.0, "i_0": 1e300, "i_b": 0.0,
          "l": 4e-7, "c": 1.6e-10},
-    ], ids=["short-line", "tiny-junction"])
+    ], ids=["tiny-junction"])
     def test_non_finite_output_exits_config(self, tmp_path, capsys, circuit):
-        # each once wrote Infinity, which is not JSON, into circuit.json;
+        # once wrote Infinity, which is not JSON, into circuit.json;
         # circuit.json is built while parsing, so --out is never made
         out = tmp_path / "out"
         cfg = write_config(tmp_path, {"circuit": circuit})

@@ -787,6 +787,23 @@ class TestGroundObservable:
         assert abs(sz) == pytest.approx(expected, abs=1e-12)
         assert sx == pytest.approx(0.5 if expected else 0.4, abs=1e-12)
 
+    def test_rounding_beyond_one_is_clipped(self):
+        # within 1e-9 of +-1 an excess is rounding; beyond it, a fault
+        st_ = self.state([0.0, 0.5], [[-1.0 - 1e-12, 0.0], [0.0, 0.0]],
+                         [[1.0 + 1e-12, 0.0], [0.0, 0.0]])
+        assert ground_spin(st_) == (-1.0, 1.0)
+        st_ = self.state([0.0, 0.5], [[1.1, 0.0], [0.0, 0.0]],
+                         [[0.0, 0.0], [0.0, 0.0]])
+        with pytest.raises(nrg.NrgError, match="exceeds 1"):
+            ground_spin(st_)
+
+    def test_unbiased_polaron_run_stays_within_one(self):
+        # at delta = 0 the doublet branch once read -1.000000000000002
+        res = run(SpinBosonParams(delta=0.0, alpha=0.3),
+                  NrgConfig(n_s=20, n_b=4, n_iter=10))
+        assert abs(res.sigma_z_gs) == 1.0
+        assert abs(res.sigma_x_gs) <= 1.0
+
 
 class TestDeltaP:
     def test_values(self):

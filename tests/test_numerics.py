@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -115,8 +117,42 @@ class TestSymEig:
         assert np.all(np.diff(dec.eigenvalues) >= 0)
 
 
+def line_fit(x, y):
+    """Reference: one least-squares line y = a + b x in Python floats, as
+    (a, b, rss), or None where x is flat."""
+    npts = len(x)
+    sx = float(x.sum())
+    sxx = float((x * x).sum())
+    det = npts * sxx - sx * sx
+    if det <= 1e-14 * max(npts * sxx, sx * sx, 1.0):
+        return None
+    sy = float(y.sum())
+    sxy = float((x * y).sum())
+    b = (npts * sxy - sx * sy) / det
+    a = (sy - b * sx) / npts
+    r = y - a - b * x
+    return a, b, float(r @ r)
+
+
 class TestFitDivergence:
     alphas = (0.5, 0.6, 0.7, 0.8)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_grid_rows_are_one_line_fits(self, seed):
+        # the pole scan scores its whole grid in one call; each row keeps the
+        # bits of a fit of that line alone, on which fit.json's bytes rest
+        rng = np.random.default_rng(seed)
+        alphas = np.sort(rng.uniform(0.1, 1.0, 4 + 2 * seed))
+        ns = 3.0 + 2.0 / (1.3 - alphas) + rng.uniform(-0.3, 0.3, alphas.size)
+        grid = alphas.max() + 2.0 * np.arange(1, 2001) / 2000
+        x = np.vstack([1.0 / (grid[:, None] - alphas), np.ones(alphas.size)])
+        a, b, rss = numerics._fit_line(x, ns)
+        for i, row in enumerate(x):
+            ref = line_fit(row, ns)
+            if ref is None:
+                assert rss[i] == math.inf
+            else:
+                assert (a[i], b[i], rss[i]) == ref
 
     def exact_points(self):
         return [(a, 2.0 + 3.0 / (1.0 - a)) for a in self.alphas]
