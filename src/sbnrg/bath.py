@@ -9,6 +9,18 @@ star from the normalized coupling vector (the Lanczos chain, computed here
 by the Gragg-Harrod rotation recursion in float64) turns it into a
 semi-infinite chain whose hoppings decay like Lambda^-n, which is what the
 iterative diagonalization needs.
+
+A shell's mode is weaker, at low energy, than the continuum it replaces.
+The static (orthogonality) exponent that renormalizes the tunneling is,
+for the mode, gamma_n^2 / xi_n^2, and for the continuum shell
+int J / (pi omega^2) = 2 alpha ln Lambda. At s = 1 their ratio is
+
+    r(Lambda) = 9 (1 - Lambda^-2)^3 / (8 (1 - Lambda^-3)^2 ln Lambda),
+
+the same for every shell: 0.8944 at Lambda = 2, 0.7756 at Lambda = 3,
+and 1 in the limit Lambda -> 1. So the discretized bath acts as a
+continuum of coupling r alpha: T* ~ Delta^(1/(1 - r alpha)), and N*
+grows with log_Lambda(1/Delta) at the slope 1/(1 - r alpha).
 """
 
 from __future__ import annotations

@@ -75,6 +75,9 @@ class CircuitParams:
     c: float
 
     def __post_init__(self):
+        if not all(math.isfinite(x) for x in
+                   (self.c_j, self.c_0, self.i_0, self.i_b, self.l, self.c)):
+            raise ValueError("circuit parameters must be finite")
         if self.c_j <= 0:
             raise ValueError("junction capacitance must be positive")
         if self.c_0 < 0:

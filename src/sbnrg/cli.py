@@ -13,11 +13,13 @@ caught before --out exists. A JSON output that would hold inf or nan is
 not written: it is a config error that names the file. A DegeneracyError (a
 boundary multiplet wider than 2 n_s at truncation) exits 2: its remedy is
 a config change, raising n_s, and the class subclasses ValueError. A
-config block's keys are the fields of the flat dataclass it builds, in
-lower case. An unknown config key is an error that names its path, and
-so is a top-level block the subcommand does not read. --workers N
-runs up to N sweep points at once, each on its own thread; a failed point
-or an interrupt ends the running points before their next iteration. Data
+config block is the RunConfig field of its name; its keys are the fields
+of that flat dataclass, in lower case, and it is required when one of
+them has no default. A grid is {"values": [...]}. An unknown config key
+is an error that names its path, and so is "mode" (the subcommand names
+it) or a top-level block the subcommand does not read. --workers N runs
+up to N sweep points at once, each on its own thread; a failed point or
+an interrupt ends the running points before their next iteration. Data
 files are byte-identical across reruns and worker counts; in the manifest
 only the timestamps and the echoed out_dir and workers differ. The
 manifest's config echo, without those two, is a config the same
@@ -81,7 +83,8 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """The swept model parameter and its grid, stored as {"values": [...]}."""
+    """The swept model parameter and its grid, {"values": [...]}: a
+    non-empty, strictly monotone list of at most MAX_GRID_POINTS numbers."""
 
     parameter: str
     grid: dict
@@ -89,7 +92,16 @@ class SweepSpec:
     def __post_init__(self):
         if self.parameter not in _SWEEP_PARAMETERS:
             raise ConfigError(f"sweep.parameter must be one of {_SWEEP_PARAMETERS}")
-        values = _resolve_grid(self.grid, "sweep.grid")
+        if list(self.grid) != ["values"]:
+            raise ConfigError('sweep.grid must be {"values": [...]}')
+        values = _value(self.grid["values"], tuple[float, ...], "sweep.grid.values")
+        if not values:
+            raise ConfigError("sweep.grid.values must be a non-empty list")
+        if len(values) > MAX_GRID_POINTS:
+            raise ConfigError(f"sweep.grid has more than {MAX_GRID_POINTS} points")
+        diffs = [b - a for a, b in zip(values, values[1:])]
+        if not (all(d > 0 for d in diffs) or all(d < 0 for d in diffs)):
+            raise ConfigError("sweep.grid must be strictly monotone")
         object.__setattr__(self, "grid", {"values": list(values)})
 
     @property
@@ -133,39 +145,29 @@ class CircuitSpec(CircuitParams):
 
 @dataclass(frozen=True)
 class RunConfig:
+    """A parsed config; each config block is the field of its name, built
+    as the field's type."""
+
     mode: str
     out_dir: str
     workers: int
     model: SpinBosonParams | None = None
-    nrg_config: nrg.NrgConfig | None = None
+    nrg: nrg.NrgConfig | None = None
     circuit: CircuitSpec | None = None
     sweep: SweepSpec | None = None
     critical: CriticalSpec = CriticalSpec()
-    oracle_problem: oracle.EdProblem | None = None
+    oracle: oracle.EdProblem | None = None
     points: tuple[SpinBosonParams, ...] = ()  # each sweep point's model
-
-
-# each config block: the RunConfig field it sets, and the dataclass whose
-# fields are its keys
-BLOCKS = {
-    "model": ("model", SpinBosonParams),
-    "nrg": ("nrg_config", nrg.NrgConfig),
-    "circuit": ("circuit", CircuitSpec),
-    "sweep": ("sweep", SweepSpec),
-    "critical": ("critical", CriticalSpec),
-    "oracle": ("oracle_problem", oracle.EdProblem),
-}
 
 
 @dataclass(frozen=True)
 class Subcommand:
     """A subcommand's help, the top-level blocks its config reads (any other
-    is an unknown key) and those it requires, and its handler, which yields
-    each output file as a (name, text) pair."""
+    is an unknown key), and its handler, which yields each output file as a
+    (name, text) pair."""
 
     help: str
     reads: tuple[str, ...]
-    requires: tuple[str, ...]
     handler: Callable[[RunConfig], Iterator[tuple[str, str]]]
 
 
@@ -188,17 +190,11 @@ _TYPE_CHECKS = {
 }
 
 
-def _grid_numbers(values: list, what: str) -> tuple[float, ...]:
-    """The values as floats; each must be a number."""
-    if not all(_is_number(v) for v in values):
-        raise ConfigError(f"{what} must be numbers")
-    return tuple(float(v) for v in values)
-
-
 def _fields(cls):
     """(field, key, type, optional) for each field of a config block's
-    dataclass: the key is the field's name in lower case, the type X of
-    X | None, and optional whether the field is an X | None."""
+    dataclass, or of RunConfig, whose keys name the blocks: the key is the
+    field's name in lower case, the type X of X | None, and optional
+    whether the field is an X | None."""
     hints = get_type_hints(cls)
     for f in fields(cls):
         tp = hints[f.name]
@@ -224,33 +220,25 @@ def _value(value, tp, path: str):
     return float(value) if tp is float else value
 
 
-def _typed(block: dict, cls, path: str) -> dict:
-    """The config block at path, each value checked against and converted to
-    the type of cls's field its key names."""
+def _build(cls, block, path: str):
+    """cls from the config block at path: each key names a field of cls and
+    its value is checked against and converted to that field's type; a
+    field without a default is required. cls's ValueError or
+    ArithmeticError becomes a ConfigError that names path; its ConfigError,
+    which names the key, passes unchanged."""
     if not isinstance(block, dict):
         raise ConfigError(f"{path} must be an object")
-    keys = {key: (tp, optional) for _, key, tp, optional in _fields(cls)}
-    out = {}
+    specs = list(_fields(cls))
+    keys = {key: (f.name, tp, optional) for f, key, tp, optional in specs}
+    kwargs = {}
     for key, value in block.items():
         if key not in keys:
             raise ConfigError(f"unknown key {path}.{key}")
-        tp, optional = keys[key]
-        if value is None and optional:  # null reads as the key left out
-            continue
-        out[key] = _value(value, tp, f"{path}.{key}")
-    return out
-
-
-def _build(cls, block: dict, path: str):
-    """cls from the typed config block at path: each field takes its key,
-    required if it has no default. cls's ValueError or ArithmeticError
-    becomes a ConfigError that names path; its ConfigError, which names the
-    key, passes unchanged."""
-    kwargs = {}
-    for f, key, _, _ in _fields(cls):
-        if key in block:
-            kwargs[f.name] = block[key]
-        elif f.default is MISSING:
+        name, tp, optional = keys[key]
+        if value is not None or not optional:  # null reads as the key left out
+            kwargs[name] = _value(value, tp, f"{path}.{key}")
+    for f, key, _, _ in specs:
+        if f.name not in kwargs and f.default is MISSING:
             raise ConfigError(f"{path}.{key} is required")
     try:
         return cls(**kwargs)
@@ -261,39 +249,6 @@ def _build(cls, block: dict, path: str):
     except ArithmeticError as exc:
         raise ConfigError(f"{path}: a value derived from it leaves the float "
                           f"range: {exc}") from None
-
-
-def _resolve_grid(grid: dict, path: str) -> tuple[float, ...]:
-    keys = set(grid)
-    if keys == {"values"}:
-        vals = grid["values"]
-        if not isinstance(vals, list) or not vals:
-            raise ConfigError(f"{path}.values must be a non-empty list")
-        if len(vals) > MAX_GRID_POINTS:
-            raise ConfigError(f"{path} has more than {MAX_GRID_POINTS} points")
-        out = _grid_numbers(vals, f"{path}.values")
-    elif keys == {"from", "to", "step"}:
-        lo, hi, step = _grid_numbers(
-            [grid["from"], grid["to"], grid["step"]], f"{path} bounds")
-        if step == 0:
-            raise ConfigError(f"{path}.step must be non-zero")
-        span = (hi - lo) / step
-        if not math.isfinite(span):
-            raise ConfigError(f"{path}: span over step overflows a float")
-        count = int(round(span)) + 1
-        if count > MAX_GRID_POINTS:
-            raise ConfigError(f"{path} has more than {MAX_GRID_POINTS} points")
-        if count < 1 or abs(lo + (count - 1) * step - hi) > 1e-9 * abs(step):
-            raise ConfigError(f"{path}: step does not divide the span")
-        out = tuple(lo + i * step for i in range(count))
-    else:
-        raise ConfigError(
-            f"{path} needs either 'values' or 'from'/'to'/'step'"
-        )
-    diffs = [out[i + 1] - out[i] for i in range(len(out) - 1)]
-    if diffs and not (all(d > 0 for d in diffs) or all(d < 0 for d in diffs)):
-        raise ConfigError(f"{path} must be strictly monotone")
-    return out
 
 
 def _sweep_points(mode: str, built: dict) -> tuple[SpinBosonParams, ...]:
@@ -314,7 +269,7 @@ def _sweep_points(mode: str, built: dict) -> tuple[SpinBosonParams, ...]:
             f"sweep.grid: critical needs at least {FIT_MIN_POINTS} "
             "alpha values to fit the divergence"
         )
-    if built["nrg_config"].n_iter < 2:
+    if built["nrg"].n_iter < 2:
         raise ConfigError(f"nrg.n_iter must be at least 2 for {mode}: N* needs "
                           "two recorded iterations")
     return points
@@ -333,25 +288,12 @@ def parse_config(text: str, mode: str, out_dir: str = "./out",
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
-    command = SUBCOMMANDS[mode]
+    reads = SUBCOMMANDS[mode].reads
     for key in raw:
-        if key != "mode" and key not in command.reads:
+        if key not in reads:
             raise ConfigError(f"unknown key {key}")
-    if "mode" in raw:
-        if not isinstance(raw["mode"], str):
-            raise ConfigError("mode must be a string")
-        if raw["mode"] != mode:
-            raise ConfigError(
-                f"config mode {raw['mode']!r} conflicts with subcommand {mode!r}"
-            )
-
-    built = {}
-    for name in command.reads:
-        if name in command.requires and name not in raw:
-            raise ConfigError(f"{mode} requires the {name} block")
-        field, cls = BLOCKS[name]
-        block = _typed(raw.get(name, {}), cls, name)
-        built[field] = _build(cls, block, name)
+    blocks = {key: cls for _, key, cls, _ in _fields(RunConfig)}
+    built = {name: _build(blocks[name], raw.get(name, {}), name) for name in reads}
     return RunConfig(mode=mode, out_dir=out_dir, workers=workers,
                      points=_sweep_points(mode, built), **built)
 
@@ -376,7 +318,7 @@ def _json_file(name: str, obj) -> tuple[str, str]:
 
 def _run_sweep_points(cfg: RunConfig) -> list[nrg.NrgResult]:
     models = cfg.points
-    configs = [cfg.nrg_config] * len(models)
+    configs = [cfg.nrg] * len(models)
     threads = min(cfg.workers, len(models), nrg.usable_cpus())
     if threads == 1:  # on this thread, where each run may start its sector thread
         return list(map(nrg.run, models, configs))
@@ -386,7 +328,7 @@ def _run_sweep_points(cfg: RunConfig) -> list[nrg.NrgResult]:
     # stop ends the running ones before their next iteration
     stop = threading.Event()
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(nrg.run, model, cfg.nrg_config, stop=stop)
+        futures = [pool.submit(nrg.run, model, cfg.nrg, stop=stop)
                    for model in models]
         try:
             wait(futures, return_when=FIRST_EXCEPTION)
@@ -446,7 +388,7 @@ def _do_map_circuit(cfg: RunConfig):
 
 
 def _do_chain(cfg: RunConfig):
-    ncfg = cfg.nrg_config
+    ncfg = cfg.nrg
     star = bath.discretize(cfg.model, ncfg.Lambda, ncfg.chain_length)
     chain = bath.chain_map(star)
 
@@ -466,7 +408,7 @@ def _do_chain(cfg: RunConfig):
 
 
 def _do_run(cfg: RunConfig):
-    result = nrg.run(cfg.model, cfg.nrg_config)
+    result = nrg.run(cfg.model, cfg.nrg)
     yield "flow.csv", _flow_csv(result)
     payload = {
         "sigma_z": result.sigma_z_gs,
@@ -517,7 +459,7 @@ def _do_critical(cfg: RunConfig):
 
 
 def _do_oracle(cfg: RunConfig):
-    res = oracle.exact_diag(cfg.oracle_problem)
+    res = oracle.exact_diag(cfg.oracle)
     payload = {
         "ground_energy": res.ground_energy,
         "gap": res.gap,
@@ -531,22 +473,22 @@ def _do_oracle(cfg: RunConfig):
 SUBCOMMANDS = {
     "map-circuit": Subcommand(
         "convert SI circuit parameters to spin-boson parameters",
-        ("circuit",), ("circuit",), _do_map_circuit),
+        ("circuit",), _do_map_circuit),
     "chain": Subcommand(
         "emit the discretized star and Wilson chain as CSV",
-        ("model", "nrg"), ("model",), _do_chain),
+        ("model", "nrg"), _do_chain),
     "run": Subcommand(
         "single NRG run: flow CSV plus ground-state observables",
-        ("model", "nrg"), ("model",), _do_run),
+        ("model", "nrg"), _do_run),
     "sweep": Subcommand(
         "NRG runs over a parameter grid, one CSV row per point",
-        ("model", "nrg", "sweep"), ("model", "sweep"), _do_sweep),
+        ("model", "nrg", "sweep"), _do_sweep),
     "critical": Subcommand(
         "alpha sweep, N* extraction and alpha_c extrapolation",
-        ("model", "nrg", "sweep", "critical"), ("model", "sweep"), _do_critical),
+        ("model", "nrg", "sweep", "critical"), _do_critical),
     "oracle": Subcommand(
         "dense exact diagonalization of a few-mode instance",
-        ("oracle",), ("oracle",), _do_oracle),
+        ("oracle",), _do_oracle),
 }
 
 
@@ -558,9 +500,9 @@ def _echo(obj) -> dict:
 def config_echo(cfg: RunConfig) -> dict:
     """Each block the subcommand reads, with every key it reads; without
     out_dir and workers, a config that parses back to cfg."""
-    echo: dict = {"mode": cfg.mode, "out_dir": cfg.out_dir, "workers": cfg.workers}
+    echo: dict = {"out_dir": cfg.out_dir, "workers": cfg.workers}
     for name in SUBCOMMANDS[cfg.mode].reads:
-        echo[name] = _echo(getattr(cfg, BLOCKS[name][0]))
+        echo[name] = _echo(getattr(cfg, name))
     return echo
 
 

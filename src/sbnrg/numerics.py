@@ -171,4 +171,4 @@ def fit_divergence(points, window: float | None = None) -> DivergenceFit:
         raise FitError(
             f"pole estimate {ac:.4f} sits at the search-window edge; widen the window"
         )
-    return DivergenceFit(a=a, b=b, alpha_c=ac, rss=rss)
+    return DivergenceFit(a=a, b=b, alpha_c=float(ac), rss=rss)

@@ -11,6 +11,7 @@ iterative diagonalization.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,9 @@ class EdProblem:
         object.__setattr__(
             self, "modes", tuple((float(w), float(g)) for w, g in self.modes)
         )
+        if not all(math.isfinite(x) for x in
+                   (self.delta, self.epsilon, *(v for mode in self.modes for v in mode))):
+            raise ValueError("delta, epsilon and the modes must be finite")
         for w, _ in self.modes:
             if w <= 0:
                 raise ValueError("mode frequencies must be positive")

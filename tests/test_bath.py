@@ -15,6 +15,8 @@ from sbnrg.bath import (
     discretize,
 )
 from sbnrg.circuit import SpinBosonParams
+from sbnrg.criticality import extract_nstar
+from sbnrg.nrg import NrgConfig, run
 
 
 REFERENCE_CHAINS = json.loads(
@@ -235,3 +237,40 @@ class TestWilsonChain:
         assert WilsonChain(c0=0.4, eps=eps, t=t).digest() != base
         assert WilsonChain(c0=0.3, eps=eps * 2, t=t).digest() != base
         assert WilsonChain(c0=0.3, eps=eps, t=t * 2).digest() != base
+
+
+def shell_ratio(Lambda):
+    """r(Lambda): an Ohmic shell mode's static exponent gamma_n^2/xi_n^2 over
+    the continuum's, the integral of J/(pi omega^2) over the shell, 2 alpha
+    ln Lambda."""
+    return 9 * (1 - Lambda ** -2) ** 3 / (8 * (1 - Lambda ** -3) ** 2 * math.log(Lambda))
+
+
+class TestDeltaScaling:
+    """The discretized Ohmic bath renormalizes the tunneling as a continuum of
+    coupling r(Lambda) alpha would: T* ~ Delta^(1/(1 - r alpha)), so N*, which
+    is log_Lambda(1/T*) up to a constant, grows with log_Lambda(1/Delta) at
+    the slope 1/(1 - r alpha) (Bulla, Lee, Tong and Vojta, PRB 71, 045122)."""
+
+    @pytest.mark.parametrize("Lambda", [1.001, 1.5, 2.0, 3.0])
+    def test_ratio_is_the_shell_exponent(self, Lambda):
+        alpha = 0.3
+        star = discretize(SpinBosonParams(delta=0.1, alpha=alpha), Lambda, 6)
+        exponents = star.gamma ** 2 / star.xi ** 2 / (2 * alpha * math.log(Lambda))
+        npt.assert_allclose(exponents, shell_ratio(Lambda), rtol=1e-9)
+        # below the continuum's, and reaching it as the shells shrink
+        assert 0 < 1 - shell_ratio(Lambda) < (Lambda - 1) ** 2
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.4, 0.6])
+    @pytest.mark.parametrize("Lambda,n_iter", [(2.0, 80), (3.0, 60)])
+    def test_nstar_slope(self, Lambda, n_iter, alpha):
+        # measured: 0.99936, 1.5575, 2.1542 at Lambda = 2 and 0.98783,
+        # 1.4486, 1.8717 at Lambda = 3; the alpha = 0 slope is 1 up to the
+        # crossing's interpolation
+        deltas = [10.0 ** -k for k in range(2, 7)]
+        config = NrgConfig(Lambda=Lambda, n_s=100, n_b=8, n_iter=n_iter)
+        nstar = [extract_nstar(run(SpinBosonParams(delta=d, alpha=alpha),
+                                   config).flow).n_star for d in deltas]
+        slope = np.polyfit([math.log(1 / d, Lambda) for d in deltas], nstar, 1)[0]
+        assert slope == pytest.approx(1 / (1 - shell_ratio(Lambda) * alpha),
+                                      rel=0.02 if alpha == 0 else 0.01)

@@ -54,6 +54,13 @@ class TestCircuitParams:
         with pytest.raises(ValueError):
             make(**{field: value})
 
+    @pytest.mark.parametrize("field", ["c_j", "c_0", "i_0", "i_b", "l", "c"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_field(self, field, value):
+        # a NaN once passed every range check and gave omega_p = nan
+        with pytest.raises(ValueError, match="must be finite"):
+            make(**{field: value})
+
     def test_rejects_overbias(self):
         with pytest.raises(ValueError):
             make(i_b=2e-6)

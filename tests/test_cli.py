@@ -2,11 +2,12 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
 import time
-from dataclasses import MISSING, fields, replace
+from dataclasses import MISSING, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -117,15 +118,15 @@ RUN_PAYLOAD = {
 
 # Each config block with every key it reads, and a value off the default
 # where the field has one: (mode, the other blocks that mode needs, the
-# block, its required keys, names that are no key of it, the RunConfig
-# field it builds, the value built).
+# block, its required keys, names that are no key of it, the value built
+# as the RunConfig field of the block's name).
 BLOCKS = {
     "model": ("run", {}, {"delta": 0.05, "epsilon": 0.01, "alpha": 0.3, "s": 0.9},
-              ["delta"], ["omega_c"], "model",
+              ["delta"], ["omega_c"],
               SpinBosonParams(delta=0.05, epsilon=0.01, alpha=0.3, s=0.9)),
     "nrg": ("run", {"model": {"delta": 0.05}},
             {"lambda": 2.5, "n_s": 40, "n_b": 4, "n_iter": 8, "n_star": 20},
-            [], ["Lambda", "degeneracy_tol", "flow_levels"], "nrg_config",
+            [], ["Lambda", "degeneracy_tol", "flow_levels"],
             NrgConfig(Lambda=2.5, n_s=40, n_b=4, n_iter=8, n_star=20)),
     "circuit": ("map-circuit", {},
                 {"c_j": 0.85e-12, "c_0": 4.25e-12, "i_0": 2e-6, "i_b": 1.96e-6,
@@ -133,26 +134,22 @@ BLOCKS = {
                  "delta_convention": "half_omega_p", "i_uw": 1e-9},
                 ["c_j", "c_0", "i_0", "i_b", "l", "c"],
                 ["params", "ej_ec_threshold", "line_length", "n_modes"],
-                "circuit",
                 CircuitSpec(c_j=0.85e-12, c_0=4.25e-12, i_0=2e-6, i_b=1.96e-6,
                             l=4e-7, c=1.6e-10, omega_c=1e14,
                             delta_convention="half_omega_p", i_uw=1e-9)),
     "sweep": ("sweep", {"model": {"delta": 0.05}},
-              {"parameter": "epsilon",
-               "grid": {"from": 0.0, "to": 0.02, "step": 0.01}},
-              ["parameter", "grid"], ["values", "models"], "sweep",
+              {"parameter": "epsilon", "grid": {"values": [0.0, 0.01, 0.02]}},
+              ["parameter", "grid"], ["values", "models"],
               SweepSpec(parameter="epsilon",
                         grid={"values": [0.0, 0.01, 0.02]})),
     "critical": ("critical",
                  {"model": {"delta": 0.05},
                   "sweep": {"parameter": "alpha",
                             "grid": {"values": [0.1, 0.2, 0.3, 0.4]}}},
-                 {"window": 4.0}, [], ["threshold"], "critical",
-                 CriticalSpec(window=4.0)),
+                 {"window": 4.0}, [], ["threshold"], CriticalSpec(window=4.0)),
     "oracle": ("oracle", {},
                {"delta": 0.3, "epsilon": 0.1, "modes": [[0.5, 0.2]], "n_max": 8},
-               ["delta", "modes"], [], "oracle_problem",
-               EdProblem(delta=0.3, epsilon=0.1, modes=((0.5, 0.2),), n_max=8)),
+               ["delta", "modes"], [], EdProblem(delta=0.3, epsilon=0.1, modes=((0.5, 0.2),), n_max=8)),
 }
 
 
@@ -161,16 +158,16 @@ class TestParseConfig:
         cfg = parse_config(json.dumps(RUN_PAYLOAD), mode="run")
         assert cfg.model.delta == 0.05
         assert cfg.model.alpha == 0.3
-        assert cfg.nrg_config.n_s == 40
+        assert cfg.nrg.n_s == 40
         assert cfg.workers == 1
 
     def test_nrg_defaults_applied(self):
         cfg = parse_config(json.dumps({"model": {"delta": 0.1}}), mode="run")
-        assert cfg.nrg_config == NrgConfig()
+        assert cfg.nrg == NrgConfig()
 
     @pytest.mark.parametrize("name", BLOCKS)
     def test_block_keys_are_the_fields(self, tmp_path, capsys, name):
-        mode, others, block, required, unread, field, built = BLOCKS[name]
+        mode, others, block, required, unread, built = BLOCKS[name]
 
         def parse(value):
             return parse_config(json.dumps({**others, name: value}), mode=mode)
@@ -178,7 +175,7 @@ class TestParseConfig:
         # every field set off its default, so a key that misses its field shows
         assert all(getattr(built, f.name) != f.default for f in fields(built)
                    if f.default is not MISSING)
-        assert getattr(parse(block), field) == built
+        assert getattr(parse(block), name) == built
         for key in required:
             with pytest.raises(ConfigError, match=f"^{name}.{key} is required$"):
                 parse({k: v for k, v in block.items() if k != key})
@@ -192,21 +189,22 @@ class TestParseConfig:
             assert not out.exists()
 
     def test_every_block_read_is_a_block(self):
-        reads = {name for command in cli.SUBCOMMANDS.values()
-                 for name in command.reads}
-        assert reads <= set(cli.BLOCKS)
+        # a block is the RunConfig field of its name, typed as a dataclass
+        types = {key: tp for _, key, tp, _ in cli._fields(cli.RunConfig)}
+        for command in cli.SUBCOMMANDS.values():
+            assert all(is_dataclass(types[name]) for name in command.reads)
 
     def test_lambda_key_maps_to_ratio(self):
         payload = {"model": {"delta": 0.1}, "nrg": {"lambda": 3.0}}
         cfg = parse_config(json.dumps(payload), mode="run")
-        assert cfg.nrg_config.Lambda == 3.0
+        assert cfg.nrg.Lambda == 3.0
 
-    def test_mode_echo_must_match(self):
-        payload = dict(RUN_PAYLOAD, mode="sweep")
-        with pytest.raises(ConfigError, match="conflicts"):
-            parse_config(json.dumps(payload), mode="run")
-        ok = parse_config(json.dumps(dict(RUN_PAYLOAD, mode="run")), mode="run")
-        assert ok.mode == "run"
+    def test_mode_key_is_unknown(self):
+        # the subcommand names the mode; a config that repeats it, even
+        # with the same value, has an unknown key
+        for mode in ("run", "sweep"):
+            with pytest.raises(ConfigError, match="^unknown key mode$"):
+                parse_config(json.dumps(dict(RUN_PAYLOAD, mode=mode)), mode="run")
 
     def test_unknown_top_key(self):
         with pytest.raises(ConfigError, match="unknown key extras"):
@@ -289,16 +287,6 @@ class TestParseConfig:
         assert cfg.sweep.parameter == "alpha"
         assert cfg.sweep.values == (0.1, 0.2, 0.4)
 
-    def test_sweep_grid_range(self):
-        payload = {
-            "model": {"delta": 0.05},
-            "sweep": {"parameter": "epsilon",
-                      "grid": {"from": 0.0, "to": 0.4, "step": 0.1}},
-        }
-        cfg = parse_config(json.dumps(payload), mode="sweep")
-        assert len(cfg.sweep.values) == 5
-        assert cfg.sweep.values[-1] == pytest.approx(0.4)
-
     def test_sweep_grid_errors(self):
         base = {"model": {"delta": 0.05}}
 
@@ -306,44 +294,32 @@ class TestParseConfig:
             return json.dumps(dict(base, sweep={"parameter": "alpha",
                                                 "grid": grid}))
 
-        with pytest.raises(ConfigError, match="does not divide"):
-            parse_config(sweep({"from": 0.0, "to": 1.0, "step": 0.3}),
-                         mode="sweep")
         with pytest.raises(ConfigError, match="monotone"):
             parse_config(sweep({"values": [0.1, 0.3, 0.2]}), mode="sweep")
         with pytest.raises(ConfigError, match="non-empty"):
             parse_config(sweep({"values": []}), mode="sweep")
-        with pytest.raises(ConfigError, match="non-zero"):
-            parse_config(sweep({"from": 0.0, "to": 1.0, "step": 0.0}),
-                         mode="sweep")
-        with pytest.raises(ConfigError, match="'values' or 'from'"):
-            parse_config(sweep({"lo": 0.0}), mode="sweep")
-        # JSON numbers only: no bools, no numeric strings, nothing infinite
-        for values in ([True, 1.5], [0.1, "1.5"], [0.1, float("nan")],
-                       [0.1, 10 ** 400]):
-            with pytest.raises(ConfigError, match="values must be numbers"):
-                parse_config(sweep({"values": values}), mode="sweep")
-        overflow = sweep({"values": [0.1, 0.2]}).replace("0.2", "1e400")
-        with pytest.raises(ConfigError, match="values must be numbers"):
-            parse_config(overflow, mode="sweep")
-        for bad in ("0.1", True, float("inf"), float("nan")):
-            for key in ("from", "to", "step"):
-                grid = dict({"from": 0.1, "to": 0.3, "step": 0.1}, **{key: bad})
-                with pytest.raises(ConfigError, match="bounds must be numbers"):
-                    parse_config(sweep(grid), mode="sweep")
-        # the span over the step must fit a float, and the count is capped
-        with pytest.raises(ConfigError, match="overflows a float"):
-            parse_config(sweep({"from": -1e308, "to": 1e308, "step": 1e-300}),
-                         mode="sweep")
-        cap = cli.MAX_GRID_POINTS
-        for grid in ({"from": 0.0, "to": 1.0, "step": 1e-300},
-                     {"from": 0, "to": cap, "step": 1},
-                     {"values": list(range(cap + 1))}):
-            with pytest.raises(ConfigError, match=f"more than {cap} points"):
+        # {"values": [...]} is the one grid form
+        for grid in ({"lo": 0.0}, {"from": 0.0, "to": 0.4, "step": 0.1},
+                     {"values": [0.1, 0.2], "step": 0.1}):
+            with pytest.raises(ConfigError) as err:
                 parse_config(sweep(grid), mode="sweep")
-        full = parse_config(sweep({"from": 0, "to": cap - 1, "step": 1}),
-                            mode="sweep")
-        assert len(full.sweep.values) == cap
+            assert str(err.value) == 'sweep.grid must be {"values": [...]}'
+        # JSON numbers only: no bools, no numeric strings, nothing infinite
+        for values in ([True, 1.5], ["0.1", 1.5], [float("nan"), 1.5],
+                       [10 ** 400, 1.5]):
+            with pytest.raises(ConfigError) as err:
+                parse_config(sweep({"values": values}), mode="sweep")
+            assert str(err.value) == "sweep.grid.values[0] must be a number"
+        overflow = sweep({"values": [0.1, 0.2]}).replace("0.2", "1e400")
+        with pytest.raises(ConfigError, match=r"values\[1\] must be a number"):
+            parse_config(overflow, mode="sweep")
+        with pytest.raises(ConfigError, match="values must be a list"):
+            parse_config(sweep({"values": 0.1}), mode="sweep")
+        cap = cli.MAX_GRID_POINTS
+        with pytest.raises(ConfigError, match=f"more than {cap} points"):
+            parse_config(sweep({"values": list(range(cap + 1))}), mode="sweep")
+        full = parse_config(sweep({"values": list(range(cap))}), mode="sweep")
+        assert full.sweep.values == tuple(float(v) for v in range(cap))
 
     def test_sweep_parameter_whitelist(self):
         payload = {
@@ -400,7 +376,7 @@ class TestParseConfig:
         cfg = parse_config(json.dumps(payload), mode="critical",
                            out_dir="/tmp/x", workers=3)
         echo = config_echo(cfg)
-        assert echo["mode"] == "critical"
+        assert "mode" not in echo
         assert echo["workers"] == 3
         assert echo["nrg"]["lambda"] == 2.5
         assert "Lambda" not in echo["nrg"]
@@ -447,6 +423,7 @@ class TestRunMode:
         manifest = json.loads((out / "run_manifest.json").read_text())
         assert manifest["status"] == "ok"
         assert manifest["mode"] == "run"
+        assert "mode" not in manifest["config"]
         names = {entry["path"] for entry in manifest["outputs"]}
         assert names == {"flow.csv", "observables.json"}
 
@@ -634,7 +611,7 @@ class TestSweepMode:
         "model": {"delta": 0.05},
         "nrg": {"n_s": 40, "n_b": 4, "n_iter": 10},
         "sweep": {"parameter": "alpha",
-                  "grid": {"from": 0.2, "to": 0.4, "step": 0.1}},
+                  "grid": {"values": [0.2, 0.3, 0.4]}},
     }
 
     def test_rows(self, tmp_path):
@@ -645,9 +622,9 @@ class TestSweepMode:
         assert lines[0] == "alpha,delta,epsilon,n_star,delta_p,phase"
         assert len(lines) == 4
         row = lines[2].split(",")
-        assert float(row[0]) == pytest.approx(0.3)
+        assert float(row[0]) == 0.3
         assert float(row[1]) == 0.05
-        ref = run(SpinBosonParams(delta=0.05, alpha=0.30000000000000004),
+        ref = run(SpinBosonParams(delta=0.05, alpha=0.3),
                   NrgConfig(n_s=40, n_b=4, n_iter=10))
         assert float(row[4]) == ref.delta_p
         assert row[5] in ("delocalized", "localized", "undetermined")
@@ -867,7 +844,7 @@ class TestCriticalMode:
 
 class TestConfigEcho:
     # each subcommand's config with an optional field left unset (echoed as
-    # null), and the sweeps with a from/to/step grid (echoed as its values)
+    # null); the echo holds no mode, which the manifest records at its top
     @pytest.mark.parametrize("mode,payload,nulls", [
         ("map-circuit", {"circuit": {
             **{k: v for k, v in TestMapCircuitMode.PAYLOAD["circuit"].items()
@@ -876,11 +853,7 @@ class TestConfigEcho:
         ("chain", RUN_PAYLOAD, ["nrg.n_star"]),
         ("run", {"model": {"delta": 0.05}}, ["nrg.n_star"]),
         ("sweep", TestSweepMode.PAYLOAD, ["nrg.n_star"]),
-        ("critical", {**CRITICAL_PAYLOAD,
-                      "sweep": {"parameter": "alpha",
-                                "grid": {"from": 0.55, "to": 0.85,
-                                         "step": 0.1}}},
-         ["critical.window"]),
+        ("critical", CRITICAL_PAYLOAD, ["critical.window"]),
         ("oracle", {"oracle": {"delta": 0.3, "modes": [[0.5, 0.2], [1.5, 0.3]]}},
          []),
     ], ids=["map-circuit", "chain", "run", "sweep", "critical", "oracle"])
@@ -891,6 +864,7 @@ class TestConfigEcho:
                            workers=2)
         echo = config_echo(cfg)
         assert (echo.pop("out_dir"), echo.pop("workers")) == ("echo", 2)
+        assert "mode" not in echo
         for path in nulls:
             block, key = path.split(".")
             assert echo[block][key] is None
@@ -899,6 +873,50 @@ class TestConfigEcho:
         again = parse_config(json.dumps(echo), mode=mode, out_dir="echo",
                              workers=2)
         assert again == cfg
+
+
+# a config each subcommand accepts, and each (subcommand, required block,
+# the block's first required key)
+FULL_PAYLOADS = {
+    "map-circuit": TestMapCircuitMode.PAYLOAD,
+    "chain": RUN_PAYLOAD,
+    "run": RUN_PAYLOAD,
+    "sweep": TestSweepMode.PAYLOAD,
+    "critical": CRITICAL_PAYLOAD,
+    "oracle": ORACLE_PAYLOAD,
+}
+REQUIRED_BLOCKS = [
+    ("map-circuit", "circuit", "c_j"),
+    ("chain", "model", "delta"),
+    ("run", "model", "delta"),
+    ("sweep", "model", "delta"),
+    ("sweep", "sweep", "parameter"),
+    ("critical", "model", "delta"),
+    ("critical", "sweep", "parameter"),
+    ("oracle", "oracle", "delta"),
+]
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+class TestReadmeConfigs:
+    # an example config in the README that drifts from the parser fails here
+
+    def test_json_blocks_are_critical_configs(self):
+        blocks = re.findall(r"^```json\n(.*?)^```", README.read_text(), re.M | re.S)
+        assert blocks
+        for text in blocks:
+            parse_config(text, mode="critical")
+
+    def test_quoted_heredocs_parse_for_their_subcommand(self):
+        # the quickstart writes flow.json, which sbnrg run reads
+        readme = README.read_text()
+        docs = re.findall(r"cat > (\S+) <<'EOF'\n(.*?)^EOF$", readme, re.M | re.S)
+        assert [name for name, _ in docs] == ["flow.json"]
+        for name, text in docs:
+            (mode,) = re.findall(rf"sbnrg (\S+) --config {re.escape(name)}", readme)
+            parse_config(text, mode=mode)
 
 
 class TestExitCodes:
@@ -948,6 +966,52 @@ class TestExitCodes:
         assert f"unknown key {block}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_required_blocks_follow_the_fields(self):
+        # a block is required exactly when its dataclass has a field
+        # without a default; REQUIRED_BLOCKS lists every such pair
+        types = {key: tp for _, key, tp, _ in cli._fields(cli.RunConfig)}
+        derived = []
+        for mode, command in cli.SUBCOMMANDS.items():
+            for name in command.reads:
+                required = [key for f, key, _, _ in cli._fields(types[name])
+                            if f.default is MISSING]
+                if required:
+                    derived.append((mode, name, required[0]))
+        assert derived == REQUIRED_BLOCKS
+
+    @pytest.mark.parametrize("mode,block,key", REQUIRED_BLOCKS)
+    def test_missing_required_block_exits_config(self, tmp_path, monkeypatch,
+                                                 capsys, mode, block, key):
+        def started(cfg):
+            raise AssertionError("execute ran on an invalid config")
+
+        monkeypatch.setattr(cli, "execute", started)
+        config = {k: v for k, v in FULL_PAYLOADS[mode].items() if k != block}
+        out = tmp_path / "out"
+        assert main([mode, "--config", write_config(tmp_path, config),
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {block}.{key} is required\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode,config,message", [
+        ("run", {**RUN_PAYLOAD, "mode": "run"}, "unknown key mode"),
+        ("sweep", {**TestSweepMode.PAYLOAD, "sweep": {
+            "parameter": "alpha", "grid": {"from": 0.2, "to": 0.4, "step": 0.1}}},
+         'sweep.grid must be {"values": [...]}'),
+    ], ids=["mode-key", "range-grid"])
+    def test_removed_form_exits_config(self, tmp_path, monkeypatch, capsys,
+                                       mode, config, message):
+        # each was a second way to write a config the other form writes
+        def started(cfg):
+            raise AssertionError("execute ran on an invalid config")
+
+        monkeypatch.setattr(cli, "execute", started)
+        out = tmp_path / "out"
+        assert main([mode, "--config", write_config(tmp_path, config),
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("mode", ["sweep", "critical"])
     def test_one_iteration_sweep_exits_config(self, tmp_path, monkeypatch,
                                               capsys, mode):
@@ -968,7 +1032,7 @@ class TestExitCodes:
         del payload["sweep"]
         for other in ("run", "chain"):
             assert parse_config(json.dumps(payload),
-                                mode=other).nrg_config.n_iter == 1
+                                mode=other).nrg.n_iter == 1
 
     def test_unknown_key_strict_vs_lenient(self, tmp_path, capsys):
         # an unknown key is always an error, so there is no strictness
@@ -996,8 +1060,8 @@ class TestExitCodes:
          "critical.window must be a number"),
         ("sweep", {"model": {"delta": 0.05},
                    "sweep": {"parameter": "alpha",
-                             "grid": {"from": -1e308, "to": 1e308,
-                                      "step": 1e-300}}}, "sweep.grid"),
+                             "grid": {"values": [0.1, 10 ** 400]}}},
+         "sweep.grid.values[1] must be a number"),
     ], ids=["huge-int-delta", "huge-int-mode", "inf-lambda", "nan-window",
             "overflowing-grid"])
     def test_nonfinite_number_exits_config(self, tmp_path, monkeypatch, capsys,

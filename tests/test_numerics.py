@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import numpy.testing as npt
@@ -159,6 +160,8 @@ class TestFitDivergence:
 
     def test_recovers_generating_model(self):
         fit = fit_divergence(self.exact_points())
+        # every field a Python float, alpha_c too, which grid arithmetic makes
+        assert all(type(getattr(fit, f.name)) is float for f in fields(fit))
         assert abs(fit.alpha_c - 1.0) < 1e-6
         assert fit.rss < 1e-10
         assert abs(fit.a - 2.0) < 1e-5

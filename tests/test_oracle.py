@@ -22,6 +22,19 @@ class TestEdProblem:
         with pytest.raises(ValueError):
             EdProblem(delta=0.1, epsilon=0.0, modes=((0.0, 0.1),), n_max=2)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"delta": math.nan}, {"delta": math.inf}, {"epsilon": math.nan},
+        {"epsilon": -math.inf}, {"modes": ((math.nan, 0.1),)},
+        {"modes": ((math.inf, 0.1),)}, {"modes": ((0.5, math.nan),)},
+        {"modes": ((0.5, 0.1), (0.7, -math.inf))},
+    ], ids=["nan-delta", "inf-delta", "nan-epsilon", "inf-epsilon",
+            "nan-frequency", "inf-frequency", "nan-coupling", "inf-coupling"])
+    def test_non_finite_inputs(self, kwargs):
+        # a NaN frequency once passed w <= 0, which is False for NaN
+        problem = dict(delta=0.1, epsilon=0.0, modes=((0.5, 0.1),), n_max=2)
+        with pytest.raises(ValueError, match="must be finite"):
+            EdProblem(**{**problem, **kwargs})
+
     def test_n_max_floor(self):
         with pytest.raises(ValueError):
             EdProblem(delta=0.1, epsilon=0.0, modes=((0.5, 0.1),), n_max=0)
