@@ -25,11 +25,20 @@ grows with log_Lambda(1/Delta) at the slope 1/(1 - r alpha).
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 
 import numpy as np
+
+# CPython's built-in SHA-256, as random.py takes its sha512: hashlib loads
+# OpenSSL's libcrypto, 3.5-3.8 MB of RSS, to hash a few KB per run.
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 from .circuit import SpinBosonParams
 
@@ -71,7 +80,7 @@ class WilsonChain:
 
     def digest(self) -> str:
         """Content hash used to tag results with the chain they ran on."""
-        h = hashlib.sha256()
+        h = sha256()
         h.update(np.float64(self.c0).tobytes())
         h.update(np.asarray(self.eps, dtype=float).tobytes())
         h.update(np.asarray(self.t, dtype=float).tobytes())

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import math
 import sys
@@ -269,9 +268,19 @@ def _sweep_points(mode: str, built: dict) -> tuple[SpinBosonParams, ...]:
             f"sweep.grid: critical needs at least {FIT_MIN_POINTS} "
             "alpha values to fit the divergence"
         )
-    if built["nrg"].n_iter < 2:
+    ncfg = built["nrg"]
+    if ncfg.n_iter < 2:
         raise ConfigError(f"nrg.n_iter must be at least 2 for {mode}: N* needs "
                           "two recorded iterations")
+    if mode == "critical":
+        plateau = criticality.delocalized_plateau(
+            ncfg.Lambda, built["model"].s,
+            min(criticality.PLATEAU_SITES, ncfg.chain_length))
+        if plateau <= criticality.THRESHOLD:
+            raise ConfigError(
+                f"nrg.lambda = {ncfg.Lambda:g}: level 1 of a delocalized flow "
+                f"levels off at {plateau:.4f}, at or below the N* threshold "
+                f"{criticality.THRESHOLD}, so no alpha has an N*; raise lambda")
     return points
 
 
@@ -437,7 +446,8 @@ def _do_sweep(cfg: RunConfig):
                 _fmt(p.alpha), _fmt(p.delta), _fmt(p.epsilon),
                 _fmt(_nstar_or_nan(res)),
                 _fmt(res.delta_p),
-                criticality.classify_phase(res.delta_p),
+                criticality.classify_phase(
+                    res.delta_p, res.flow if p.epsilon == 0 else None),
             )
 
     yield "sweep.csv", _csv("alpha,delta,epsilon,n_star,delta_p,phase", rows())
@@ -536,7 +546,7 @@ def execute(cfg: RunConfig) -> dict:
         for name, text in SUBCOMMANDS[cfg.mode].handler(cfg):
             data = text.encode()
             (out / name).write_bytes(data)
-            outputs.append({"path": name, "sha256": hashlib.sha256(data).hexdigest()})
+            outputs.append({"path": name, "sha256": bath.sha256(data).hexdigest()})
         manifest["status"] = "ok"
     except Exception as exc:
         manifest["status"] = "failed"

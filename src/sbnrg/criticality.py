@@ -5,16 +5,22 @@ first reaches THRESHOLD (0.3) from below; T* = const * Lambda^-N* is
 the crossover scale. Approaching the transition from the delocalized
 side, T* ~ Delta^(1/(alpha_c - alpha)), so N*(alpha) diverges like
 a + b / (alpha_c - alpha) and the pole of that fit extrapolates the
-critical coupling. The population difference delta_p classifies the
-phase directly.
+critical coupling. Level 1 of a delocalized flow levels off at the free
+chain's lowest one-boson level, which rises with Lambda; below Lambda
+~ 1.55 it stays under THRESHOLD and no flow has an N*. The population
+difference delta_p classifies a biased run's phase, and the direction
+of level 1's flow a zero-bias run's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import numerics
-from .nrg import NrgFlow
+import numpy as np
+
+from . import bath, numerics
+from .circuit import SpinBosonParams
+from .nrg import DEGENERACY_TOL, NrgFlow
 
 __all__ = [
     "CrossoverPoint",
@@ -22,11 +28,38 @@ __all__ = [
     "extract_nstar",
     "fit_alpha_c",
     "classify_phase",
+    "delocalized_plateau",
 ]
 
 THRESHOLD = 0.3
+PLATEAU_SITES = 60  # chain length of delocalized_plateau's level
 DELOCALIZED_BELOW = 0.05
 LOCALIZED_ABOVE = 0.45
+# a zero-bias flow whose level 1 changed by more than this fraction over
+# its last iteration has a direction
+FLOW_STEP_BOUND = 0.05
+
+
+def delocalized_plateau(Lambda: float, s: float = 1.0,
+                        sites: int = PLATEAU_SITES) -> float:
+    """Level 1 of a flow at the delocalized fixed point: Lambda^N times
+    the lowest one-boson level of the free Wilson chain's sites 0..N,
+    with N = sites // 2. An N* exists only where this exceeds THRESHOLD.
+
+    The chain's eps and t do not depend on alpha, so it is mapped at
+    alpha = 1 (at alpha = 0 the chain is decoupled). The level falls with
+    N toward its limit, so it reads the limit from above: at 60 sites it
+    is within 1e-5 of it for Lambda >= 1.5 (0.2748 at Lambda = 1.5,
+    0.4746 at 2, 0.6087 at 3), farther as Lambda nears 1. sites may not
+    exceed the chain length NrgConfig allows at Lambda.
+    """
+    star = bath.discretize(SpinBosonParams(delta=0.0, alpha=1.0, s=s),
+                           Lambda, sites)
+    chain = bath.chain_map(star)
+    n = chain.n_sites // 2
+    h = (np.diag(chain.eps[:n + 1]) + np.diag(chain.t[:n], 1)
+         + np.diag(chain.t[:n], -1))
+    return float(np.linalg.eigvalsh(h)[0] * Lambda ** n)
 
 
 class NoCrossingError(RuntimeError):
@@ -70,12 +103,34 @@ def fit_alpha_c(points, window: float | None = None) -> numerics.DivergenceFit:
     )
 
 
-def classify_phase(delta_p: float) -> str:
-    """The phase a delta_p value reads: delocalized below DELOCALIZED_BELOW,
-    localized above LOCALIZED_ABOVE, undetermined between them."""
+def classify_phase(delta_p: float, flow: NrgFlow | None = None) -> str:
+    """The phase a run reads: delocalized, localized or undetermined.
+
+    delta_p decides a biased run: delocalized below DELOCALIZED_BELOW,
+    localized above LOCALIZED_ABOVE, undetermined between them. A
+    zero-bias run passes its flow too, since its delta_p is that of the
+    polarized member of a ground doublet, and so reads localized in a run
+    that stops before its crossover. Level 1, the rescaled tunneling
+    splitting, then decides: delocalized if it reached THRESHOLD or grew
+    by more than FLOW_STEP_BOUND over the last iteration, localized if it
+    shrank by more than that, undetermined otherwise. A level 1 within
+    DEGENERACY_TOL of 0 is a degenerate ground doublet whose changes are
+    roundoff (as at delta = 0), and delta_p decides.
+    """
     dp = float(delta_p)
     if not 0.0 <= dp <= 0.5 + 1e-9:
         raise ValueError(f"delta_p = {dp} outside [0, 0.5]")
+    if flow is not None:
+        _, e1 = flow.level_series(1)
+        if len(e1) < 2:
+            raise ValueError("flow records do not track level 1 over two "
+                             "iterations")
+        if e1[-1] > DEGENERACY_TOL:
+            if e1.max() >= THRESHOLD or e1[-1] > (1 + FLOW_STEP_BOUND) * e1[-2]:
+                return "delocalized"
+            if e1[-1] < (1 - FLOW_STEP_BOUND) * e1[-2]:
+                return "localized"
+            return "undetermined"
     if dp < DELOCALIZED_BELOW:
         return "delocalized"
     if dp > LOCALIZED_ABOVE:

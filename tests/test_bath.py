@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -229,6 +230,9 @@ class TestWilsonChain:
         assert len(d1) == 64
         other = chain_map(discretize(ohmic(0.6), 2.0, 10))
         assert other.digest() != d1
+        # the built-in sha256 bath takes in place of hashlib's is the same hash
+        data = np.float64(ch.c0).tobytes() + ch.eps.tobytes() + ch.t.tobytes()
+        assert d1 == hashlib.sha256(data).hexdigest()
 
     def test_digest_covers_all_fields(self):
         eps = np.array([0.5, 0.25])

@@ -104,6 +104,36 @@ except KeyboardInterrupt:
 """
 
 
+# Imports sbnrg.cli and runs sbnrg run in a fresh interpreter, and prints
+# as JSON which of the probed modules the import and the run loaded and
+# the manifest's digests. "fallback" hides CPython's built-in sha256
+# modules first, so sbnrg takes hashlib's.
+HASH_PROBE = """
+import json, sys
+if sys.argv[3:] == ["fallback"]:
+    sys.modules["_sha2"] = sys.modules["_sha256"] = None
+bare = set(sys.modules)
+import sbnrg.cli
+imported = {"_hashlib", "concurrent.futures"} & set(sys.modules) - bare
+assert sbnrg.cli.main(["run", "--config", sys.argv[1], "--out", sys.argv[2]]) == 0
+manifest = json.load(open(sys.argv[2] + "/run_manifest.json"))
+print(json.dumps({"import": sorted(imported),
+                  "run": sorted({"_hashlib"} & set(sys.modules) - bare),
+                  "outputs": manifest["outputs"]}))
+"""
+
+
+def builtin_sha256() -> bool:
+    """Whether this CPython has the built-in sha256 that sbnrg prefers."""
+    for name in ("_sha2", "_sha256"):
+        try:
+            __import__(name)
+            return True
+        except ImportError:
+            pass
+    return False
+
+
 def src_env() -> dict:
     """The environment with this checkout's sbnrg first on PYTHONPATH."""
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -435,6 +465,29 @@ class TestRunMode:
         for entry in manifest["outputs"]:
             digest = hashlib.sha256((out / entry["path"]).read_bytes()).hexdigest()
             assert digest == entry["sha256"]
+
+    def hash_probe(self, tmp_path, *args):
+        cfg = write_config(tmp_path, RUN_PAYLOAD)
+        out = tmp_path / "-".join(("out", *args))
+        proc = subprocess.run(
+            [sys.executable, "-c", HASH_PROBE, cfg, str(out), *args],
+            env=src_env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    @pytest.mark.skipif(not builtin_sha256(),
+                        reason="this CPython has no built-in sha256 module")
+    def test_run_loads_no_openssl(self, tmp_path):
+        # hashlib's import loads OpenSSL's libcrypto, 3.5-3.8 MB of RSS;
+        # the import of the CLI loads no thread pool either
+        probe = self.hash_probe(tmp_path)
+        assert probe["import"] == []
+        assert probe["run"] == []
+
+    def test_hashlib_fallback_writes_the_same_digests(self, tmp_path):
+        fallback = self.hash_probe(tmp_path, "fallback")
+        assert fallback["run"] == ["_hashlib"]  # the fallback was taken
+        assert fallback["outputs"] == self.hash_probe(tmp_path)["outputs"]
 
     def test_rerun_byte_identical(self, tmp_path):
         _, out1 = self.run_cli(tmp_path, RUN_PAYLOAD)
@@ -770,6 +823,24 @@ class TestSweepMode:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == ""
 
+    def test_zero_bias_phase_follows_the_flow(self, tmp_path):
+        # from alpha = 1.0 up every point reads delta_p = 0.5 in 60
+        # iterations, yet alpha = 1.0 crosses at N* = 92 in 120. Over the
+        # last iteration level 1 grows by 1.127, 1.077 and 1.033 at 1.0,
+        # 1.1 and 1.2; at 1.5 and 2.0 it has shrunk below DEGENERACY_TOL
+        # (3e-9 and 5e-13), a degenerate doublet, whose delta_p decides
+        payload = {**CRITICAL_PAYLOAD, "sweep": {
+            "parameter": "alpha", "grid": {"values": [1.0, 1.1, 1.2, 1.5, 2.0]}}}
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, payload)
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        rows = [line.split(",") for line in
+                (out / "sweep.csv").read_text().strip().split("\n")[1:]]
+        assert [float(row[4]) for row in rows] == pytest.approx([0.5] * 5, abs=1e-3)
+        phases = [row[5] for row in rows]
+        assert phases == ["delocalized", "delocalized", "undetermined",
+                          "localized", "localized"]
+
     def test_no_crossing_writes_nan(self, tmp_path):
         payload = {
             "model": {"delta": 0.01},
@@ -825,6 +896,25 @@ class TestCriticalMode:
         for name in names:
             if name != "run_manifest.json":
                 assert (serial / name).read_bytes() == (workers / name).read_bytes()
+
+    def test_lambda_without_crossing_exits_config(self, tmp_path, capsys):
+        # level 1 of a delocalized flow levels off at 0.2748 at Lambda = 1.5,
+        # below THRESHOLD, so no point could give an N*
+        payload = {**self.PAYLOAD, "nrg": {**self.PAYLOAD["nrg"], "lambda": 1.5}}
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, payload)
+        assert main(["critical", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "nrg.lambda = 1.5" in err and "0.2748" in err and "0.3" in err
+
+    def test_lambda_with_crossing_parses(self):
+        payload = {**self.PAYLOAD, "nrg": {**self.PAYLOAD["nrg"], "lambda": 1.6}}
+        cfg = parse_config(json.dumps(payload), mode="critical")
+        assert cfg.nrg.Lambda == 1.6
+        # sweep reads no plateau: its rows write nan for a missing N*
+        parse_config(json.dumps({**payload, "nrg": {
+            **self.PAYLOAD["nrg"], "lambda": 1.5}}), mode="sweep")
 
     def test_localized_grid_exits_numerical(self, tmp_path):
         payload = {

@@ -5,6 +5,7 @@ from sbnrg.criticality import (
     CrossoverPoint,
     NoCrossingError,
     classify_phase,
+    delocalized_plateau,
     extract_nstar,
     fit_alpha_c,
 )
@@ -124,3 +125,51 @@ class TestClassifyPhase:
         with pytest.raises(ValueError):
             classify_phase(dp)
 
+
+class TestZeroBiasPhase:
+    # a zero-bias run's delta_p is its polarized doublet member's, 0.5
+    # before its crossover; the direction of level 1 decides instead
+
+    @pytest.mark.parametrize("values, phase", [
+        ([1e-4, 1.06e-4], "delocalized"),  # grew by more than 5%
+        ([1e-4, 0.94e-4], "localized"),  # shrank by more than 5%
+        ([1e-4, 1.04e-4], "undetermined"),
+        ([1e-4, 0.96e-4], "undetermined"),
+        ([0.1, 0.35, 0.4745, 0.4745], "delocalized"),  # crossed, then flat
+        ([0.4, 0.45, 0.46], "delocalized"),  # above THRESHOLD from the start
+    ])
+    def test_direction_of_level_1(self, values, phase):
+        flow = flow_from_level1(values)
+        assert classify_phase(0.5, flow) == phase
+        assert classify_phase(0.0, flow) == phase
+
+    def test_degenerate_doublet_reads_delta_p(self):
+        # a level 1 within DEGENERACY_TOL of 0 changes by roundoff alone
+        flow = flow_from_level1([1e-16, 3e-16])
+        assert classify_phase(0.5, flow) == "localized"
+        assert classify_phase(0.0, flow) == "delocalized"
+
+    def test_needs_two_records(self):
+        with pytest.raises(ValueError, match="two"):
+            classify_phase(0.5, flow_from_level1([0.1]))
+
+    def test_delta_p_range_checked_with_a_flow(self):
+        with pytest.raises(ValueError):
+            classify_phase(0.51, flow_from_level1([0.1, 0.2]))
+
+
+class TestDelocalizedPlateau:
+    @pytest.mark.parametrize("Lambda, level", [
+        (1.5, 0.2748), (2.0, 0.4746), (3.0, 0.6087)])
+    def test_fixed_point_level(self, Lambda, level):
+        # the level 1 that delocalized (60, 6) flows level off at
+        assert delocalized_plateau(Lambda) == pytest.approx(level, abs=1e-4)
+
+    def test_reads_the_limit_from_above(self):
+        # a shorter chain reads a level nearer the start of the flow
+        assert delocalized_plateau(1.5, sites=40) > delocalized_plateau(1.5)
+        assert delocalized_plateau(1.5, sites=80) == pytest.approx(
+            delocalized_plateau(1.5), abs=2e-6)
+
+    def test_crosses_threshold_near_1_546(self):
+        assert delocalized_plateau(1.54) < 0.3 < delocalized_plateau(1.55)
