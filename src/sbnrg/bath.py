@@ -1,7 +1,7 @@
-"""Power-law bath: logarithmic star discretization and Wilson chain.
+"""Ohmic bath: logarithmic star discretization and Wilson chain.
 
-The continuous bath J(omega) = 2 pi alpha omega^s (cutoff at omega_c = 1;
-s = 1 is the Ohmic transmission line) is chopped into intervals
+The continuous bath of the transmission line, J(omega) = 2 pi alpha omega
+(cutoff at omega_c = 1), is chopped into intervals
 [Lambda^-(n+1), Lambda^-n]. Each interval becomes one star mode with
 squared coupling gamma_n^2 = (1/pi) int J and representative energy
 xi_n = int J omega / int J, both in closed form. Tridiagonalizing the
@@ -13,7 +13,7 @@ iterative diagonalization needs.
 A shell's mode is weaker, at low energy, than the continuum it replaces.
 The static (orthogonality) exponent that renormalizes the tunneling is,
 for the mode, gamma_n^2 / xi_n^2, and for the continuum shell
-int J / (pi omega^2) = 2 alpha ln Lambda. At s = 1 their ratio is
+int J / (pi omega^2) = 2 alpha ln Lambda. Their ratio is
 
     r(Lambda) = 9 (1 - Lambda^-2)^3 / (8 (1 - Lambda^-3)^2 ln Lambda),
 
@@ -90,14 +90,12 @@ class WilsonChain:
 def discretize(p: SpinBosonParams, Lambda: float, n_star: int) -> StarBath:
     """Logarithmically discretize the bath into n_star modes.
 
-    The defining integrals of omega^s and omega^(s+1) over each interval
-    have closed forms for every s > -1:
-    gamma_n^2 = 2 alpha (1 - Lambda^-(s+1))/(s+1) Lambda^-(s+1)n and
-    xi_n = (s+1)/(s+2) (1 - Lambda^-(s+2))/(1 - Lambda^-(s+1)) Lambda^-n.
-    At s = 1 these are alpha (1 - Lambda^-2) Lambda^-2n and
-    (2/3) (1 - Lambda^-3)/(1 - Lambda^-2) Lambda^-n. alpha = 0 gives a
-    decoupled bath (all gamma zero), not an error; the xi stay at the
-    J-weighted interval means, which do not depend on alpha.
+    The defining integrals of omega and omega^2 over each interval give
+    gamma_n^2 = alpha (1 - Lambda^-2) Lambda^-2n and
+    xi_n = (2/3) (1 - Lambda^-3)/(1 - Lambda^-2) Lambda^-n, each evaluated
+    in the order written. alpha = 0 gives a decoupled bath (all gamma
+    zero), not an error; the xi stay at the J-weighted interval means,
+    which do not depend on alpha.
     """
     Lambda = float(Lambda)
     if Lambda <= 1.0:
@@ -105,14 +103,10 @@ def discretize(p: SpinBosonParams, Lambda: float, n_star: int) -> StarBath:
     n_star = int(n_star)
     if n_star < 1:
         raise ValueError("need at least one discretization interval")
-    s = p.s
     n = np.arange(n_star, dtype=float)
-    xi0 = ((s + 1.0) / (s + 2.0) * (1.0 - Lambda ** -(s + 2.0))
-           / (1.0 - Lambda ** -(s + 1.0)))
-    g0_sq = 2.0 * p.alpha * (1.0 - Lambda ** -(s + 1.0)) / (s + 1.0)
-    xi = xi0 * Lambda ** -n
-    g_sq = g0_sq * Lambda ** (-(s + 1.0) * n)
-    return StarBath(xi=xi, gamma=np.sqrt(g_sq))
+    xi0 = 2.0 / 3.0 * (1.0 - Lambda ** -3.0) / (1.0 - Lambda ** -2.0)
+    g_sq = p.alpha * (1.0 - Lambda ** -2.0) * Lambda ** (-2.0 * n)
+    return StarBath(xi=xi0 * Lambda ** -n, gamma=np.sqrt(g_sq))
 
 
 def _rkpw(nodes: list, weights: list) -> tuple[list, list]:
@@ -155,8 +149,8 @@ def chain_map(star: StarBath) -> WilsonChain:
     has one site per distinct weighted energy; without the merge, roundoff
     leaves spurious hoppings of order 1e-32 on repeated energies. A
     weightless star maps to the decoupled chain: c0 = 0, eps = xi, t = 0.
-    The products of two weights must stay normal floats: at s = 1 that is
-    Lambda^-4n, the chain-length bound NrgConfig enforces. A star whose
+    The products of two weights, Lambda^-4n, must stay normal floats: that
+    is the chain-length bound NrgConfig enforces. A star whose
     chain float64 loses (some beta <= 0) raises ValueError.
     """
     xi = np.asarray(star.xi, dtype=float)

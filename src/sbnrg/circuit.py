@@ -124,25 +124,21 @@ class QubitSpectrum:
 class SpinBosonParams:
     """Dimensionless model parameters in units of the cutoff omega_c.
 
-    delta tunneling amplitude, epsilon bias, alpha dissipation strength,
-    s bath exponent (1 = Ohmic). The cutoff is the unit of energy; its
-    value in rad/s is map_to_spin_boson's omega_c.
+    delta tunneling amplitude, epsilon bias, alpha dissipation strength of
+    the Ohmic bath, the transmission line. The cutoff is the unit of
+    energy; its value in rad/s is map_to_spin_boson's omega_c.
     """
 
     delta: float
     epsilon: float = 0.0
     alpha: float = 0.0
-    s: float = 1.0
 
     def __post_init__(self):
         if self.delta < 0:
             raise ValueError("delta must be non-negative")
         if self.alpha < 0:
             raise ValueError("alpha must be non-negative")
-        if not 0.0 < self.s <= 1.0:
-            raise ValueError("bath exponent s must lie in (0, 1]")
-        if not all(math.isfinite(x) for x in
-                   (self.delta, self.epsilon, self.alpha, self.s)):
+        if not all(math.isfinite(x) for x in (self.delta, self.epsilon, self.alpha)):
             raise ValueError("parameters must be finite")
 
 
@@ -204,7 +200,7 @@ def map_to_spin_boson(p: CircuitParams, omega_c: float,
             RuntimeWarning,
             stacklevel=2,
         )
-    return SpinBosonParams(delta=split / omega_c, epsilon=0.0, alpha=alpha, s=1.0)
+    return SpinBosonParams(delta=split / omega_c, epsilon=0.0, alpha=alpha)
 
 
 def microwave_bias(p: CircuitParams, i_uw: float) -> float:

@@ -72,7 +72,7 @@ FAILURES = (
     ((OSError,), EXIT_IO, "i/o error"),
 )
 
-_SWEEP_PARAMETERS = ("alpha", "delta", "epsilon")
+_SWEEP_PARAMETERS = tuple(sorted(f.name for f in fields(SpinBosonParams)))
 MAX_GRID_POINTS = 10_000  # each point is a full NRG run
 
 
@@ -274,8 +274,7 @@ def _sweep_points(mode: str, built: dict) -> tuple[SpinBosonParams, ...]:
                           "two recorded iterations")
     if mode == "critical":
         plateau = criticality.delocalized_plateau(
-            ncfg.Lambda, built["model"].s,
-            min(criticality.PLATEAU_SITES, ncfg.chain_length))
+            ncfg.Lambda, min(criticality.PLATEAU_SITES, ncfg.chain_length))
         if plateau <= criticality.THRESHOLD:
             raise ConfigError(
                 f"nrg.lambda = {ncfg.Lambda:g}: level 1 of a delocalized flow "
@@ -379,9 +378,10 @@ def _circuit_payload(circuit: CircuitSpec) -> dict:
     }
     if circuit.omega_c is not None:
         sb = map_to_spin_boson(circuit, circuit.omega_c, delta_convention=conv)
+        # s, the bath exponent: the semi-infinite line is Ohmic
         payload["spin_boson"] = {
             "delta": sb.delta, "epsilon": sb.epsilon, "alpha": sb.alpha,
-            "s": sb.s, "omega_c": circuit.omega_c,
+            "s": 1.0, "omega_c": circuit.omega_c,
             "delta_convention": conv,
         }
     if circuit.i_uw is not None:

@@ -40,8 +40,7 @@ LOCALIZED_ABOVE = 0.45
 FLOW_STEP_BOUND = 0.05
 
 
-def delocalized_plateau(Lambda: float, s: float = 1.0,
-                        sites: int = PLATEAU_SITES) -> float:
+def delocalized_plateau(Lambda: float, sites: int = PLATEAU_SITES) -> float:
     """Level 1 of a flow at the delocalized fixed point: Lambda^N times
     the lowest one-boson level of the free Wilson chain's sites 0..N,
     with N = sites // 2. An N* exists only where this exceeds THRESHOLD.
@@ -53,8 +52,7 @@ def delocalized_plateau(Lambda: float, s: float = 1.0,
     0.4746 at 2, 0.6087 at 3), farther as Lambda nears 1. sites may not
     exceed the chain length NrgConfig allows at Lambda.
     """
-    star = bath.discretize(SpinBosonParams(delta=0.0, alpha=1.0, s=s),
-                           Lambda, sites)
+    star = bath.discretize(SpinBosonParams(delta=0.0, alpha=1.0), Lambda, sites)
     chain = bath.chain_map(star)
     n = chain.n_sites // 2
     h = (np.diag(chain.eps[:n + 1]) + np.diag(chain.t[:n], 1)

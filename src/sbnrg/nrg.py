@@ -122,8 +122,7 @@ class NrgConfig:
                 f"n_s * n_b = {self.n_s * self.n_b} exceeds the "
                 f"dense-matrix limit {numerics.MAX_DENSE_DIM}"
             )
-        # bath.chain_map multiplies pairs of star weights: Lambda^-4n at s = 1,
-        # the steepest bath SpinBosonParams allows
+        # bath.chain_map multiplies pairs of star weights, Lambda^-4n
         longest = 1 + int(-math.log(np.finfo(float).tiny, self.Lambda) / 4)
         if self.chain_length > longest:
             raise ValueError(

@@ -31,12 +31,12 @@ def _reference_id(ref):
     return f"L{ref['Lambda']:g}-n{ref['n_star']}-a{ref['alpha']:g}-s{ref['s']:g}"
 
 
-def ohmic(alpha, s=1.0):
-    return SpinBosonParams(delta=0.01, alpha=alpha, s=s)
+def ohmic(alpha):
+    return SpinBosonParams(delta=0.01, alpha=alpha)
 
 
 def _frozen_star(ref):
-    """The discretized star a reference chain was frozen from, bit for bit."""
+    """The star a reference chain was frozen from, stored bit for bit."""
     return StarBath(xi=np.array([float.fromhex(x) for x in ref["star_xi"]]),
                     gamma=np.array([float.fromhex(g) for g in ref["star_gamma"]]))
 
@@ -47,6 +47,22 @@ def _assert_frozen_chain(ch, ref):
                         rtol=1e-13, atol=0)
     npt.assert_allclose(ch.t, [float.fromhex(x) for x in ref["t"]],
                         rtol=1e-13, atol=0)
+
+
+# xi_n and gamma_n of the Ohmic star at alpha = 0.6, n_star = 120, as
+# float.hex: the closed form's bits, which every output follows from
+FROZEN_STAR_BITS = {
+    (2.0, 0): ("0x1.8e38e38e38e38p-1", "0x1.5775c544ff263p-1"),
+    (2.0, 1): ("0x1.8e38e38e38e38p-2", "0x1.5775c544ff263p-2"),
+    (2.0, 4): ("0x1.8e38e38e38e38p-5", "0x1.5775c544ff263p-5"),
+    (2.0, 64): ("0x1.8e38e38e38e38p-65", "0x1.5775c544ff263p-65"),
+    (2.0, 119): ("0x1.8e38e38e38e38p-120", "0x1.5775c544ff263p-120"),
+    (3.0, 0): ("0x1.71c71c71c71c7p-1", "0x1.75e9746a0b098p-1"),
+    (3.0, 1): ("0x1.ed097b425ed09p-3", "0x1.f28c9b380eb76p-3"),
+    (3.0, 4): ("0x1.242b8b69b3722p-7", "0x1.276fc447252a5p-7"),
+    (3.0, 64): ("0x1.1107a1aeb8f24p-102", "0x1.14151278a92bbp-102"),
+    (3.0, 119): ("0x1.e45fb3c6ef94fp-190", "0x1.e9ca083707d8dp-190"),
+}
 
 
 class TestDiscretize:
@@ -75,24 +91,31 @@ class TestDiscretize:
             mean = (2.0 / 3.0) * (hi ** 3 - lo ** 3) / (hi ** 2 - lo ** 2)
             assert xi == pytest.approx(mean, rel=1e-13)
 
-    @pytest.mark.parametrize("s", [0.3, 0.5, 0.8, 1.0])
-    def test_closed_form_matches_interval_integrals(self, s):
-        # per interval, against the difference form of int w^s and int w^(s+1)
-        star = discretize(ohmic(0.4, s=s), 2.0, 200)
+    def test_closed_form_matches_interval_integrals(self):
+        # per interval, against the difference form of int w and int w^2
+        star = discretize(ohmic(0.4), 2.0, 200)
         for k in range(200):
             lo, hi = 2.0 ** -(k + 1), 2.0 ** -k
-            w_int = (hi ** (s + 1) - lo ** (s + 1)) / (s + 1)
-            m_int = (hi ** (s + 2) - lo ** (s + 2)) / (s + 2)
+            w_int = (hi ** 2 - lo ** 2) / 2
+            m_int = (hi ** 3 - lo ** 3) / 3
             assert star.gamma[k] ** 2 == pytest.approx(0.8 * w_int, rel=1e-13)
             assert star.xi[k] == pytest.approx(m_int / w_int, rel=1e-13)
+
+    @pytest.mark.parametrize("Lambda,n", FROZEN_STAR_BITS,
+                             ids=[f"L{L:g}-n{n}" for L, n in FROZEN_STAR_BITS])
+    def test_closed_form_bits(self, Lambda, n):
+        # the same product in another order, alpha ((1 - Lambda^-2)
+        # Lambda^-2n), moves 42 of the 120 gamma_n at Lambda = 3, n = 4
+        # among them
+        star = discretize(ohmic(0.6), Lambda, 120)
+        xi, gamma = FROZEN_STAR_BITS[Lambda, n]
+        assert float(star.xi[n]).hex() == xi
+        assert float(star.gamma[n]).hex() == gamma
 
     def test_decoupled_alpha_zero(self):
         star = discretize(ohmic(0.0), 2.0, 10)
         npt.assert_array_equal(star.gamma, np.zeros(10))
         assert np.all(star.xi > 0)
-        sub = discretize(ohmic(0.0, s=0.7), 2.0, 4)
-        npt.assert_array_equal(sub.gamma, np.zeros(4))
-        assert np.all(sub.xi > 0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -207,17 +230,14 @@ class TestChainMap:
         # Lanczos, and from the decimal recursion at the chain-length bound
         if "xi" in ref:
             star = StarBath(xi=np.array(ref["xi"]), gamma=np.array(ref["gamma"]))
+        elif "star_xi" in ref:
+            # a sub-Ohmic star (s < 1), which discretize no longer builds:
+            # the chain was frozen from the stored star, bit for bit
+            star = _frozen_star(ref)
         else:
-            star = discretize(SpinBosonParams(delta=0.0, alpha=ref["alpha"],
-                                              s=ref["s"]),
+            assert ref["s"] == 1.0
+            star = discretize(SpinBosonParams(delta=0.0, alpha=ref["alpha"]),
                               ref["Lambda"], ref["n_star"])
-        if "star_xi" in ref:
-            # the chain was frozen from this star, which today's discretize
-            # reproduces to rounding; map the stored one to compare bits
-            frozen = _frozen_star(ref)
-            npt.assert_allclose(star.xi, frozen.xi, rtol=1e-13, atol=0)
-            npt.assert_allclose(star.gamma, frozen.gamma, rtol=1e-13, atol=0)
-            star = frozen
         _assert_frozen_chain(chain_map(star), ref)
 
 

@@ -131,7 +131,6 @@ class TestMapToSpinBoson:
         sb = map_to_spin_boson(REFERENCE, 1e14)
         assert sb.delta == pytest.approx(1.4665626728071704e-4, rel=1e-12)
         assert sb.epsilon == 0.0
-        assert sb.s == 1.0
 
     def test_cutoff_must_clear_splitting(self):
         with pytest.raises(ValueError):
@@ -218,13 +217,12 @@ class TestSpinBosonParams:
     def test_defaults(self):
         sb = SpinBosonParams(delta=0.01)
         assert sb.epsilon == 0.0 and sb.alpha == 0.0
-        assert sb.s == 1.0
 
     @pytest.mark.parametrize("kwargs", [
         {"delta": -0.1},
         {"delta": 0.1, "alpha": -0.2},
-        {"delta": 0.1, "s": 0.0},
-        {"delta": 0.1, "s": 1.5},
+        {"delta": 0.1, "alpha": float("nan")},
+        {"delta": 0.1, "epsilon": float("nan")},
         {"delta": 0.1, "alpha": float("inf")},
         {"delta": float("nan")},
         {"delta": 0.1, "epsilon": float("inf")},

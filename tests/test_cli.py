@@ -151,9 +151,9 @@ RUN_PAYLOAD = {
 # block, its required keys, names that are no key of it, the value built
 # as the RunConfig field of the block's name).
 BLOCKS = {
-    "model": ("run", {}, {"delta": 0.05, "epsilon": 0.01, "alpha": 0.3, "s": 0.9},
+    "model": ("run", {}, {"delta": 0.05, "epsilon": 0.01, "alpha": 0.3},
               ["delta"], ["omega_c"],
-              SpinBosonParams(delta=0.05, epsilon=0.01, alpha=0.3, s=0.9)),
+              SpinBosonParams(delta=0.05, epsilon=0.01, alpha=0.3)),
     "nrg": ("run", {"model": {"delta": 0.05}},
             {"lambda": 2.5, "n_s": 40, "n_b": 4, "n_iter": 8, "n_star": 20},
             [], ["Lambda", "degeneracy_tol", "flow_levels"],
@@ -356,8 +356,11 @@ class TestParseConfig:
             "model": {"delta": 0.05},
             "sweep": {"parameter": "s", "grid": {"values": [0.5, 0.9]}},
         }
-        with pytest.raises(ConfigError, match="sweep.parameter"):
+        with pytest.raises(ConfigError) as err:
             parse_config(json.dumps(payload), mode="sweep")
+        # the model's fields, each a sweepable parameter
+        assert str(err.value) == (
+            "sweep.parameter must be one of ('alpha', 'delta', 'epsilon')")
 
     def test_critical_sweeps_alpha_only(self):
         payload = {
@@ -1008,6 +1011,16 @@ class TestReadmeConfigs:
             (mode,) = re.findall(rf"sbnrg (\S+) --config {re.escape(name)}", readme)
             parse_config(text, mode=mode)
 
+    def test_block_table_lists_each_blocks_keys(self):
+        # a row whose parentheses list keys only names every key of its block
+        rows = re.findall(r"^\| `(\w+)` \| `[\w.]+` \(((?:`\w+`(?:, )?)+)\) \|$",
+                          README.read_text(), re.M)
+        blocks = {key: tp for _, key, tp, _ in cli._fields(cli.RunConfig)}
+        assert [name for name, _ in rows] == ["model", "sweep", "critical"]
+        for name, listed in rows:
+            keys = [key for _, key, _, _ in cli._fields(blocks[name])]
+            assert re.findall(r"`(\w+)`", listed) == keys, name
+
 
 class TestExitCodes:
     def test_missing_config_file(self, tmp_path):
@@ -1088,7 +1101,10 @@ class TestExitCodes:
         ("sweep", {**TestSweepMode.PAYLOAD, "sweep": {
             "parameter": "alpha", "grid": {"from": 0.2, "to": 0.4, "step": 0.1}}},
          'sweep.grid must be {"values": [...]}'),
-    ], ids=["mode-key", "range-grid"])
+        # the bath is the line's, Ohmic: s = 1 is no key
+        ("run", {**RUN_PAYLOAD, "model": {**RUN_PAYLOAD["model"], "s": 1.0}},
+         "unknown key model.s"),
+    ], ids=["mode-key", "range-grid", "bath-exponent"])
     def test_removed_form_exits_config(self, tmp_path, monkeypatch, capsys,
                                        mode, config, message):
         # each was a second way to write a config the other form writes
