@@ -47,6 +47,7 @@ __all__ = [
     "WilsonChain",
     "discretize",
     "chain_map",
+    "longest_chain",
 ]
 
 
@@ -149,9 +150,8 @@ def chain_map(star: StarBath) -> WilsonChain:
     has one site per distinct weighted energy; without the merge, roundoff
     leaves spurious hoppings of order 1e-32 on repeated energies. A
     weightless star maps to the decoupled chain: c0 = 0, eps = xi, t = 0.
-    The products of two weights, Lambda^-4n, must stay normal floats: that
-    is the chain-length bound NrgConfig enforces. A star whose
-    chain float64 loses (some beta <= 0) raises ValueError.
+    Products of two weights must stay normal floats (longest_chain); a
+    star whose chain float64 loses (some beta <= 0) raises ValueError.
     """
     xi = np.asarray(star.xi, dtype=float)
     gamma = np.asarray(star.gamma, dtype=float)
@@ -170,3 +170,8 @@ def chain_map(star: StarBath) -> WilsonChain:
         raise ValueError("star weights span more than float64 can map")
     return WilsonChain(c0=math.sqrt(beta[0]), eps=np.array(alpha),
                        t=np.sqrt(beta[1:]))
+
+
+def longest_chain(Lambda: float) -> int:
+    """The most sites chain_map maps at Lambda: 256 at 2, 26 at 1000."""
+    return 1 + int(-math.log(np.finfo(float).tiny, Lambda) / 4)

@@ -268,18 +268,9 @@ def _sweep_points(mode: str, built: dict) -> tuple[SpinBosonParams, ...]:
             f"sweep.grid: critical needs at least {FIT_MIN_POINTS} "
             "alpha values to fit the divergence"
         )
-    ncfg = built["nrg"]
-    if ncfg.n_iter < 2:
+    if built["nrg"].n_iter < 2:
         raise ConfigError(f"nrg.n_iter must be at least 2 for {mode}: N* needs "
                           "two recorded iterations")
-    if mode == "critical":
-        plateau = criticality.delocalized_plateau(
-            ncfg.Lambda, min(criticality.PLATEAU_SITES, ncfg.chain_length))
-        if plateau <= criticality.THRESHOLD:
-            raise ConfigError(
-                f"nrg.lambda = {ncfg.Lambda:g}: level 1 of a delocalized flow "
-                f"levels off at {plateau:.4f}, at or below the N* threshold "
-                f"{criticality.THRESHOLD}, so no alpha has an N*; raise lambda")
     return points
 
 
@@ -463,7 +454,8 @@ def _do_critical(cfg: RunConfig):
     fit = criticality.fit_alpha_c(points, window=cfg.critical.window)
     payload = {
         "a": fit.a, "b": fit.b, "alpha_c": fit.alpha_c, "rss": fit.rss,
-        "threshold": criticality.THRESHOLD, "n_points": len(points),
+        "threshold": criticality.nstar_threshold(cfg.nrg.Lambda),
+        "n_points": len(points),
     }
     yield _json_file("fit.json", payload)
 

@@ -1,19 +1,19 @@
 """Kosterlitz-Thouless diagnostics extracted from NRG flows.
 
 The crossover iteration N* is where the rescaled first excited level
-first reaches THRESHOLD (0.3) from below; T* = const * Lambda^-N* is
+first reaches the N* threshold from below; T* = const * Lambda^-N* is
 the crossover scale. Approaching the transition from the delocalized
 side, T* ~ Delta^(1/(alpha_c - alpha)), so N*(alpha) diverges like
 a + b / (alpha_c - alpha) and the pole of that fit extrapolates the
-critical coupling. Level 1 of a delocalized flow levels off at the free
-chain's lowest one-boson level, which rises with Lambda; below Lambda
-~ 1.55 it stays under THRESHOLD and no flow has an N*. The population
+critical coupling. The threshold is THRESHOLD at Lambda = 2 and the same
+fraction of a delocalized flow's plateau at every Lambda. The population
 difference delta_p classifies a biased run's phase, and the direction
 of level 1's flow a zero-bias run's.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,10 +29,10 @@ __all__ = [
     "fit_alpha_c",
     "classify_phase",
     "delocalized_plateau",
+    "nstar_threshold",
 ]
 
-THRESHOLD = 0.3
-PLATEAU_SITES = 60  # chain length of delocalized_plateau's level
+THRESHOLD = 0.3  # the N* threshold at Lambda = 2
 DELOCALIZED_BELOW = 0.05
 LOCALIZED_ABOVE = 0.45
 # a zero-bias flow whose level 1 changed by more than this fraction over
@@ -40,18 +40,19 @@ LOCALIZED_ABOVE = 0.45
 FLOW_STEP_BOUND = 0.05
 
 
-def delocalized_plateau(Lambda: float, sites: int = PLATEAU_SITES) -> float:
-    """Level 1 of a flow at the delocalized fixed point: Lambda^N times
-    the lowest one-boson level of the free Wilson chain's sites 0..N,
-    with N = sites // 2. An N* exists only where this exceeds THRESHOLD.
-
-    The chain's eps and t do not depend on alpha, so it is mapped at
-    alpha = 1 (at alpha = 0 the chain is decoupled). The level falls with
-    N toward its limit, so it reads the limit from above: at 60 sites it
-    is within 1e-5 of it for Lambda >= 1.5 (0.2748 at Lambda = 1.5,
-    0.4746 at 2, 0.6087 at 3), farther as Lambda nears 1. sites may not
-    exceed the chain length NrgConfig allows at Lambda.
+@functools.cache
+def delocalized_plateau(Lambda: float, sites: int = 60) -> float:
+    """Level 1 of a flow at the delocalized fixed point, cached per process:
+    Lambda^N times the lowest one-boson level of the free Wilson chain's
+    sites 0..N, N = sites // 2, with sites at most bath.longest_chain(Lambda)
+    and the chain mapped at alpha = 1 (its eps and t do not depend on
+    alpha; alpha = 0 decouples it). The level falls with N, so it reads
+    its limit from above: at 60 sites within 1e-5 for Lambda >= 1.5
+    (0.2748 at 1.5, 0.4746 at 2, 0.6087 at 3), not below (at 1.1, 0.0749
+    for a limit of 0.0276). There nstar_threshold is an upper estimate: a
+    flow may fail to cross it (exit 3, or nan in sweep), not give a wrong N*.
     """
+    sites = min(sites, bath.longest_chain(Lambda))
     star = bath.discretize(SpinBosonParams(delta=0.0, alpha=1.0), Lambda, sites)
     chain = bath.chain_map(star)
     n = chain.n_sites // 2
@@ -60,8 +61,14 @@ def delocalized_plateau(Lambda: float, sites: int = PLATEAU_SITES) -> float:
     return float(np.linalg.eigvalsh(h)[0] * Lambda ** n)
 
 
+def nstar_threshold(Lambda: float) -> float:
+    """THRESHOLD times the plateau's ratio to its Lambda = 2 value, the ratio
+    first, so exactly THRESHOLD at Lambda = 2 (0.3848 at 3, 0.1737 at 1.5)."""
+    return THRESHOLD * (delocalized_plateau(Lambda) / delocalized_plateau(2.0))
+
+
 class NoCrossingError(RuntimeError):
-    """The level-1 flow never reached THRESHOLD; extend n_iter."""
+    """The level-1 flow never reached its N* threshold; extend n_iter."""
 
 
 @dataclass(frozen=True)
@@ -71,27 +78,26 @@ class CrossoverPoint:
 
 
 def extract_nstar(flow: NrgFlow) -> CrossoverPoint:
-    """First iteration where level 1 crosses THRESHOLD from below.
+    """First iteration where level 1 crosses nstar_threshold(flow.Lambda).
 
     The crossing is linearly interpolated between the bracketing
-    iterations. A flow already above THRESHOLD at its first record gives
-    n_star = 0. No crossing at all raises NoCrossingError.
+    iterations. A flow already above the threshold at its first record
+    gives n_star = 0. No crossing at all raises NoCrossingError.
     """
-    if len(flow.records) < 2:
-        raise ValueError("need at least two recorded iterations")
     its, vals = flow.level_series(1)
     if len(vals) < 2:
-        raise ValueError("flow records do not track level 1")
-    if vals[0] >= THRESHOLD:
+        raise ValueError("level 1 is recorded at fewer than two iterations")
+    threshold = nstar_threshold(flow.Lambda)
+    if vals[0] >= threshold:
         return CrossoverPoint(alpha=flow.alpha, n_star=0.0)
     for i in range(len(vals) - 1):
-        if vals[i] < THRESHOLD <= vals[i + 1]:
-            frac = (THRESHOLD - vals[i]) / (vals[i + 1] - vals[i])
+        if vals[i] < threshold <= vals[i + 1]:
+            frac = (threshold - vals[i]) / (vals[i + 1] - vals[i])
             n_star = float(its[i]) + frac * float(its[i + 1] - its[i])
             return CrossoverPoint(alpha=flow.alpha, n_star=n_star)
     raise NoCrossingError(
-        f"level 1 stayed below {THRESHOLD} over {len(vals)} iterations"
-    )
+        f"level 1 at alpha = {flow.alpha:g} stayed below {threshold:g}, the N* "
+        f"threshold at Lambda = {flow.Lambda:g}, over {len(vals)} iterations")
 
 
 def fit_alpha_c(points, window: float | None = None) -> numerics.DivergenceFit:
@@ -109,7 +115,7 @@ def classify_phase(delta_p: float, flow: NrgFlow | None = None) -> str:
     zero-bias run passes its flow too, since its delta_p is that of the
     polarized member of a ground doublet, and so reads localized in a run
     that stops before its crossover. Level 1, the rescaled tunneling
-    splitting, then decides: delocalized if it reached THRESHOLD or grew
+    splitting, then decides: delocalized if it reached its threshold or grew
     by more than FLOW_STEP_BOUND over the last iteration, localized if it
     shrank by more than that, undetermined otherwise. A level 1 within
     DEGENERACY_TOL of 0 is a degenerate ground doublet whose changes are
@@ -124,7 +130,8 @@ def classify_phase(delta_p: float, flow: NrgFlow | None = None) -> str:
             raise ValueError("flow records do not track level 1 over two "
                              "iterations")
         if e1[-1] > DEGENERACY_TOL:
-            if e1.max() >= THRESHOLD or e1[-1] > (1 + FLOW_STEP_BOUND) * e1[-2]:
+            if (e1.max() >= nstar_threshold(flow.Lambda)
+                    or e1[-1] > (1 + FLOW_STEP_BOUND) * e1[-2]):
                 return "delocalized"
             if e1[-1] < (1 - FLOW_STEP_BOUND) * e1[-2]:
                 return "localized"

@@ -5,9 +5,9 @@ added by the same step: couple the block to the site, rediagonalize and
 truncate back to n_s states. After site 0 the block is the kept
 eigenstates, with energies rescaled by Lambda at each step. The
 recorded flow is the rescaled spectrum Lambda^N (E - E_ground), the
-quantity whose level-1 curve crossing 0.3 defines the crossover iteration
-N*. Ground-state observables <sigma_z>, <sigma_x> come from operator
-matrices carried through every basis change.
+quantity whose level-1 curve crossing the N* threshold defines the
+crossover iteration N*. Ground-state observables <sigma_z>, <sigma_x>
+come from operator matrices carried through every basis change.
 
 At zero bias H commutes with the parity P = sigma_x (-1)^(sum of boson
 numbers). The kept states are then held as the two sectors of P: each
@@ -93,9 +93,7 @@ class NrgConfig:
     The bias is SpinBosonParams.epsilon: at epsilon = 0 the run is
     parity-blocked and ground_spin reads the polarized member of a
     localized ground doublet. n_star overrides the chain length (default
-    2 n_iter, floor n_iter + 5); it may not exceed
-    1 + floor(log(1/tiny) / (4 log Lambda)), 256 at Lambda = 2, where the
-    float64 chain map still holds.
+    2 n_iter, floor n_iter + 5); it may not exceed bath.longest_chain(Lambda).
     """
 
     Lambda: float = 2.0
@@ -122,13 +120,10 @@ class NrgConfig:
                 f"n_s * n_b = {self.n_s * self.n_b} exceeds the "
                 f"dense-matrix limit {numerics.MAX_DENSE_DIM}"
             )
-        # bath.chain_map multiplies pairs of star weights, Lambda^-4n
-        longest = 1 + int(-math.log(np.finfo(float).tiny, self.Lambda) / 4)
-        if self.chain_length > longest:
+        if self.chain_length > (longest := bath.longest_chain(self.Lambda)):
             raise ValueError(
                 f"n_star above {longest} takes the chain map's products of "
-                "star weights, Lambda^-4n, below the float64 range"
-            )
+                "star weights, Lambda^-4n, below the float64 range")
 
     @property
     def chain_length(self) -> int:
@@ -174,10 +169,11 @@ class FlowRecord:
 
 @dataclass(frozen=True)
 class NrgFlow:
-    """Per-iteration rescaled spectra plus the alpha they were run at."""
+    """Per-iteration rescaled spectra and the alpha and Lambda of their run."""
 
     records: tuple[FlowRecord, ...]
     alpha: float = float("nan")
+    Lambda: float = NrgConfig.Lambda
 
     def level_series(self, index: int):
         """(iterations, values) of one level across all records that have it."""
@@ -493,7 +489,7 @@ def run_on_chain(p: SpinBosonParams, chain: WilsonChain, cfg: NrgConfig, *,
             records.append(_record(state))
     sz, sx = ground_spin(state)
     return NrgResult(
-        flow=NrgFlow(records=tuple(records), alpha=p.alpha),
+        flow=NrgFlow(tuple(records), alpha=p.alpha, Lambda=cfg.Lambda),
         sigma_z_gs=sz,
         sigma_x_gs=sx,
         delta_p=delta_p(sz),

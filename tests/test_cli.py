@@ -35,6 +35,7 @@ from sbnrg.cli import (
     main,
     parse_config,
 )
+from sbnrg.criticality import nstar_threshold
 from sbnrg.nrg import DegeneracyError, NrgConfig, NrgError, run
 from sbnrg.oracle import EdProblem, exact_diag
 
@@ -900,22 +901,32 @@ class TestCriticalMode:
             if name != "run_manifest.json":
                 assert (serial / name).read_bytes() == (workers / name).read_bytes()
 
-    def test_lambda_without_crossing_exits_config(self, tmp_path, capsys):
-        # level 1 of a delocalized flow levels off at 0.2748 at Lambda = 1.5,
-        # below THRESHOLD, so no point could give an N*
-        payload = {**self.PAYLOAD, "nrg": {**self.PAYLOAD["nrg"], "lambda": 1.5}}
+    def test_small_lambda_reads_nstar_at_its_own_threshold(self, tmp_path):
+        # 0.3 lies above the plateau a delocalized flow levels off at when
+        # Lambda = 1.5 (0.2748); the threshold scaled to that plateau, 0.1737,
+        # gives every point an N*
+        payload = {
+            "model": {"delta": 1e-2},
+            "nrg": {"lambda": 1.5, "n_s": 60, "n_b": 6, "n_iter": 50},
+            "sweep": {"parameter": "alpha",
+                      "grid": {"values": [0.2, 0.4, 0.55, 0.7]}},
+        }
         out = tmp_path / "out"
         cfg = write_config(tmp_path, payload)
-        assert main(["critical", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
-        assert not out.exists()
-        err = capsys.readouterr().err
-        assert "nrg.lambda = 1.5" in err and "0.2748" in err and "0.3" in err
+        assert main(["critical", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        pts = (out / "points.csv").read_text().strip().split("\n")[1:]
+        nstars = [float(line.split(",")[1]) for line in pts]
+        assert all(math.isfinite(n) for n in nstars)
+        assert nstars == sorted(nstars)
+        assert nstars == pytest.approx([10.628, 15.815, 21.091, 27.842], abs=1e-3)
+        fit = json.loads((out / "fit.json").read_text())
+        assert fit["threshold"] == nstar_threshold(1.5)
 
     def test_lambda_with_crossing_parses(self):
         payload = {**self.PAYLOAD, "nrg": {**self.PAYLOAD["nrg"], "lambda": 1.6}}
         cfg = parse_config(json.dumps(payload), mode="critical")
         assert cfg.nrg.Lambda == 1.6
-        # sweep reads no plateau: its rows write nan for a missing N*
+        # neither mode checks Lambda against the N* threshold at parse time
         parse_config(json.dumps({**payload, "nrg": {
             **self.PAYLOAD["nrg"], "lambda": 1.5}}), mode="sweep")
 
@@ -932,7 +943,8 @@ class TestCriticalMode:
         assert code == EXIT_NUMERICAL
         manifest = json.loads((out / "run_manifest.json").read_text())
         assert manifest["status"] == "failed"
-        assert "failure" in manifest
+        # the first point in grid order fails, and the message names it
+        assert "alpha = 1.4 " in manifest["failure"]
 
 
 class TestConfigEcho:

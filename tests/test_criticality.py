@@ -1,25 +1,30 @@
+import math
+
 import numpy as np
 import pytest
 
+from sbnrg.bath import longest_chain
 from sbnrg.criticality import (
+    THRESHOLD,
     CrossoverPoint,
     NoCrossingError,
     classify_phase,
     delocalized_plateau,
     extract_nstar,
     fit_alpha_c,
+    nstar_threshold,
 )
 from sbnrg.nrg import FlowRecord, NrgFlow
 from sbnrg.numerics import DivergenceFit, FitError
 
 
-def flow_from_level1(values, alpha=0.5, start=0, step=1):
+def flow_from_level1(values, alpha=0.5, start=0, step=1, **kwargs):
     records = tuple(
         FlowRecord(iteration=start + i * step, kept_count=10,
                    energies=(0.0, float(v), float(v) + 1.0))
         for i, v in enumerate(values)
     )
-    return NrgFlow(records=records, alpha=alpha)
+    return NrgFlow(records=records, alpha=alpha, **kwargs)
 
 
 class TestExtractNstar:
@@ -41,6 +46,15 @@ class TestExtractNstar:
         flow = flow_from_level1([0.01, 0.02, 0.03])
         with pytest.raises(NoCrossingError):
             extract_nstar(flow)
+
+    def test_threshold_follows_the_flow_lambda(self):
+        # a hand-built flow is at Lambda = 2, NrgConfig's default
+        values = [0.1, 0.2, 0.25]
+        with pytest.raises(NoCrossingError, match=r"alpha = 0.5 .* below 0.3,"):
+            extract_nstar(flow_from_level1(values))
+        pt = extract_nstar(flow_from_level1(values, Lambda=1.5))
+        assert pt.n_star == pytest.approx(
+            (nstar_threshold(1.5) - 0.1) / 0.1, abs=1e-14)
 
     def test_skips_records_missing_the_level(self):
         # a record holding only the ground level does not feed the series,
@@ -143,6 +157,13 @@ class TestZeroBiasPhase:
         assert classify_phase(0.5, flow) == phase
         assert classify_phase(0.0, flow) == phase
 
+    def test_threshold_follows_the_flow_lambda(self):
+        # level 1 reached Lambda = 1.5's threshold, 0.1737, not Lambda = 2's
+        values = [0.1, 0.2, 0.2]
+        assert classify_phase(0.5, flow_from_level1(values)) == "undetermined"
+        assert classify_phase(
+            0.5, flow_from_level1(values, Lambda=1.5)) == "delocalized"
+
     def test_degenerate_doublet_reads_delta_p(self):
         # a level 1 within DEGENERACY_TOL of 0 changes by roundoff alone
         flow = flow_from_level1([1e-16, 3e-16])
@@ -173,3 +194,21 @@ class TestDelocalizedPlateau:
 
     def test_crosses_threshold_near_1_546(self):
         assert delocalized_plateau(1.54) < 0.3 < delocalized_plateau(1.55)
+
+
+class TestNstarThreshold:
+    def test_exactly_threshold_at_lambda_2(self):
+        # the plateau's ratio to itself is exactly 1, so no Lambda = 2 N* moves
+        assert nstar_threshold(2.0) == THRESHOLD == 0.3
+
+    @pytest.mark.parametrize("Lambda, value", [(1.5, 0.1737), (3.0, 0.3848)])
+    def test_same_fraction_of_the_plateau(self, Lambda, value):
+        assert nstar_threshold(Lambda) == pytest.approx(value, abs=1e-4)
+        assert nstar_threshold(Lambda) / delocalized_plateau(Lambda) == (
+            pytest.approx(THRESHOLD / delocalized_plateau(2.0), rel=1e-12))
+
+    def test_finite_at_large_lambda(self):
+        # 60 sites at Lambda = 1000 take the chain map's weight products below
+        # the float64 range; the plateau reads the 26 sites NrgConfig allows
+        assert longest_chain(1000.0) == 26
+        assert math.isfinite(nstar_threshold(1000.0))
