@@ -315,19 +315,18 @@ def _json_file(name: str, obj) -> tuple[str, str]:
         raise ConfigError(f"cannot write {name}: {exc}") from None
 
 
-def _run_sweep_points(cfg: RunConfig) -> list[nrg.NrgResult]:
+def _run_sweep_points(cfg: RunConfig, **run_kw) -> list[nrg.NrgResult]:
     models = cfg.points
-    configs = [cfg.nrg] * len(models)
     threads = min(cfg.workers, len(models), nrg.usable_cpus())
     if threads == 1:  # on this thread, where each run may start its sector thread
-        return list(map(nrg.run, models, configs))
+        return [nrg.run(model, cfg.nrg, **run_kw) for model in models]
     from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait  # 7-11 ms
 
     # the first error or an interrupt cancels the points not started, and
     # stop ends the running ones before their next iteration
     stop = threading.Event()
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(nrg.run, model, cfg.nrg, stop=stop)
+        futures = [pool.submit(nrg.run, model, cfg.nrg, stop=stop, **run_kw)
                    for model in models]
         try:
             wait(futures, return_when=FIRST_EXCEPTION)
@@ -445,7 +444,8 @@ def _do_sweep(cfg: RunConfig):
 
 
 def _do_critical(cfg: RunConfig):
-    results = _run_sweep_points(cfg)
+    # each point ends at its crossing: no later record moves its N*
+    results = _run_sweep_points(cfg, until=criticality.crossed(cfg.nrg.Lambda))
     for i, res in enumerate(results):
         yield f"flow_{i:03d}.csv", _flow_csv(res)
     points = [criticality.extract_nstar(res.flow) for res in results]

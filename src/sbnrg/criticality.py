@@ -15,16 +15,18 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from . import bath, numerics
 from .circuit import SpinBosonParams
-from .nrg import DEGENERACY_TOL, NrgFlow
+from .nrg import DEGENERACY_TOL, FlowRecord, NrgFlow
 
 __all__ = [
     "CrossoverPoint",
     "NoCrossingError",
+    "crossed",
     "extract_nstar",
     "fit_alpha_c",
     "classify_phase",
@@ -67,6 +69,20 @@ def nstar_threshold(Lambda: float) -> float:
     return THRESHOLD * (delocalized_plateau(Lambda) / delocalized_plateau(2.0))
 
 
+def _reached(level: float, threshold: float) -> bool:
+    """Level 1 at or above the N* threshold, as every reader here tests it."""
+    return threshold <= level
+
+
+def crossed(Lambda: float) -> Callable[[FlowRecord], bool]:
+    """The test of a record after which no record moves extract_nstar:
+    level 1 has reached nstar_threshold(Lambda), at iteration 1 or later,
+    since N* needs two records even where the first has reached it."""
+    threshold = nstar_threshold(Lambda)
+    return lambda rec: (rec.iteration >= 1 and len(rec.energies) > 1
+                        and _reached(rec.energies[1], threshold))
+
+
 class NoCrossingError(RuntimeError):
     """The level-1 flow never reached its N* threshold; extend n_iter."""
 
@@ -88,16 +104,16 @@ def extract_nstar(flow: NrgFlow) -> CrossoverPoint:
     if len(vals) < 2:
         raise ValueError("level 1 is recorded at fewer than two iterations")
     threshold = nstar_threshold(flow.Lambda)
-    if vals[0] >= threshold:
+    i = next((i for i, v in enumerate(vals) if _reached(v, threshold)), None)
+    if i is None:
+        raise NoCrossingError(
+            f"level 1 at alpha = {flow.alpha:g} stayed below {threshold:g}, the N* "
+            f"threshold at Lambda = {flow.Lambda:g}, over {len(vals)} iterations")
+    if i == 0:
         return CrossoverPoint(alpha=flow.alpha, n_star=0.0)
-    for i in range(len(vals) - 1):
-        if vals[i] < threshold <= vals[i + 1]:
-            frac = (threshold - vals[i]) / (vals[i + 1] - vals[i])
-            n_star = float(its[i]) + frac * float(its[i + 1] - its[i])
-            return CrossoverPoint(alpha=flow.alpha, n_star=n_star)
-    raise NoCrossingError(
-        f"level 1 at alpha = {flow.alpha:g} stayed below {threshold:g}, the N* "
-        f"threshold at Lambda = {flow.Lambda:g}, over {len(vals)} iterations")
+    frac = (threshold - vals[i - 1]) / (vals[i] - vals[i - 1])
+    n_star = float(its[i - 1]) + frac * float(its[i] - its[i - 1])
+    return CrossoverPoint(alpha=flow.alpha, n_star=n_star)
 
 
 def fit_alpha_c(points, window: float | None = None) -> numerics.DivergenceFit:
@@ -130,7 +146,7 @@ def classify_phase(delta_p: float, flow: NrgFlow | None = None) -> str:
             raise ValueError("flow records do not track level 1 over two "
                              "iterations")
         if e1[-1] > DEGENERACY_TOL:
-            if (e1.max() >= nstar_threshold(flow.Lambda)
+            if (_reached(e1.max(), nstar_threshold(flow.Lambda))
                     or e1[-1] > (1 + FLOW_STEP_BOUND) * e1[-2]):
                 return "delocalized"
             if e1[-1] < (1 - FLOW_STEP_BOUND) * e1[-2]:

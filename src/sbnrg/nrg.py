@@ -29,6 +29,7 @@ import os
 import threading
 import warnings
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -454,12 +455,15 @@ def usable_cpus() -> int:
 
 
 def run_on_chain(p: SpinBosonParams, chain: WilsonChain, cfg: NrgConfig, *,
-                 stop: threading.Event | None = None) -> NrgResult:
+                 stop: threading.Event | None = None,
+                 until: Callable[[FlowRecord], bool] | None = None) -> NrgResult:
     """Run the iteration on an explicit chain (also the test injection point).
 
     Stops after n_iter iterations or when the chain runs out of sites. Zero
-    hoppings (a decoupled chain) do not stop it. Given stop, the run reads
-    it before each iteration and raises RunStopped once another thread has
+    hoppings (a decoupled chain) do not stop it. Given until, the run ends
+    at the first flow record that passes it, with that iteration's flow,
+    sigma_z_gs, sigma_x_gs and ground_energy. Given stop, the run reads it
+    before each iteration and raises RunStopped once another thread has
     set it, so a sweep can end its running points. A parity-blocked run on
     the main thread solves its second sector on one worker thread, which
     lives for this call only, when usable_cpus() is two or more. A run on
@@ -478,6 +482,8 @@ def run_on_chain(p: SpinBosonParams, chain: WilsonChain, cfg: NrgConfig, *,
         pool = ThreadPoolExecutor(max_workers=1)
     with pool as sector_pool:
         for m in range(1, limit):
+            if until is not None and until(records[-1]):
+                break
             if stop is not None and stop.is_set():
                 raise RunStopped(f"stopped before iteration {m}")
             try:
@@ -501,12 +507,14 @@ def run_on_chain(p: SpinBosonParams, chain: WilsonChain, cfg: NrgConfig, *,
 
 
 def run(p: SpinBosonParams, cfg: NrgConfig, *,
-        stop: threading.Event | None = None) -> NrgResult:
+        stop: threading.Event | None = None,
+        until: Callable[[FlowRecord], bool] | None = None) -> NrgResult:
     """Full pipeline: discretize, chain map, iterate, observables.
 
     At alpha = 0 the chain map gives the decoupled chain, so the boson
-    sector is still represented and the flow has its usual shape. stop
-    goes to run_on_chain.
+    sector is still represented and the flow has its usual shape. stop and
+    until go to run_on_chain; a run ended by until reports the observables
+    of its last iteration.
     """
     star = bath.discretize(p, cfg.Lambda, cfg.chain_length)
-    return run_on_chain(p, bath.chain_map(star), cfg, stop=stop)
+    return run_on_chain(p, bath.chain_map(star), cfg, stop=stop, until=until)

@@ -35,7 +35,7 @@ from sbnrg.cli import (
     main,
     parse_config,
 )
-from sbnrg.criticality import nstar_threshold
+from sbnrg.criticality import extract_nstar, nstar_threshold
 from sbnrg.nrg import DegeneracyError, NrgConfig, NrgError, run
 from sbnrg.oracle import EdProblem, exact_diag
 
@@ -880,6 +880,33 @@ class TestCriticalMode:
         assert fit["n_points"] == 4
         assert fit["threshold"] == 0.3
 
+    def test_each_flow_ends_at_its_crossing(self, tmp_path, monkeypatch):
+        # each point stops at the first record whose level 1 reaches the
+        # threshold: its flow file is a byte prefix of the full run's, N*
+        # is the full flow's, and the points make 167 iterations, not 236
+        calls, real_iterate = [], cli.nrg.iterate
+        monkeypatch.setattr(cli.nrg, "iterate",
+                            lambda *a, **k: calls.append(1) or real_iterate(*a, **k))
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, self.PAYLOAD)
+        assert main(["critical", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        assert len(calls) == 30 + 36 + 44 + 57
+        monkeypatch.undo()
+        ncfg = NrgConfig(**self.PAYLOAD["nrg"])
+        threshold = nstar_threshold(ncfg.Lambda)
+        fulls = [run(SpinBosonParams(delta=self.PAYLOAD["model"]["delta"],
+                                     alpha=alpha), ncfg)
+                 for alpha in self.PAYLOAD["sweep"]["grid"]["values"]]
+        for i, full in enumerate(fulls):
+            text = (out / f"flow_{i:03d}.csv").read_text()
+            assert cli._flow_csv(full).startswith(text)
+            level1 = [float(row.split(",")[2]) for row in text.splitlines()[1:]
+                      if row.split(",")[1] == "1"]
+            assert level1[-1] >= threshold > max(level1[1:-1], default=0.0)
+        points = [extract_nstar(full.flow) for full in fulls]
+        assert (out / "points.csv").read_text() == cli._csv("alpha,n_star", (
+            (cli._fmt(pt.alpha), cli._fmt(pt.n_star)) for pt in points))
+
     def test_workers_after_serial_run(self, tmp_path):
         # A serial run starts and stops its sector thread per point; a
         # --workers run in the same process then runs its points on sweep
@@ -1410,12 +1437,15 @@ class TestExecuteFailurePath:
         )
         assert manifest["status"] == "failed"
         assert "NoCrossingError" in manifest["failure"]
-        # the flows written before the failure are listed with their digests
+        # the flows written before the failure are listed with their digests,
+        # and each, crossing nowhere, ran to n_iter
         assert [e["path"] for e in manifest["outputs"]] == [
             f"flow_{i:03d}.csv" for i in range(4)]
         for entry in manifest["outputs"]:
             data = (tmp_path / "out" / entry["path"]).read_bytes()
             assert hashlib.sha256(data).hexdigest() == entry["sha256"]
+            iterations = {row.split(b",")[0] for row in data.splitlines()[1:]}
+            assert iterations == {str(i).encode() for i in range(20)}
 
     def test_interrupt_writes_no_manifest(self, tmp_path, monkeypatch):
         def interrupted(cfg):

@@ -9,6 +9,7 @@ from sbnrg.criticality import (
     CrossoverPoint,
     NoCrossingError,
     classify_phase,
+    crossed,
     delocalized_plateau,
     extract_nstar,
     fit_alpha_c,
@@ -76,6 +77,29 @@ class TestExtractNstar:
         ), alpha=0.1)
         with pytest.raises(ValueError):
             extract_nstar(bare)
+
+
+class TestCrossed:
+    def test_first_record_it_passes_fixes_nstar(self):
+        # the flow cut at the first record crossed passes gives the full flow's N*
+        for values in ([0.1, 0.2, 0.25, 0.35, 0.5], [0.1, 0.3, 0.6],
+                       [0.4, 0.2, 0.35, 0.6], [0.4, 0.5, 0.6]):
+            full = flow_from_level1(values)
+            done = crossed(full.Lambda)
+            k = next(i for i, r in enumerate(full.records) if done(r))
+            cut = NrgFlow(records=full.records[:k + 1], alpha=full.alpha)
+            assert extract_nstar(cut) == extract_nstar(full)
+
+    def test_at_the_threshold_from_iteration_1(self):
+        # the comparison extract_nstar makes, and never at record 0: N* needs two
+        done = crossed(2.0)
+        assert [done(r) for r in flow_from_level1([0.3, 0.3, 0.2999]).records] == [
+            False, True, False]
+        assert not done(FlowRecord(iteration=1, kept_count=1, energies=(0.0,)))
+
+    def test_threshold_follows_lambda(self):
+        record = flow_from_level1([0.0, 0.2]).records[1]
+        assert crossed(1.5)(record) and not crossed(2.0)(record)
 
 
 class TestFitAlphaC:
@@ -192,8 +216,10 @@ class TestDelocalizedPlateau:
         assert delocalized_plateau(1.5, sites=80) == pytest.approx(
             delocalized_plateau(1.5), abs=2e-6)
 
-    def test_crosses_threshold_near_1_546(self):
-        assert delocalized_plateau(1.54) < 0.3 < delocalized_plateau(1.55)
+    def test_threshold_lies_below_the_plateau(self):
+        # so a delocalized flow reaches its threshold, and critical's stop ends it
+        for Lambda in (1.5, 1.55, 2.0, 3.0):
+            assert nstar_threshold(Lambda) < delocalized_plateau(Lambda), Lambda
 
 
 class TestNstarThreshold:

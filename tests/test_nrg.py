@@ -1,5 +1,6 @@
 import math
 import os
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -15,6 +16,7 @@ from sbnrg.criticality import classify_phase, extract_nstar
 from sbnrg.nrg import (
     DegeneracyError,
     NrgConfig,
+    RunStopped,
     NrgState,
     build_initial,
     delta_p,
@@ -461,6 +463,39 @@ class TestMechanics:
         # ground_spin solves once more when the ground state is a multiplet
         assert solves * cfg.n_iter <= len(dims) <= solves * cfg.n_iter + 1
         assert sum(d ** 3 for d in dims[:solves * cfg.n_iter]) == n3
+
+    def test_until_ends_the_run_at_the_record_it_passes(self):
+        # k + 1 records with the bits of a full run's first k + 1, and the
+        # observables of a run whose last iteration is k
+        p = SpinBosonParams(delta=0.05, alpha=0.6)
+        cfg = NrgConfig(n_s=30, n_b=4, n_iter=8)
+        chain = chain_map(discretize(p, cfg.Lambda, cfg.chain_length))
+        full = run_on_chain(p, chain, cfg)
+
+        def bits(records):
+            return [(r.iteration, r.kept_count, np.array(r.energies).tobytes())
+                    for r in records]
+
+        for k in (0, 3, cfg.n_iter - 1):
+            ended = run_on_chain(p, chain, cfg,
+                                 until=lambda rec, k=k: rec.iteration == k)
+            short = run_on_chain(p, chain, replace(cfg, n_iter=k + 1))
+            assert bits(ended.flow.records) == bits(full.flow.records[:k + 1])
+            assert bits(ended.flow.records) == bits(short.flow.records)
+            assert (ended.sigma_z_gs, ended.sigma_x_gs, ended.ground_energy) == (
+                short.sigma_z_gs, short.sigma_x_gs, short.ground_energy)
+        for until in (None, lambda rec: False):
+            again = run_on_chain(p, chain, cfg, until=until)
+            assert bits(again.flow.records) == bits(full.flow.records)
+            assert again.ground_energy == full.ground_energy
+
+    def test_stop_still_raises_beside_until(self):
+        stop = threading.Event()
+        stop.set()
+        with pytest.raises(RunStopped, match="before iteration 1"):
+            run(SpinBosonParams(delta=0.05, alpha=0.3),
+                NrgConfig(n_s=30, n_b=4, n_iter=8), stop=stop,
+                until=lambda rec: rec.iteration == 5)
 
     def test_usable_cpus_without_affinity(self, monkeypatch):
         # a platform without sched_getaffinity (macOS) counts every CPU
