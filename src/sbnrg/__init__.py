@@ -22,7 +22,7 @@ for _var in (
 
 __version__ = "0.1.0"
 
-from . import bath, circuit, criticality, numerics, nrg, oracle  # noqa: E402
+from . import bath, circuit, criticality, numerics, nrg  # noqa: E402
 
 
 def _pin_loaded_openblas():
@@ -98,7 +98,6 @@ from .criticality import (  # noqa: E402
     fit_alpha_c,
 )
 from .nrg import NrgConfig, NrgFlow, NrgResult, NrgState, run  # noqa: E402
-from .oracle import EdProblem, EdResult, exact_diag  # noqa: E402
 
 __all__ = [
     "__version__",
@@ -107,11 +106,8 @@ __all__ = [
     "criticality",
     "numerics",
     "nrg",
-    "oracle",
     "CircuitParams",
     "CrossoverPoint",
-    "EdProblem",
-    "EdResult",
     "NrgConfig",
     "NrgFlow",
     "NrgResult",
@@ -123,7 +119,6 @@ __all__ = [
     "chain_map",
     "classify_phase",
     "discretize",
-    "exact_diag",
     "extract_nstar",
     "fit_alpha_c",
     "map_to_spin_boson",

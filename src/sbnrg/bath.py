@@ -99,6 +99,8 @@ def discretize(p: SpinBosonParams, Lambda: float, n_star: int) -> StarBath:
     which do not depend on alpha.
     """
     Lambda = float(Lambda)
+    if not math.isfinite(Lambda):
+        raise ValueError(f"Lambda must be finite, not {Lambda}")
     if Lambda <= 1.0:
         raise ValueError("Lambda must exceed 1")
     n_star = int(n_star)
@@ -157,6 +159,8 @@ def chain_map(star: StarBath) -> WilsonChain:
     gamma = np.asarray(star.gamma, dtype=float)
     if xi.shape != gamma.shape:
         raise ValueError("xi and gamma must have matching shapes")
+    if not (np.isfinite(xi).all() and np.isfinite(gamma).all()):
+        raise ValueError("star energies and couplings must be finite")
     if np.any(xi <= 0):
         raise ValueError("star energies must be positive")
     weights: dict[float, float] = {}
@@ -174,4 +178,6 @@ def chain_map(star: StarBath) -> WilsonChain:
 
 def longest_chain(Lambda: float) -> int:
     """The most sites chain_map maps at Lambda: 256 at 2, 26 at 1000."""
+    if not math.isfinite(Lambda):
+        raise ValueError(f"Lambda must be finite, not {Lambda}")
     return 1 + int(-math.log(np.finfo(float).tiny, Lambda) / 4)

@@ -1,7 +1,7 @@
 """Command line front end.
 
 Subcommands, each declared once in SUBCOMMANDS: map-circuit, chain, run,
-sweep, critical, oracle. Each takes a JSON config (--config), writes
+sweep, critical. Each takes a JSON config (--config), writes
 CSV/JSON outputs plus a manifest with sha256 digests into --out, and
 exits 0 on success. FAILURES is the one place that maps a failure to its
 exit code: 3 for a numerical failure (an ArithmeticError or a
@@ -43,7 +43,7 @@ from typing import Callable, Iterator, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from . import __version__, bath, criticality, nrg, oracle
+from . import __version__, bath, criticality, nrg
 from .circuit import (
     DELTA_CONVENTIONS,
     H_BAR,
@@ -155,7 +155,6 @@ class RunConfig:
     circuit: CircuitSpec | None = None
     sweep: SweepSpec | None = None
     critical: CriticalSpec = CriticalSpec()
-    oracle: oracle.EdProblem | None = None
     points: tuple[SpinBosonParams, ...] = ()  # each sweep point's model
 
 
@@ -204,14 +203,12 @@ def _fields(cls):
 
 
 def _value(value, tp, path: str):
-    """The JSON value at path as the type tp. A tuple[X, ...] takes a list
-    of X, and a tuple of n X a list of n X."""
+    """The JSON value at path as the type tp; a tuple[X, ...] takes a list
+    of X."""
     if get_origin(tp) is tuple:
-        item, *rest = get_args(tp)
-        size = None if rest == [Ellipsis] else 1 + len(rest)
-        if not isinstance(value, list) or size not in (None, len(value)):
-            raise ConfigError(f"{path} must be a list"
-                              + (f" of {size}" if size else ""))
+        if not isinstance(value, list):
+            raise ConfigError(f"{path} must be a list")
+        item = get_args(tp)[0]
         return tuple(_value(v, item, f"{path}[{i}]") for i, v in enumerate(value))
     check, noun = _TYPE_CHECKS[tp]
     if not check(value):
@@ -460,18 +457,6 @@ def _do_critical(cfg: RunConfig):
     yield _json_file("fit.json", payload)
 
 
-def _do_oracle(cfg: RunConfig):
-    res = oracle.exact_diag(cfg.oracle)
-    payload = {
-        "ground_energy": res.ground_energy,
-        "gap": res.gap,
-        "sigma_z": res.sigma_z,
-        "sigma_x": res.sigma_x,
-        "converged": res.converged,
-    }
-    yield _json_file("oracle.json", payload)
-
-
 SUBCOMMANDS = {
     "map-circuit": Subcommand(
         "convert SI circuit parameters to spin-boson parameters",
@@ -488,9 +473,6 @@ SUBCOMMANDS = {
     "critical": Subcommand(
         "alpha sweep, N* extraction and alpha_c extrapolation",
         ("model", "nrg", "sweep", "critical"), _do_critical),
-    "oracle": Subcommand(
-        "dense exact diagonalization of a few-mode instance",
-        ("oracle",), _do_oracle),
 }
 
 
@@ -556,7 +538,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sbnrg",
         description="Spin-boson NRG pipelines: circuit mapping, chains, "
-                    "flows, sweeps, criticality, exact-diagonalization checks.",
+                    "flows, sweeps, criticality.",
     )
     sub = parser.add_subparsers(dest="mode", required=True)
     for name, command in SUBCOMMANDS.items():

@@ -20,11 +20,11 @@ __all__ = [
     "fit_divergence",
 ]
 
-# Largest dense matrix dimension accepted anywhere: NrgConfig bounds
-# n_s * n_b by it and EdProblem its product-basis dimension. A float64
-# matrix of dimension 8192 takes 0.5 GiB, and the NRG's degeneracy
-# extension can keep up to 2 n_s states, doubling its H. The largest NRG
-# config in use (n_s = 300, n_b = 12) needs 3600.
+# Largest dense matrix dimension accepted: NrgConfig bounds n_s * n_b by
+# it, and the test oracle its product-basis dimension. A float64 matrix
+# of dimension 8192 takes 0.5 GiB, and the NRG's degeneracy extension can
+# keep up to 2 n_s states, doubling its H. The largest NRG config in use
+# (n_s = 300, n_b = 12) needs 3600.
 MAX_DENSE_DIM = 8192
 SYMMETRY_RTOL = 1e-12  # max relative asymmetry sym_eig accepts
 FIT_MIN_POINTS = 4  # fewest (alpha, n_star) points fit_divergence accepts
@@ -60,7 +60,9 @@ def sym_eig(a) -> EigenDecomposition:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("sym_eig requires a square 2-d array")
-    scale = float(np.abs(a).max()) if a.size else 0.0
+    if not a.size:  # eigh's empty decomposition; there is no sign to fix
+        return EigenDecomposition(*np.linalg.eigh(a))
+    scale = float(np.abs(a).max())
     if not math.isfinite(scale):  # NaN or inf exactly when an entry is
         raise ValueError("sym_eig matrix entries must be finite")
     if scale > 0.0:
@@ -129,6 +131,8 @@ def fit_divergence(points, window: float | None = None) -> DivergenceFit:
     if float(ns.max() - ns.min()) == 0.0:
         raise FitError("n_star values are constant; no divergence to fit")
     window = FIT_WINDOW if window is None else float(window)
+    if not math.isfinite(window):
+        raise FitError(f"search window must be finite, not {window}")
     if window <= 0:
         raise FitError("search window must be positive")
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import numerics
+from sbnrg import numerics
 
 __all__ = [
     "EdProblem",

@@ -23,7 +23,8 @@ from sbnrg.circuit import CircuitParams, SpinBosonParams, map_to_spin_boson
 from sbnrg.criticality import extract_nstar, fit_alpha_c
 from sbnrg.nrg import NrgConfig, run, run_on_chain
 from sbnrg.numerics import FitError
-from sbnrg.oracle import EdProblem, exact_diag
+
+from oracle import EdProblem, exact_diag
 
 FIG3_ALPHAS = (0.50, 0.55, 0.60, 0.65, 0.70, 0.75)
 POPULATION_ALPHAS = (0.2, 0.3, 0.4, 0.5, 0.6, 0.8, 1.0, 1.85, 2.0, 2.2)

@@ -14,6 +14,7 @@ from sbnrg.bath import (
     WilsonChain,
     chain_map,
     discretize,
+    longest_chain,
 )
 from sbnrg.circuit import SpinBosonParams
 from sbnrg.criticality import extract_nstar
@@ -122,6 +123,13 @@ class TestDiscretize:
             discretize(ohmic(0.5), 1.0, 10)
         with pytest.raises(ValueError):
             discretize(ohmic(0.5), 2.0, 0)
+        # a NaN Lambda once gave c0 = 0 and every eps NaN, with no error
+        for Lambda in (math.nan, math.inf):
+            for call in (lambda: discretize(ohmic(0.5), Lambda, 5),
+                         lambda: longest_chain(Lambda)):
+                with pytest.raises(ValueError,
+                                   match=f"Lambda must be finite, not {Lambda}"):
+                    call()
 
     @given(st.floats(1.2, 5.0), st.integers(2, 30))
     def test_strictly_decaying(self, Lambda, n_star):
@@ -197,6 +205,11 @@ class TestChainMap:
                                gamma=np.array([0.1])))
         with pytest.raises(ValueError, match="float64"):
             chain_map(discretize(ohmic(0.5), 2.0, 400))  # past NrgConfig's bound
+        # a NaN gamma once failed g * g > 0 and was dropped as a weightless mode
+        for bad in (math.nan, math.inf):
+            for xi, gamma in (([0.5, bad], [0.1, 0.1]), ([0.5, 0.25], [0.1, bad])):
+                with pytest.raises(ValueError, match="must be finite"):
+                    chain_map(StarBath(xi=np.array(xi), gamma=np.array(gamma)))
 
     def test_degenerate_star_truncates_cleanly(self):
         # modes at one energy span a 1d Krylov space, weightless ones none:

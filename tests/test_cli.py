@@ -37,7 +37,6 @@ from sbnrg.cli import (
 )
 from sbnrg.criticality import extract_nstar, nstar_threshold
 from sbnrg.nrg import DegeneracyError, NrgConfig, NrgError, run
-from sbnrg.oracle import EdProblem, exact_diag
 
 from conftest import CRITICAL_PAYLOAD
 
@@ -178,9 +177,6 @@ BLOCKS = {
                   "sweep": {"parameter": "alpha",
                             "grid": {"values": [0.1, 0.2, 0.3, 0.4]}}},
                  {"window": 4.0}, [], ["threshold"], CriticalSpec(window=4.0)),
-    "oracle": ("oracle", {},
-               {"delta": 0.3, "epsilon": 0.1, "modes": [[0.5, 0.2]], "n_max": 8},
-               ["delta", "modes"], [], EdProblem(delta=0.3, epsilon=0.1, modes=((0.5, 0.2),), n_max=8)),
 }
 
 
@@ -269,8 +265,9 @@ class TestParseConfig:
         ("sweep", {"model": {"delta": 0.1},
                    "sweep": {"parameter": "alpha", "grid": [0.1]}},
          "sweep.grid must be an object"),
-        ("oracle", {"oracle": {"delta": 0.2, "modes": {"0.5": 0.1}}},
-         "oracle.modes must be a list"),
+        ("sweep", {"model": {"delta": 0.1},
+                   "sweep": {"parameter": "alpha", "grid": {"values": 0.1}}},
+         "sweep.grid.values must be a list"),
         ("run", {"model": {"delta": 0.1}, "nrg": [40]}, "nrg must be an object"),
     ], ids=["number", "integer", "bool-as-integer", "string", "object", "list",
             "block"])
@@ -395,11 +392,6 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="delta_convention"):
             parse_config(json.dumps(payload), mode="map-circuit")
 
-    def test_oracle_modes_validation(self):
-        payload = {"oracle": {"delta": 0.2, "modes": [[0.5, 0.1], [0.25]]}}
-        with pytest.raises(ConfigError, match=r"oracle.modes\[1\]"):
-            parse_config(json.dumps(payload), mode="oracle")
-
     def test_config_echo_roundtrip(self):
         payload = {
             "model": {"delta": 0.05},
@@ -425,11 +417,6 @@ class TestParseConfig:
         assert echo["circuit"] == {
             **block, "omega_c": None, "delta_convention": "omega10",
             "i_uw": None}
-        echo = config_echo(parse_config(
-            json.dumps({"oracle": {"delta": 0.3, "modes": [[0.5, 0.2]]}}),
-            mode="oracle"))
-        assert json.loads(json.dumps(echo["oracle"])) == {
-            "delta": 0.3, "epsilon": 0.0, "modes": [[0.5, 0.2]], "n_max": 20}
 
 
 class TestRunMode:
@@ -643,24 +630,6 @@ class TestMapCircuitMode:
                      "--out", str(out)]) == EXIT_CONFIG
         assert f"circuit: {message}" in capsys.readouterr().err
         assert not out.exists()
-
-
-ORACLE_PAYLOAD = {"oracle": {"delta": 0.3, "epsilon": 0.1,
-                             "modes": [[0.5, 0.2]], "n_max": 8}}
-
-
-class TestOracleMode:
-    def test_matches_library(self, tmp_path):
-        out = tmp_path / "out"
-        cfg = write_config(tmp_path, ORACLE_PAYLOAD)
-        assert main(["oracle", "--config", cfg, "--out", str(out)]) == EXIT_OK
-        doc = json.loads((out / "oracle.json").read_text())
-        ref = exact_diag(EdProblem(delta=0.3, epsilon=0.1,
-                                   modes=((0.5, 0.2),), n_max=8))
-        assert doc["ground_energy"] == ref.ground_energy
-        assert doc["gap"] == ref.gap
-        assert doc["sigma_z"] == ref.sigma_z
-        assert doc["converged"] is True
 
 
 class TestSweepMode:
@@ -986,9 +955,7 @@ class TestConfigEcho:
         ("run", {"model": {"delta": 0.05}}, ["nrg.n_star"]),
         ("sweep", TestSweepMode.PAYLOAD, ["nrg.n_star"]),
         ("critical", CRITICAL_PAYLOAD, ["critical.window"]),
-        ("oracle", {"oracle": {"delta": 0.3, "modes": [[0.5, 0.2], [1.5, 0.3]]}},
-         []),
-    ], ids=["map-circuit", "chain", "run", "sweep", "critical", "oracle"])
+    ], ids=["map-circuit", "chain", "run", "sweep", "critical"])
     def test_echo_parses_back(self, mode, payload, nulls):
         # once the echo held nulls the parser rejected, a sweep block that was
         # no grid, and in sweep configs a critical.window that sweep rejected
@@ -1015,7 +982,6 @@ FULL_PAYLOADS = {
     "run": RUN_PAYLOAD,
     "sweep": TestSweepMode.PAYLOAD,
     "critical": CRITICAL_PAYLOAD,
-    "oracle": ORACLE_PAYLOAD,
 }
 REQUIRED_BLOCKS = [
     ("map-circuit", "circuit", "c_j"),
@@ -1025,7 +991,6 @@ REQUIRED_BLOCKS = [
     ("sweep", "sweep", "parameter"),
     ("critical", "model", "delta"),
     ("critical", "sweep", "parameter"),
-    ("oracle", "oracle", "delta"),
 ]
 
 
@@ -1060,6 +1025,19 @@ class TestReadmeConfigs:
             keys = [key for _, key, _, _ in cli._fields(blocks[name])]
             assert re.findall(r"`(\w+)`", listed) == keys, name
 
+    def test_subcommand_table_is_subcommands(self):
+        rows = re.findall(r"^\| `([\w-]+)` \| ((?:`\w+`(?:, )?)+) \| .+ \|$",
+                          README.read_text(), re.M)
+        assert [(name, tuple(re.findall(r"`(\w+)`", reads)))
+                for name, reads in rows] == [
+            (name, command.reads) for name, command in cli.SUBCOMMANDS.items()]
+
+    def test_block_table_is_the_blocks(self):
+        names = re.findall(r"^\| `(\w+)` \| `sbnrg\.[\w.]+`", README.read_text(),
+                           re.M)
+        assert names == [key for _, key, tp, _ in cli._fields(cli.RunConfig)
+                         if is_dataclass(tp)]
+
 
 class TestExitCodes:
     def test_missing_config_file(self, tmp_path):
@@ -1083,7 +1061,7 @@ class TestExitCodes:
         ("sweep", TestSweepMode.PAYLOAD, "oracle"),
         ("critical", CRITICAL_PAYLOAD, "circuit"),
         ("map-circuit", TestMapCircuitMode.PAYLOAD, "model"),
-        ("oracle", ORACLE_PAYLOAD, "nrg"),
+        ("critical", CRITICAL_PAYLOAD, "oracle"),
         # sweep fits no pole, so no critical value bears on it
         ("sweep", TestSweepMode.PAYLOAD, "critical"),
     ])
@@ -1179,6 +1157,18 @@ class TestExitCodes:
             assert parse_config(json.dumps(payload),
                                 mode=other).nrg.n_iter == 1
 
+    def test_oracle_subcommand_is_gone(self, tmp_path, capsys):
+        # exact diagonalization is test code (tests/oracle.py), run by no
+        # subcommand: argparse refuses it before --out exists
+        cfg = write_config(tmp_path, {"oracle": {"delta": 0.3,
+                                                 "modes": [[0.5, 0.2]]}})
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exit_:
+            main(["oracle", "--config", cfg, "--out", str(out)])
+        assert exit_.value.code == EXIT_CONFIG
+        assert "invalid choice: 'oracle'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_key_strict_vs_lenient(self, tmp_path, capsys):
         # an unknown key is always an error, so there is no strictness
         # flag: argparse refuses --no-strict and --strict before --out exists
@@ -1194,8 +1184,6 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("mode,payload,where", [
         ("run", {"model": {"delta": 10 ** 400}}, "model.delta"),
-        ("oracle", {"oracle": {"delta": 0.2, "modes": [[0.5, 10 ** 400]]}},
-         "oracle.modes[0]"),
         ("run", {"model": {"delta": 0.05},
                  "nrg": {"lambda": float("inf")}}, "nrg.lambda must be a number"),
         ("critical", {"model": {"delta": 0.05},
@@ -1207,7 +1195,7 @@ class TestExitCodes:
                    "sweep": {"parameter": "alpha",
                              "grid": {"values": [0.1, 10 ** 400]}}},
          "sweep.grid.values[1] must be a number"),
-    ], ids=["huge-int-delta", "huge-int-mode", "inf-lambda", "nan-window",
+    ], ids=["huge-int-delta", "inf-lambda", "nan-window",
             "overflowing-grid"])
     def test_nonfinite_number_exits_config(self, tmp_path, monkeypatch, capsys,
                                            mode, payload, where):
@@ -1262,13 +1250,9 @@ class TestExitCodes:
         ("map-circuit", {"circuit": {**TestMapCircuitMode.PAYLOAD["circuit"],
                                      "omega_c": 1e3}},
          "circuit: cutoff omega_c must lie above the qubit splitting"),
-        # dimension 2 * 5^6 = 31250, a 7.8 GB matrix
-        ("oracle", {"oracle": {"delta": 0.2, "modes": [[0.5, 0.1]] * 6,
-                               "n_max": 4}},
-         "exceeds the dense-matrix limit 8192"),
     ], ids=["negative-alpha-point", "negative-delta-point",
             "negative-line-length", "zero-line-modes", "too-many-line-modes",
-            "cutoff-below-splitting", "oracle-over-budget"])
+            "cutoff-below-splitting"])
     def test_invalid_config_exits_before_execute(self, tmp_path, monkeypatch,
                                                  capsys, mode, payload,
                                                  message):

@@ -25,9 +25,9 @@ from sbnrg.nrg import (
     run,
     run_on_chain,
 )
-from sbnrg.oracle import EdProblem, exact_diag
 
 from conftest import CRITICAL_PAYLOAD
+from oracle import EdProblem, exact_diag
 
 CRITICAL_DELTA = CRITICAL_PAYLOAD["model"]["delta"]
 CRITICAL_NRG = NrgConfig(**CRITICAL_PAYLOAD["nrg"])

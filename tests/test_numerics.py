@@ -99,6 +99,11 @@ class TestSymEig:
         with pytest.raises(ValueError, match="square"):
             sym_eig(np.zeros((2, 3)))
 
+    def test_empty_matrix(self):
+        # once failed in the sign fix: argmax of an empty sequence
+        dec = sym_eig(np.zeros((0, 0)))
+        assert dec.eigenvalues.shape == (0,) and dec.vectors.shape == (0, 0)
+
     @given(st.integers(0, 500))
     def test_trace_preserved(self, seed):
         a = random_symmetric(8, seed)
@@ -210,6 +215,10 @@ class TestFitDivergence:
         pts[2] = (pts[2][0], float("nan"))
         with pytest.raises(FitError):
             fit_divergence(pts)
+        # a window once fell through to "pole scan found no valid candidate"
+        for window in (math.nan, math.inf):
+            with pytest.raises(FitError, match=f"window must be finite, not {window}"):
+                fit_divergence(self.exact_points(), window=window)
 
     def test_deterministic(self):
         rng = np.random.default_rng(11)

@@ -5,7 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sbnrg import numerics
-from sbnrg.oracle import EdProblem, exact_diag
+
+from oracle import EdProblem, exact_diag
 
 
 def polaron_energy(modes):
