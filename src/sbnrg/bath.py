@@ -45,6 +45,7 @@ from .circuit import SpinBosonParams
 __all__ = [
     "StarBath",
     "WilsonChain",
+    "check_lambda",
     "discretize",
     "chain_map",
     "longest_chain",
@@ -88,6 +89,14 @@ class WilsonChain:
         return h.hexdigest()
 
 
+def check_lambda(Lambda: float) -> None:
+    """Raise ValueError unless the discretization ratio is finite and above 1."""
+    if not math.isfinite(Lambda):
+        raise ValueError(f"Lambda must be finite, not {Lambda}")
+    if Lambda <= 1.0:
+        raise ValueError("Lambda must exceed 1")
+
+
 def discretize(p: SpinBosonParams, Lambda: float, n_star: int) -> StarBath:
     """Logarithmically discretize the bath into n_star modes.
 
@@ -99,10 +108,7 @@ def discretize(p: SpinBosonParams, Lambda: float, n_star: int) -> StarBath:
     which do not depend on alpha.
     """
     Lambda = float(Lambda)
-    if not math.isfinite(Lambda):
-        raise ValueError(f"Lambda must be finite, not {Lambda}")
-    if Lambda <= 1.0:
-        raise ValueError("Lambda must exceed 1")
+    check_lambda(Lambda)
     n_star = int(n_star)
     if n_star < 1:
         raise ValueError("need at least one discretization interval")
@@ -178,6 +184,5 @@ def chain_map(star: StarBath) -> WilsonChain:
 
 def longest_chain(Lambda: float) -> int:
     """The most sites chain_map maps at Lambda: 256 at 2, 26 at 1000."""
-    if not math.isfinite(Lambda):
-        raise ValueError(f"Lambda must be finite, not {Lambda}")
+    check_lambda(Lambda)
     return 1 + int(-math.log(np.finfo(float).tiny, Lambda) / 4)

@@ -104,10 +104,7 @@ class NrgConfig:
     n_star: int | None = None
 
     def __post_init__(self):
-        if not math.isfinite(self.Lambda):
-            raise ValueError(f"Lambda must be finite, not {self.Lambda}")
-        if self.Lambda <= 1.0:
-            raise ValueError("Lambda must exceed 1")
+        bath.check_lambda(self.Lambda)
         if self.n_s < 2:
             raise ValueError("n_s must be at least 2")
         if self.n_b < 2:

@@ -1,8 +1,9 @@
 """Numerical kernels: symmetric eigensolver and divergence fit.
 
-Everything here is deterministic for fixed inputs. The eigensolver wraps
-LAPACK's symmetric driver and adds a fixed sign convention so repeated
-runs produce bit-identical eigenvectors.
+Everything here is deterministic for fixed inputs. The eigensolver
+returns LAPACK's symmetric driver's output as it comes: its bits repeat
+because BLAS is pinned to one thread and every caller builds its matrix
+in a fixed order, and no output reads an eigenvector's sign.
 """
 
 from __future__ import annotations
@@ -53,16 +54,15 @@ def sym_eig(a) -> EigenDecomposition:
     lower triangle, so an input symmetric only to that bound is
     diagonalized as its lower triangle mirrored; a caller that forms an
     operator product symmetrizes it first. Eigenvalues come back
-    ascending; each eigenvector is normalized and signed so that its
-    largest-magnitude component is positive (first such index on ties),
-    which makes the output reproducible bit for bit.
+    ascending with normalized eigenvectors, exactly as np.linalg.eigh
+    gives them. Each eigenvector's sign is LAPACK's, and no output reads
+    it: the NRG writes eigenvalues and diagonal elements v.O.v, and a sign
+    flip is a change of basis that leaves both as they are.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("sym_eig requires a square 2-d array")
-    if not a.size:  # eigh's empty decomposition; there is no sign to fix
-        return EigenDecomposition(*np.linalg.eigh(a))
-    scale = float(np.abs(a).max())
+    scale = float(np.abs(a).max(initial=0.0))
     if not math.isfinite(scale):  # NaN or inf exactly when an entry is
         raise ValueError("sym_eig matrix entries must be finite")
     if scale > 0.0:
@@ -74,11 +74,7 @@ def sym_eig(a) -> EigenDecomposition:
                 f"asymmetry {asym:.3e} exceeds {SYMMETRY_RTOL:.1e} * max|A| = "
                 f"{SYMMETRY_RTOL * scale:.3e}"
             )
-    w, v = np.linalg.eigh(a)
-    # a unit vector's largest |component| is at least 1/sqrt(n), never 0
-    idx = np.argmax(np.abs(v), axis=0)
-    v *= np.where(v[idx, np.arange(v.shape[1])] < 0, -1.0, 1.0)
-    return EigenDecomposition(eigenvalues=w, vectors=v)
+    return EigenDecomposition(*np.linalg.eigh(a))
 
 
 @dataclass

@@ -24,6 +24,7 @@ from sbnrg.criticality import extract_nstar, fit_alpha_c
 from sbnrg.nrg import NrgConfig, run, run_on_chain
 from sbnrg.numerics import FitError
 
+from conftest import CRITICAL_PAYLOAD
 from oracle import EdProblem, exact_diag
 
 FIG3_ALPHAS = (0.50, 0.55, 0.60, 0.65, 0.70, 0.75)
@@ -375,12 +376,7 @@ def test_criterion_8_cli_determinism(tmp_path):
         _cli(["run", "--config", str(run_cfg),
               "--out", str(tmp_path / f"run_{rep}")])
     crit_cfg = tmp_path / "critical.json"
-    crit_cfg.write_text(json.dumps({
-        "model": {"delta": 3e-5},
-        "nrg": {"n_s": 60, "n_b": 6, "n_iter": 60, "n_star": 65},
-        "sweep": {"parameter": "alpha",
-                  "grid": {"values": [0.55, 0.65, 0.75, 0.85]}},
-    }))
+    crit_cfg.write_text(json.dumps(CRITICAL_PAYLOAD))
     for workers in ("1", "2"):
         _cli(["critical", "--config", str(crit_cfg), "--workers", workers,
               "--out", str(tmp_path / f"crit_{workers}")])

@@ -130,6 +130,12 @@ class TestDiscretize:
                 with pytest.raises(ValueError,
                                    match=f"Lambda must be finite, not {Lambda}"):
                     call()
+        # longest_chain once gave -254 at 0.5 and divided by zero at 1
+        for Lambda in (0.5, 1.0):
+            for call in (lambda: discretize(ohmic(0.5), Lambda, 5),
+                         lambda: longest_chain(Lambda)):
+                with pytest.raises(ValueError, match="Lambda must exceed 1"):
+                    call()
 
     @given(st.floats(1.2, 5.0), st.integers(2, 30))
     def test_strictly_decaying(self, Lambda, n_star):

@@ -526,6 +526,20 @@ class TestMechanics:
         with pytest.raises(ValueError, match="exhausted"):
             iterate(state, chain, cfg)
 
+    def test_failing_iteration_is_named(self):
+        p = SpinBosonParams(delta=0.1, alpha=0.3)
+        # a NaN hopping reaches the solve of the site it couples in
+        chain = WilsonChain(c0=0.3, eps=np.array([0.5, 0.25, 0.125, 0.0625, 0.03]),
+                            t=np.array([0.1, 0.05, math.nan, 0.01]))
+        with pytest.raises(nrg.NrgError,
+                           match="^iteration 3: sym_eig matrix entries must be finite"):
+            run_on_chain(p, chain, NrgConfig(n_s=10, n_b=4, n_iter=5))
+        # decoupled sites multiply the degenerate ground multiplet past 2 n_s
+        chain = WilsonChain(c0=0.2, eps=np.array([1.0, 0.0, 0.0, 0.0]),
+                            t=np.zeros(3))
+        with pytest.raises(DegeneracyError, match="^iteration 2: kept set 16"):
+            run_on_chain(p, chain, NrgConfig(n_s=4, n_b=4, n_iter=4))
+
     def test_empty_chain_is_rejected(self):
         # chain_map always gives a site 0; a chain built without one is an error
         empty = WilsonChain(c0=0.0, eps=np.empty(0), t=np.empty(0))
