@@ -103,7 +103,8 @@ class CircuitParams:
 
 @dataclass(frozen=True)
 class QubitSpectrum:
-    """Derived junction spectrum, all in SI units.
+    """Derived junction spectrum, all in SI units: omega_p and omega_10
+    in rad/s, barrier_height_j, delta_j = hbar omega_10, e_j and e_c in J.
 
     barrier_ratio is dU / (hbar omega_p), the number of levels the well
     roughly holds; is_valid records the E_J >> E_C charge-noise check.
@@ -111,8 +112,8 @@ class QubitSpectrum:
 
     omega_p: float
     omega_10: float
-    barrier_height: float
-    delta: float
+    barrier_height_j: float
+    delta_j: float
     e_j: float
     e_c: float
     barrier_ratio: float
@@ -160,8 +161,8 @@ def qubit_spectrum(p: CircuitParams) -> QubitSpectrum:
     return QubitSpectrum(
         omega_p=omega_p,
         omega_10=omega_10,
-        barrier_height=barrier,
-        delta=H_BAR * omega_10,
+        barrier_height_j=barrier,
+        delta_j=H_BAR * omega_10,
         e_j=e_j,
         e_c=e_c,
         barrier_ratio=barrier / (H_BAR * omega_p) if omega_p > 0 else 0.0,

@@ -36,7 +36,7 @@ import json
 import math
 import sys
 import threading
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Iterator, get_args, get_origin, get_type_hints
@@ -349,28 +349,13 @@ def _circuit_payload(circuit: CircuitSpec) -> dict:
     """circuit.json's contents: the qubit spectrum, and what omega_c and
     i_uw add."""
     conv = circuit.delta_convention
-    spec = qubit_spectrum(circuit)
-    payload = {
-        "qubit": {
-            "omega_p": spec.omega_p,
-            "omega_10": spec.omega_10,
-            "barrier_height_j": spec.barrier_height,
-            "delta_j": spec.delta,
-            "e_j": spec.e_j,
-            "e_c": spec.e_c,
-            "barrier_ratio": spec.barrier_ratio,
-            "ej_ec_ratio": spec.ej_ec_ratio,
-            "is_valid": spec.is_valid,
-        }
-    }
+    payload = {"qubit": asdict(qubit_spectrum(circuit))}
     if circuit.omega_c is not None:
         sb = map_to_spin_boson(circuit, circuit.omega_c, delta_convention=conv)
         # s, the bath exponent: the semi-infinite line is Ohmic
-        payload["spin_boson"] = {
-            "delta": sb.delta, "epsilon": sb.epsilon, "alpha": sb.alpha,
-            "s": 1.0, "omega_c": circuit.omega_c,
-            "delta_convention": conv,
-        }
+        payload["spin_boson"] = {**asdict(sb), "s": 1.0,
+                                 "omega_c": circuit.omega_c,
+                                 "delta_convention": conv}
     if circuit.i_uw is not None:
         bias = microwave_bias(circuit, circuit.i_uw)
         payload["bias_j"] = bias
@@ -449,11 +434,9 @@ def _do_critical(cfg: RunConfig):
     yield "points.csv", _csv(
         "alpha,n_star", ((_fmt(pt.alpha), _fmt(pt.n_star)) for pt in points))
     fit = criticality.fit_alpha_c(points, window=cfg.critical.window)
-    payload = {
-        "a": fit.a, "b": fit.b, "alpha_c": fit.alpha_c, "rss": fit.rss,
-        "threshold": criticality.nstar_threshold(cfg.nrg.Lambda),
-        "n_points": len(points),
-    }
+    payload = {**asdict(fit),
+               "threshold": criticality.nstar_threshold(cfg.nrg.Lambda),
+               "n_points": len(points)}
     yield _json_file("fit.json", payload)
 
 

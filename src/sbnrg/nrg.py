@@ -18,7 +18,7 @@ between the sectors and sigma_x within each, so every kept state has
 free solves the second sector on a worker thread while it solves the
 first, with the serial step's bits. In the localized phase the ground
 doublet straddles the two sectors, and ground_spin reads its polarized
-member. A biased run is the same step with one sector, labelled 0.
+member. A biased run is the same step with one sector.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ __all__ = [
     "run",
     "run_on_chain",
     "ground_spin",
-    "delta_p",
     "usable_cpus",
 ]
 
@@ -134,19 +133,17 @@ class NrgConfig:
 class NrgState:
     """Kept basis after some iteration, held sector by sector.
 
-    labels are the sectors' eigenvalues of P = sigma_x (-1)^(sum of boson
-    numbers), (-1, 1) at epsilon = 0, else (0,); sector i's partner is
-    sector len(labels) - 1 - i. levels[i] holds sector i's kept energies
-    and energies all of them, stable-sorted, with the ground state at
-    exactly 0. op_b (the current site's annihilator) and op_sz flip P:
+    The sectors are those of P = sigma_x (-1)^(sum of boson numbers), in
+    order P = -1, 1 at epsilon = 0; a biased run has one. Sector i's
+    partner is sector len(levels) - 1 - i. levels[i] holds sector i's kept
+    energies, the ground state at exactly 0; energies is all of them,
+    sorted. op_b (the current site's annihilator) and op_sz flip P:
     block i maps the partner's states to sector i's (op_sz[1] is
     op_sz[0].T). op_sx keeps P: block i is sector i's own. ground_energy
     accumulates the absolute ground-state energy in cutoff units.
     """
 
     iteration: int
-    energies: np.ndarray
-    labels: tuple[int, ...]
     levels: tuple
     op_b: tuple
     op_sz: tuple
@@ -154,8 +151,12 @@ class NrgState:
     ground_energy: float
 
     @property
+    def energies(self) -> np.ndarray:
+        return np.sort(np.concatenate(self.levels))
+
+    @property
     def kept(self) -> int:
-        return int(self.energies.size)
+        return sum(x.size for x in self.levels)
 
 
 @dataclass(frozen=True)
@@ -185,11 +186,15 @@ class NrgResult:
     flow: NrgFlow
     sigma_z_gs: float
     sigma_x_gs: float
-    delta_p: float
     params: SpinBosonParams
     config: NrgConfig
     chain_digest: str
     ground_energy: float
+
+    @property
+    def delta_p(self) -> float:
+        """Population difference |<sigma_z>| / 2, in [0, 0.5]."""
+        return abs(self.sigma_z_gs) / 2.0
 
 
 def _kept_count(energies: np.ndarray, cfg: NrgConfig) -> int:
@@ -244,9 +249,8 @@ def _sector_h(blocks: tuple, coupling: tuple, j: int, n_b: int,
 
 
 def _add_site(blocks: tuple, coupling: tuple, op_sz: tuple, op_sx: tuple,
-              labels: tuple[int, ...], cfg: NrgConfig, m: int = 0,
-              eps: float = 0.0, hop: float = 0.0, ground_energy: float = 0.0,
-              pool=None) -> NrgState:
+              cfg: NrgConfig, m: int = 0, eps: float = 0.0, hop: float = 0.0,
+              ground_energy: float = 0.0, pool=None) -> NrgState:
     """Couple chain site m to a block held as NrgState holds it,
     rediagonalize and truncate.
 
@@ -256,7 +260,7 @@ def _add_site(blocks: tuple, coupling: tuple, op_sz: tuple, op_sx: tuple,
     spectra are stable-merged, shifted to 0 (the shift joins ground_energy)
     and cut; each operator block is rotated with its sectors' kept vectors.
     """
-    n = len(labels)
+    n = len(blocks)
     scale = cfg.Lambda ** m
 
     def solve(j):
@@ -313,8 +317,6 @@ def _add_site(blocks: tuple, coupling: tuple, op_sz: tuple, op_sx: tuple,
                        "basis corrupted")
     return NrgState(
         iteration=m,
-        energies=e[:kept],
-        labels=labels,
         levels=tuple(d.eigenvalues[:c] - w.min() for d, c in zip(decs, counts)),
         op_b=tuple(lowered(j) for j in range(n)),
         op_sz=(sz, sz.T)[:n],
@@ -330,7 +332,7 @@ def build_initial(p: SpinBosonParams, chain: WilsonChain, cfg: NrgConfig) -> Nrg
     site 0 through (c0/2) sigma_z (b + b^dag), on the 2 x n_b product
     basis. At epsilon = 0 the spin is written in the sigma_x eigenbasis,
     its upper state sector -1 and its lower sector +1; otherwise it is one
-    sector, labelled 0, in the sigma_z basis. This is the only place that decides
+    sector in the sigma_z basis. This is the only place that decides
     whether a run is parity-blocked. The chain needs a site 0: chain_map
     always gives one, the decoupled chain at alpha = 0, and an empty chain
     raises ValueError. Warns when the coupling-induced displacement
@@ -341,10 +343,10 @@ def build_initial(p: SpinBosonParams, chain: WilsonChain, cfg: NrgConfig) -> Nrg
     if p.epsilon == 0:
         one = np.ones((1, 1))
         spin = ((np.array([0.5 * p.delta]), np.array([-0.5 * p.delta])),
-                (one, one), (one, one), (-one, one), (-1, 1))
+                (one, one), (one, one), (-one, one))
     else:
         spin = ((-0.5 * p.delta * _SX + 0.5 * p.epsilon * _SZ,), (_SZ,),
-                (_SZ,), (_SX,), (0,))
+                (_SZ,), (_SX,))
     eps0 = float(chain.eps[0])
     c0 = float(chain.c0)
     if c0 > 0 and eps0 > 0 and c0 / eps0 > math.sqrt(cfg.n_b):
@@ -375,7 +377,7 @@ def iterate(state: NrgState, chain: WilsonChain, cfg: NrgConfig,
     if m >= chain.n_sites:
         raise ValueError(f"chain exhausted: no site {m}")
     return _add_site(tuple(cfg.Lambda * x for x in state.levels), state.op_b,
-                     state.op_sz, state.op_sx, state.labels, cfg, m,
+                     state.op_sz, state.op_sx, cfg, m,
                      float(chain.eps[m]), float(chain.t[m - 1]),
                      state.ground_energy, pool)
 
@@ -413,9 +415,10 @@ def ground_spin(state: NrgState) -> tuple[float, float]:
     clipped to [-1, 1]; one beyond 1 + 1e-9 raises NrgError.
     """
     sizes = [x.size for x in state.levels]
-    order = np.argsort(np.concatenate(state.levels), kind="stable")
+    merged = np.concatenate(state.levels)
+    order = np.argsort(merged, kind="stable")
     second = order >= sizes[0]  # the state lies in the second sector
-    e = state.energies
+    e = merged[order]
     g = max(int(np.searchsorted(e, DEGENERACY_TOL, side="right")), 1)
     if (g + 1 < e.size and second[g] != second[0]
             and e[g] < DOUBLET_RATIO * e[g + 1]):
@@ -433,14 +436,6 @@ def ground_spin(state: NrgState) -> tuple[float, float]:
     if (worst := max(abs(x) for x in spin)) > 1.0 + 1e-9:
         raise NrgError(f"ground-state spin {worst:.12g} exceeds 1; basis corrupted")
     return tuple(min(max(float(x), -1.0), 1.0) for x in spin)
-
-
-def delta_p(sigma_z_gs: float) -> float:
-    """Population difference delta_p = |<sigma_z>| / 2, in [0, 0.5]."""
-    sz = float(sigma_z_gs)
-    if abs(sz) > 1.0 + 1e-9:
-        raise ValueError(f"|<sigma_z>| = {abs(sz)} exceeds 1")
-    return min(abs(sz), 1.0) / 2.0
 
 
 def usable_cpus() -> int:
@@ -472,7 +467,7 @@ def run_on_chain(p: SpinBosonParams, chain: WilsonChain, cfg: NrgConfig, *,
     records = [_record(state)]
     limit = min(cfg.n_iter, chain.n_sites)
     pool = contextlib.nullcontext()
-    if (len(state.labels) == 2 and usable_cpus() >= 2
+    if (len(state.levels) == 2 and usable_cpus() >= 2
             and threading.current_thread() is threading.main_thread()):
         from concurrent.futures import ThreadPoolExecutor  # 7-11 ms to import
 
@@ -495,7 +490,6 @@ def run_on_chain(p: SpinBosonParams, chain: WilsonChain, cfg: NrgConfig, *,
         flow=NrgFlow(tuple(records), alpha=p.alpha, Lambda=cfg.Lambda),
         sigma_z_gs=sz,
         sigma_x_gs=sx,
-        delta_p=delta_p(sz),
         params=p,
         config=cfg,
         chain_digest=chain.digest(),

@@ -38,6 +38,7 @@ class FitError(RuntimeError):
     """Divergence fit could not locate a trustworthy pole."""
 
 
+# eigh's result has named fields only from numpy 2.0; pyproject allows 1.22
 @dataclass
 class EigenDecomposition:
     """Eigenvalues in ascending order and the matching orthonormal vectors."""

@@ -73,14 +73,14 @@ class TestQubitSpectrum:
         spec = qubit_spectrum(REFERENCE)
         assert spec.omega_p == pytest.approx(15437501819.022846, rel=1e-12)
         assert spec.omega_10 == pytest.approx(14665626728.071703, rel=1e-12)
-        assert spec.barrier_height == pytest.approx(3.5104637704048405e-24, rel=1e-12)
+        assert spec.barrier_height_j == pytest.approx(3.5104637704048405e-24, rel=1e-12)
         assert spec.e_j == pytest.approx(6.582119569509067e-22, rel=1e-12)
         assert spec.e_c == pytest.approx(2.5166372220936958e-27, rel=1e-12)
 
     def test_level_splitting_is_softened_plasma(self):
         spec = qubit_spectrum(REFERENCE)
         assert spec.omega_10 == pytest.approx(0.95 * spec.omega_p, rel=1e-15)
-        assert spec.delta == pytest.approx(H_BAR * spec.omega_10, rel=1e-15)
+        assert spec.delta_j == pytest.approx(H_BAR * spec.omega_10, rel=1e-15)
 
     def test_charge_regime_flag(self):
         spec = qubit_spectrum(REFERENCE)
@@ -100,14 +100,14 @@ class TestQubitSpectrum:
         base = qubit_spectrum(make(i_b=0.0))
         probe = qubit_spectrum(make(i_b=(1.0 - 1e-12) * 2e-6))
         wp_ratio = probe.omega_p / base.omega_p
-        du_ratio = probe.barrier_height / base.barrier_height
+        du_ratio = probe.barrier_height_j / base.barrier_height_j
         assert 0.99e-3 < wp_ratio < 1.01e-3
         assert 0.99e-18 < du_ratio < 1.01e-18
 
     def test_monotone_in_bias(self):
         fractions = np.linspace(0.0, 0.995, 25)
         wp = [qubit_spectrum(make(i_b=f * 2e-6)).omega_p for f in fractions]
-        du = [qubit_spectrum(make(i_b=f * 2e-6)).barrier_height for f in fractions]
+        du = [qubit_spectrum(make(i_b=f * 2e-6)).barrier_height_j for f in fractions]
         assert all(a > b for a, b in zip(wp, wp[1:]))
         assert all(a > b for a, b in zip(du, du[1:]))
 

@@ -18,6 +18,7 @@ from sbnrg.bath import chain_map, discretize
 from sbnrg.circuit import (
     DELTA_CONVENTIONS,
     CircuitParams,
+    QubitSpectrum,
     SpinBosonParams,
     qubit_spectrum,
 )
@@ -37,6 +38,7 @@ from sbnrg.cli import (
 )
 from sbnrg.criticality import extract_nstar, nstar_threshold
 from sbnrg.nrg import DegeneracyError, NrgConfig, NrgError, run
+from sbnrg.numerics import DivergenceFit
 
 from conftest import CRITICAL_PAYLOAD
 
@@ -548,6 +550,11 @@ class TestMapCircuitMode:
             doc["bias_j"] / (1.0545718176461565e-34 * 1e14), rel=1e-10
         )
         assert sorted(doc) == ["bias", "bias_j", "qubit", "spin_boson"]
+        # each block is its dataclass by field name
+        assert sorted(doc["qubit"]) == sorted(f.name for f in fields(QubitSpectrum))
+        assert sorted(doc["spin_boson"]) == sorted(
+            [f.name for f in fields(SpinBosonParams)]
+            + ["s", "omega_c", "delta_convention"])
 
     @pytest.mark.parametrize("convention", DELTA_CONVENTIONS)
     @pytest.mark.parametrize("factor", [1 + 1e-9, 1 - 1e-9], ids=["above", "below"])
@@ -848,6 +855,8 @@ class TestCriticalMode:
         assert fit["alpha_c"] == pytest.approx(1.2485799432068874, abs=1e-6)
         assert fit["n_points"] == 4
         assert fit["threshold"] == 0.3
+        assert sorted(fit) == sorted(
+            [f.name for f in fields(DivergenceFit)] + ["threshold", "n_points"])
 
     def test_each_flow_ends_at_its_crossing(self, tmp_path, monkeypatch):
         # each point stops at the first record whose level 1 reaches the

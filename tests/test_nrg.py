@@ -19,7 +19,6 @@ from sbnrg.nrg import (
     RunStopped,
     NrgState,
     build_initial,
-    delta_p,
     ground_spin,
     iterate,
     run,
@@ -36,12 +35,9 @@ CRITICAL_ALPHAS = CRITICAL_PAYLOAD["sweep"]["grid"]["values"]
 
 def assert_same_state(a, b):
     """Two NrgStates with the same bits in every array and number."""
-    assert (a.iteration, a.labels, a.ground_energy) == (
-        b.iteration, b.labels, b.ground_energy)
-    for name in ("energies", "levels", "op_b", "op_sz", "op_sx"):
+    assert (a.iteration, a.ground_energy) == (b.iteration, b.ground_energy)
+    for name in ("levels", "op_b", "op_sz", "op_sx"):
         xs, ys = getattr(a, name), getattr(b, name)
-        if name == "energies":
-            xs, ys = (xs,), (ys,)
         assert len(xs) == len(ys), name
         for x, y in zip(xs, ys):
             assert x.dtype == y.dtype and x.shape == y.shape, name
@@ -49,7 +45,7 @@ def assert_same_state(a, b):
 
 
 def one_sector(state):
-    """The state as one sector labelled 0, assembled from its blocks.
+    """The state as one sector, assembled from its blocks.
 
     Its states take the order of state.energies.
     """
@@ -60,8 +56,7 @@ def one_sector(state):
     def full(blocks, odd):
         return (nrg._full(blocks, sizes, odd)[pick],)
 
-    return NrgState(iteration=state.iteration, energies=state.energies,
-                    labels=(0,), levels=(state.energies,),
+    return NrgState(iteration=state.iteration, levels=(state.energies,),
                     op_b=full(state.op_b, True), op_sz=full(state.op_sz, True),
                     op_sx=full(state.op_sx, False),
                     ground_energy=state.ground_energy)
@@ -264,7 +259,7 @@ class TestPhases:
         state = build_initial(p, chain, cfg)
         for _ in range(1, cfg.n_iter):
             state = iterate(state, chain, cfg)
-            assert state.labels == (-1, 1)
+            assert len(state.levels) == 2
             down, up = state.levels
             assert up.size == down.size
         assert np.abs(up - down).max() < np.diff(up).min()  # paired
@@ -273,12 +268,12 @@ class TestPhases:
         assert state.energies[1] > 1e-4
         sz, _ = ground_spin(state)
         assert abs(sz) > 0.9
-        assert classify_phase(delta_p(sz)) == "localized"
+        assert classify_phase(abs(sz) / 2) == "localized"
 
     @pytest.mark.parametrize("alpha", [0.5, 1.5])
     def test_blocked_flow_matches_one_sector_flow(self, alpha):
-        # the reference runs the same unbiased chain in one sector labelled
-        # 0, assembled from the blocked state's blocks, so each step
+        # the reference runs the same unbiased chain in one sector,
+        # assembled from the blocked state's blocks, so each step
         # diagonalizes the full space
         p = SpinBosonParams(delta=0.1, alpha=alpha)
         cfg = NrgConfig(n_s=100, n_b=6, n_iter=20)
@@ -287,7 +282,7 @@ class TestPhases:
         full = one_sector(blocked)
         for _ in range(1, cfg.n_iter):
             blocked, full = iterate(blocked, chain, cfg), iterate(full, chain, cfg)
-            assert full.labels == (0,) and blocked.labels == (-1, 1)
+            assert (len(full.levels), len(blocked.levels)) == (1, 2)
             npt.assert_allclose(blocked.energies, full.energies, rtol=0,
                                 atol=1e-10)
 
@@ -581,28 +576,44 @@ class TestMechanics:
             build_initial(SpinBosonParams(delta=0.0, alpha=0.0), chain,
                           NrgConfig(n_s=2, n_b=4, n_iter=2))
 
+    def test_corrupted_sigma_z_is_detected(self):
+        # a sigma_z block of norm 2 cannot come from an orthonormal basis;
+        # the step rotates it and refuses the result
+        sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+        sz = np.array([[1.0, 0.0], [0.0, -1.0]])
+        with pytest.raises(nrg.NrgError,
+                           match="^propagated sigma_z norm 1.94890637628 exceeds 1"):
+            nrg._add_site((-0.05 * sx + 0.01 * sz,), (sz,), (2 * sz,), (sx,),
+                          NrgConfig(n_s=4, n_b=3, n_iter=2), eps=0.5, hop=0.1)
+
     @staticmethod
-    def assembled(blocks, coupling, op_sz, op_sx, labels):
+    def parities(blocks):
+        """The sectors' eigenvalues of P, read off their count: (-1, 1)
+        for two sectors, and 0 marks the one sector of a biased block."""
+        return (0,) if len(blocks) == 1 else (-1, 1)
+
+    @classmethod
+    def assembled(cls, blocks, coupling, op_sz, op_sx):
         """An _add_site block as full matrices over its states, sector by
-        sector: H, the coupling, sigma_z, sigma_x and each state's label."""
+        sector: H, the coupling, sigma_z, sigma_x and each state's parity."""
         sizes = [b.shape[0] for b in blocks]
         h = tuple(np.diag(b) if b.ndim == 1 else b for b in blocks)
         return (nrg._full(h, sizes, False), nrg._full(coupling, sizes, True),
                 nrg._full(op_sz, sizes, True), nrg._full(op_sx, sizes, False),
-                np.repeat(labels, sizes))
+                np.repeat(cls.parities(blocks), sizes))
 
     @classmethod
-    def dense_add_site(cls, blocks, coupling, op_sz, op_sx, labels, cfg, m,
-                       eps, hop):
+    def dense_add_site(cls, blocks, coupling, op_sz, op_sx, cfg, m, eps, hop):
         """The site step on kron-built matrices, as the reference.
 
-        Each label's sector is the full H restricted to the (state, n)
-        pairs of that label. Gives the merged kept energies, each sector's
-        kept energies and kept vectors on the full basis, and b, sigma_z,
-        sigma_x on the full basis.
+        Each sector is the full H restricted to the (state, n) pairs of its
+        parity. Gives the merged kept energies, each sector's kept energies
+        and kept vectors on the full basis, and b, sigma_z, sigma_x on the
+        full basis.
         """
+        labels = cls.parities(blocks)
         h_block, coupling, op_sz, op_sx, label = cls.assembled(
-            blocks, coupling, op_sz, op_sx, labels)
+            blocks, coupling, op_sz, op_sx)
         n_b = cfg.n_b
         b = np.diag(np.sqrt(np.arange(1.0, n_b)), 1)
         eye_b, eye_k = np.eye(n_b), np.eye(h_block.shape[0])
@@ -639,11 +650,11 @@ class TestMechanics:
             sx = np.array([[0.0, 1.0], [1.0, 0.0]])
             sz = np.array([[1.0, 0.0], [0.0, -1.0]])
             if bias:
-                return ((-0.05 * sx + bias * sz,), (sz,), (sz,), (sx,), (0,),
+                return ((-0.05 * sx + bias * sz,), (sz,), (sz,), (sx,),
                         site_cfg, 0, eps, 0.3)
             one = np.ones((1, 1))
             return ((np.array([0.05]), np.array([-0.05])), (one, one),
-                    (one, one), (-one, one), (-1, 1), site_cfg, 0, eps, 0.3)
+                    (one, one), (-one, one), site_cfg, 0, eps, 0.3)
         # a later site: diagonal block of ~20 kept states
         chain = WilsonChain(c0=0.4, eps=np.array([0.6, 0.3, 0.15]),
                             t=np.array([0.2, 0.1]))
@@ -652,7 +663,7 @@ class TestMechanics:
             cfg), chain, cfg)
         assert 20 <= st1.kept <= 24
         return (tuple(cfg.Lambda * x for x in st1.levels), st1.op_b,
-                st1.op_sz, st1.op_sx, st1.labels, site_cfg, 2, eps, 0.1)
+                st1.op_sz, st1.op_sx, site_cfg, 2, eps, 0.1)
 
     @pytest.mark.parametrize("n_b", [2, 6])
     @pytest.mark.parametrize("eps", [0.0, 0.37])
@@ -663,7 +674,7 @@ class TestMechanics:
         args = self.site_step_args(block, 0.01, eps, cfg, n_b)
         got = nrg._add_site(*args)
         e, _, (v,), (op_b, op_sz, op_sx) = self.dense_add_site(*args)
-        assert got.labels == (0,)
+        assert len(got.levels) == 1
         npt.assert_array_equal(got.energies, e)
         npt.assert_array_equal(got.levels[0], e)
         npt.assert_array_equal(got.op_b[0], v.T @ op_b @ v)
@@ -683,7 +694,7 @@ class TestMechanics:
         args = self.site_step_args(block, 0.0, eps, cfg, n_b)
         got = nrg._add_site(*args)
         e, levels, v, (op_b, op_sz, op_sx) = self.dense_add_site(*args)
-        assert got.labels == (-1, 1)
+        assert len(got.levels) == 2
         npt.assert_allclose(got.energies, e, rtol=0, atol=1e-13)
         for j, r in ((0, 1), (1, 0)):
             npt.assert_allclose(got.levels[j], levels[j], rtol=0, atol=1e-13)
@@ -702,12 +713,12 @@ class TestMechanics:
         # bit for bit, in its halves' (state, n) order, odd n_b (halves of
         # unequal size) included
         cfg = NrgConfig(Lambda=2.0, n_s=20, n_b=4, n_iter=4)
-        blocks, coupling, op_sz, op_sx, labels, site_cfg, m, eps, hop = (
+        blocks, coupling, op_sz, op_sx, site_cfg, m, eps, hop = (
             self.site_step_args(block, bias, 0.37, cfg, n_b))
         scale = site_cfg.Lambda ** m
         on_site, hop = scale * eps, scale * hop
         h_block, full_coupling, _, _, label = self.assembled(
-            blocks, coupling, op_sz, op_sx, labels)
+            blocks, coupling, op_sz, op_sx)
         # the full H as the step once built it, in the (state, n) order
         k = h_block.shape[0]
         root = np.sqrt(np.arange(1.0, n_b))
@@ -720,8 +731,8 @@ class TestMechanics:
         ref = ref.reshape(k * n_b, -1)
         pair = np.multiply.outer(label, (-1) ** np.arange(n_b)).ravel()
         first = np.cumsum([0] + [b.shape[0] for b in blocks])
-        assert labels == ((0,) if bias else (-1, 1))
-        for j, q in enumerate(labels):
+        assert len(blocks) == (1 if bias else 2)
+        for j, q in enumerate(self.parities(blocks)):
             got, levels, _ = nrg._sector_h(blocks, coupling, j, n_b, on_site,
                                            hop)
             rows = np.concatenate([
@@ -743,7 +754,7 @@ class TestMechanics:
             for _ in range(1, cfg.n_iter):
                 pooled = iterate(state, chain, cfg, pool)
                 serial = iterate(state, chain, cfg)
-                assert serial.labels == (-1, 1)
+                assert len(serial.levels) == 2
                 assert_same_state(pooled, serial)
                 state = serial
 
@@ -762,12 +773,10 @@ class TestMechanics:
 class TestGroundObservable:
     @staticmethod
     def state(energies, sz, sx):
-        """A state of one sector labelled 0."""
+        """A state of one sector."""
         e = np.asarray(energies, dtype=float)
         return NrgState(
             iteration=3,
-            energies=e,
-            labels=(0,),
             levels=(e,),
             op_b=(np.zeros((e.size, e.size)),),
             op_sz=(np.asarray(sz, dtype=float),),
@@ -783,8 +792,6 @@ class TestGroundObservable:
         sz = np.asarray(sz, dtype=float)
         return NrgState(
             iteration=3,
-            energies=np.sort(np.concatenate(levels)),
-            labels=(-1, 1),
             levels=levels,
             op_b=(np.zeros(sz.shape), np.zeros(sz.T.shape)),
             op_sz=(sz, sz.T),
@@ -853,17 +860,3 @@ class TestGroundObservable:
         assert abs(res.sigma_z_gs) == 1.0
         assert abs(res.sigma_x_gs) <= 1.0
 
-
-class TestDeltaP:
-    def test_values(self):
-        assert delta_p(0.0) == 0.0
-        assert delta_p(-0.8) == 0.4
-        assert delta_p(1.0) == 0.5
-
-    def test_clamps_roundoff(self):
-        assert delta_p(1.0 + 1e-10) == 0.5
-        assert delta_p(-1.0 - 1e-10) == 0.5
-
-    def test_rejects_unphysical(self):
-        with pytest.raises(ValueError):
-            delta_p(1.1)

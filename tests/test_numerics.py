@@ -202,6 +202,13 @@ class TestFitDivergence:
         with pytest.raises(FitError):
             fit_divergence([(a, 5.0) for a in self.alphas])
 
+    def test_pole_scan_without_a_valid_candidate(self):
+        # alphas 1e-12 apart: 1 / (alpha_c - alpha) is flat to the line fit
+        # at every grid pole, so the scan finds none to refine
+        pts = [(0.5 + k * 1e-12, n) for k, n in enumerate((1.0, 2.0, 3.0, 5.0))]
+        with pytest.raises(FitError, match="pole scan found no valid candidate"):
+            fit_divergence(pts)
+
     def test_converging_data_rejected(self):
         # n falls towards a pole above the data: the best fit has b < 0
         pts = [(a, 10.0 - 3.0 / (1.2 - a)) for a in (0.5, 0.6, 0.7, 0.8)]
